@@ -20,6 +20,7 @@ from framecycles.cycles import (
     CycleSpace,
     CycleVector,
     NoCycleThroughMember,
+    UnionSubgraph,
     admissible_expansion,
     build_srt,
     min_cycle_on_member,
@@ -120,7 +121,7 @@ def _greedy_select(
     """
     target = cycle_rank(graph)
     space = CycleSpace.over(graph)
-    union: set[int] = set()
+    union = UnionSubgraph()
     selected: list[CycleVector] = []
     log: list[tuple[int, bool, bool]] = []
     for cand in candidates:
@@ -130,7 +131,7 @@ def _greedy_select(
         if not independent:
             continue
         space.add(cand)
-        union |= cand.members
+        union.add(graph, cand.members)
         selected.append(cand)
         if len(selected) == target:
             break

@@ -9,9 +9,10 @@ node id, so every result is deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from framecycles.model import WeightedGraph
+from framecycles.model import DisjointSets, WeightedGraph, heavy_first
 
 SRT = "SRT"
 SRTM = "SRTM"
@@ -23,7 +24,11 @@ class NoCycleThroughMember(ValueError):
 
 @dataclass
 class RouteTree:
-    """Spanning tree of the reachable component with breadth-first tier labels."""
+    """Spanning tree of the reachable component with breadth-first tier labels.
+
+    An SRT grown lazily for ``min_cycle_on_member`` holds only the tiers
+    that the lock-step search reached.
+    """
 
     root: int
     kind: str
@@ -58,7 +63,18 @@ class CycleVector:
     generator: int
 
     @staticmethod
-    def from_members(graph: WeightedGraph, members: frozenset[int], generator: int) -> "CycleVector":
+    def from_members(
+        graph: WeightedGraph, members: frozenset[int], generator: int
+    ) -> "CycleVector":
+        """The cycle on *members*, its weight summed in set-iteration order.
+
+        That order depends on how the set was built, not only on what it
+        holds, and cycles of equal geometry can differ in the last bit:
+        330819.6266666667 against 330819.62666666665 on
+        ``grid:2x7:checker``.  The weight-descending greedy order is decided
+        by that bit, so every builder of a member set must keep building it
+        the same way.
+        """
         weight = sum(graph.weight(m) for m in members)
         return CycleVector(members, len(members), weight, generator)
 
@@ -73,20 +89,35 @@ def build_srt(graph: WeightedGraph, root: int, forbidden: int | None = None) -> 
     The forbidden member, if any, never enters the tree; nodes unreachable
     without it are simply absent.
     """
-    label = {root: 0}
-    parent: dict[int, tuple[int, int]] = {}
-    frontier = [root]
-    while frontier:
+    tree, tiers = _srt_route(graph, root, forbidden)
+    for _ in tiers:
+        pass
+    return tree
+
+
+def _grow_srt(graph: WeightedGraph, tree: RouteTree) -> Iterator[list[int]]:
+    """Add the tree's breadth-first tiers one at a time, yielding each new one.
+
+    Tier k+1 depends only on tiers 0..k (each expanded in ascending node
+    id, members by ascending id), so a tree grown part way is exactly the
+    top of the full tree.
+    """
+    label, parent, forbidden = tree.label, tree.parent, tree.forbidden
+    frontier = [tree.root]
+    while True:
         next_frontier = []
         for u in sorted(frontier):
+            depth = label[u] + 1
             for edge, v in graph.incident(u):
                 if edge.id == forbidden or v in label:
                     continue
-                label[v] = label[u] + 1
+                label[v] = depth
                 parent[v] = (u, edge.id)
                 next_frontier.append(v)
+        if not next_frontier:
+            return
+        yield next_frontier
         frontier = next_frontier
-    return RouteTree(root, SRT, parent, label, forbidden)
 
 
 def build_srtm(graph: WeightedGraph, root: int, forbidden: int | None = None) -> RouteTree:
@@ -101,48 +132,68 @@ def build_srtm(graph: WeightedGraph, root: int, forbidden: int | None = None) ->
     """
     label = {root: 0}
     parent: dict[int, tuple[int, int]] = {}
+    # The graph's survivor lists hold for every node but the forbidden
+    # member's two ends, whose average leaves that member out.
+    survivors = graph.heavy_incident
+    if forbidden is not None:
+        m = graph.member(forbidden)
+        survivors = dict(survivors)
+        for end in (m.a, m.b):
+            kept = [(e, v) for e, v in graph.incident(end) if e.id != forbidden]
+            survivors[end] = heavy_first(kept, graph.weights)
     frontier = [root]
     while frontier:
         next_frontier = []
         for u in sorted(frontier):
-            incident = [(e, v) for e, v in graph.incident(u) if e.id != forbidden]
-            if not incident:
-                continue
-            avg = sum(graph.weight(e.id) for e, _ in incident) / len(incident)
-            survivors = [
-                (e, v) for e, v in incident if graph.weight(e.id) >= avg and v not in label
-            ]
-            survivors.sort(key=lambda item: (-graph.weight(item[0].id), item[0].id))
-            for e, v in survivors:
+            depth = label[u] + 1
+            for e, v in survivors[u]:
                 if v in label:
                     continue
-                label[v] = label[u] + 1
+                label[v] = depth
                 parent[v] = (u, e.id)
                 next_frontier.append(v)
         frontier = next_frontier
 
     # Fallback: pruning can strand nodes that are reachable in the graph.
-    while True:
+    # Only a node attached in the previous round can have an unlabelled
+    # neighbour, so each round scans just those.
+    scan = list(label)
+    while scan:
         attachable: dict[int, tuple[float, int, int]] = {}
-        for u in label:
+        for u in scan:
             for e, v in graph.incident(u):
                 if e.id == forbidden or v in label:
                     continue
                 key = (-graph.weight(e.id), e.id, u)
                 if v not in attachable or key < attachable[v]:
                     attachable[v] = key
-        if not attachable:
-            break
-        for v in sorted(attachable):
+        scan = sorted(attachable)
+        for v in scan:
             _, eid, u = attachable[v]
-            if v in label:
-                continue
             label[v] = label[u] + 1
             parent[v] = (u, eid)
     return RouteTree(root, SRTM, parent, label, forbidden)
 
 
-_BUILDERS = {SRT: build_srt, SRTM: build_srtm}
+def _srt_route(
+    graph: WeightedGraph, root: int, forbidden: int | None
+) -> tuple[RouteTree, Iterator]:
+    tree = RouteTree(root, SRT, {}, {root: 0}, forbidden)
+    return tree, _grow_srt(graph, tree)
+
+
+def _srtm_route(graph: WeightedGraph, root: int, forbidden: int) -> tuple[RouteTree, Iterator]:
+    # The whole tree is needed: the fallback can attach nodes below the
+    # tier at which the trees meet.
+    tree = build_srtm(graph, root, forbidden)
+    tiers: list[list[int]] = [[] for _ in range(max(tree.label.values()) + 1)]
+    for node, tier in tree.label.items():
+        tiers[tier].append(node)
+    return tree, iter(tiers[1:])
+
+
+#: Tree kind -> (tree, iterator over its tiers below the root).
+_ROUTES = {SRT: _srt_route, SRTM: _srtm_route}
 
 
 def min_cycle_on_member(graph: WeightedGraph, member_id: int, tree_kind: str = SRT) -> CycleVector:
@@ -150,16 +201,17 @@ def min_cycle_on_member(graph: WeightedGraph, member_id: int, tree_kind: str = S
 
     Two route trees of the given kind grow from the member's two ends with
     the member itself forbidden, expanding in lock-step tiers; the first
-    common node closes the cycle.  With SRT trees the result has minimum
-    length among cycles through the member; SRTM trades length for weight.
+    common node closes the cycle.  SRT trees grow only as far as that node.
+    With SRT trees the result has minimum length among cycles through the
+    member; SRTM trades length for weight.
     """
-    if tree_kind not in _BUILDERS:
+    if tree_kind not in _ROUTES:
         raise ValueError(f"unknown tree kind '{tree_kind}'")
     m = graph.member(member_id)
-    build = _BUILDERS[tree_kind]
-    tree_a = build(graph, m.a, forbidden=member_id)
-    tree_b = build(graph, m.b, forbidden=member_id)
-    meet = _first_common_node(tree_a, tree_b)
+    route = _ROUTES[tree_kind]
+    tree_a, tiers_a = route(graph, m.a, member_id)
+    tree_b, tiers_b = route(graph, m.b, member_id)
+    meet = _first_common_node(tree_a.root, tiers_a, tree_b.root, tiers_b)
     if meet is None:
         raise NoCycleThroughMember(f"no cycle through member {member_id}")
     members: set[int] = {member_id}
@@ -168,30 +220,33 @@ def min_cycle_on_member(graph: WeightedGraph, member_id: int, tree_kind: str = S
     return CycleVector.from_members(graph, frozenset(members), member_id)
 
 
-def _first_common_node(tree_a: RouteTree, tree_b: RouteTree) -> int | None:
+def _first_common_node(
+    root_a: int, tiers_a: Iterator[list[int]], root_b: int, tiers_b: Iterator[list[int]]
+) -> int | None:
     """Lock-step tier intersection: alternate expanding each tree one tier.
 
-    If several common nodes appear at the same step, the lowest node id wins.
+    Each iterator yields its tree's tiers below the root, in label order.
+    The tree at the lower tier expands next (tree a on a tie) while it has a
+    tier left, so each side's next tier is fetched one step ahead.  If
+    several common nodes appear at the same step, the lowest node id wins.
     """
-    max_a = max(tree_a.label.values(), default=0)
-    max_b = max(tree_b.label.values(), default=0)
-    tier_a = tier_b = 0
-    seen_a = {tree_a.root}
-    seen_b = {tree_b.root}
-    while True:
-        common = seen_a & seen_b
+    seen_a, seen_b = {root_a}, {root_b}
+    next_a, next_b = next(tiers_a, None), next(tiers_b, None)
+    depth_a = depth_b = 0
+    while next_a or next_b:
+        if next_a and (depth_a <= depth_b or not next_b):
+            depth_a += 1
+            seen_a.update(next_a)
+            common = seen_b.intersection(next_a)
+            next_a = None if common else next(tiers_a, None)
+        else:
+            depth_b += 1
+            seen_b.update(next_b)
+            common = seen_a.intersection(next_b)
+            next_b = None if common else next(tiers_b, None)
         if common:
             return min(common)
-        can_a = tier_a < max_a
-        can_b = tier_b < max_b
-        if not can_a and not can_b:
-            return None
-        if can_a and (tier_a <= tier_b or not can_b):
-            tier_a += 1
-            seen_a.update(n for n, lbl in tree_a.label.items() if lbl == tier_a)
-        else:
-            tier_b += 1
-            seen_b.update(n for n, lbl in tree_b.label.items() if lbl == tier_b)
+    return None
 
 
 def min_cycle_through_node(graph: WeightedGraph, node: int, member_id: int) -> CycleVector:
@@ -271,41 +326,43 @@ def is_independent(basis: list[CycleVector], candidate: CycleVector) -> bool:
     return space.is_independent(candidate)
 
 
+@dataclass
+class UnionSubgraph:
+    """The union of the accepted cycles' members and the node sets it connects."""
+
+    members: set[int] = field(default_factory=set)
+    components: DisjointSets = field(default_factory=DisjointSets)
+
+    def growth(self, graph: WeightedGraph, members: frozenset[int]) -> int:
+        """How much the union's first Betti number would rise with *members*.
+
+        Each fresh member whose ends are already connected, by the union or
+        by fresh members taken before it, closes one more cycle.  The
+        trial links go into a throwaway overlay; the union is unchanged.
+        """
+        overlay = DisjointSets(self.components)
+        closed = 0
+        for mid in members:
+            if mid not in self.members:
+                e = graph.member(mid)
+                closed += not overlay.union(e.a, e.b)
+        return closed
+
+    def add(self, graph: WeightedGraph, members: frozenset[int]) -> None:
+        """Take *members* into the union (done only on acceptance)."""
+        for mid in members:
+            if mid not in self.members:
+                e = graph.member(mid)
+                self.components.union(e.a, e.b)
+        self.members |= members
+
+
 def admissible_expansion(
-    graph: WeightedGraph, union_members: set[int], candidate: CycleVector
+    graph: WeightedGraph, union: UnionSubgraph, candidate: CycleVector
 ) -> bool:
     """Independence control via Betti growth of the expanding union subgraph.
 
     True iff adding the candidate's members raises the union's first Betti
     number by exactly one.
     """
-    before = _subgraph_b1(graph, union_members)
-    after = _subgraph_b1(graph, union_members | candidate.members)
-    return after == before + 1
-
-
-def _subgraph_b1(graph: WeightedGraph, member_ids: set[int]) -> int:
-    if not member_ids:
-        return 0
-    nodes: set[int] = set()
-    edges = []
-    for mid in member_ids:
-        e = graph.member(mid)
-        nodes.add(e.a)
-        nodes.add(e.b)
-        edges.append(e)
-    parent = {n: n for n in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    b0 = len(nodes)
-    for e in edges:
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[ra] = rb
-            b0 -= 1
-    return len(edges) - len(nodes) + b0
+    return union.growth(graph, candidate.members) == 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 #: Node id of the merged ground node in contracted graphs.
 GROUND = -1
@@ -83,6 +84,7 @@ class StructuralModel:
                     f"node {n.id} has {len(n.coords)} coordinates, expected {self.ndim}"
                 )
         node_ids = seen
+        self._node_map = {n.id: n for n in self.nodes}
         member_ids: set[int] = set()
         pairs: set[frozenset[int]] = set()
         for m in self.members:
@@ -107,7 +109,6 @@ class StructuralModel:
         for s in self.supports:
             if s not in node_ids:
                 raise ModelError(f"support references missing node {s}")
-        self._node_map = {n.id: n for n in self.nodes}
         self._member_map = {m.id: m for m in self.members}
 
     def node(self, node_id: int) -> FrameNode:
@@ -125,10 +126,7 @@ class StructuralModel:
         return math.dist(ca, cb)
 
     def _coords(self, node_id: int) -> tuple[float, ...]:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n.coords
-        raise KeyError(node_id)
+        return self._node_map[node_id].coords
 
 
 @dataclass
@@ -164,6 +162,11 @@ class WeightedGraph:
         """Members incident to *node* as (edge, other-end) pairs, by member id."""
         return self._adj[node]
 
+    @cached_property
+    def heavy_incident(self) -> dict[int, list[tuple[Edge, int]]]:
+        """Per node, ``heavy_first`` of all its incident members."""
+        return {n: heavy_first(self._adj[n], self.weights) for n in self.nodes}
+
     def member(self, member_id: int) -> Edge:
         return self._member_map[member_id]
 
@@ -174,22 +177,57 @@ class WeightedGraph:
         return sorted(self._member_map)
 
 
-def _component_count(nodes: tuple[int, ...], members: tuple[Edge, ...]) -> int:
-    parent = {n: n for n in nodes}
+def heavy_first(
+    incident: list[tuple[Edge, int]], weights: dict[int, float]
+) -> list[tuple[Edge, int]]:
+    """The (edge, other-end) pairs weighing at least their mean, heaviest first.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+    The mean is summed in the given order (member-id order for
+    ``WeightedGraph.incident``), so it is the same float wherever it is
+    recomputed from the same pairs; ties in weight go by member id.
+    """
+    if not incident:
+        return []
+    mean = sum(weights[e.id] for e, _ in incident) / len(incident)
+    kept = [(e, v) for e, v in incident if weights[e.id] >= mean]
+    kept.sort(key=lambda item: (-weights[item[0].id], item[0].id))
+    return kept
+
+
+class DisjointSets:
+    """Union-find over node ids; a node never linked is a set of its own.
+
+    Built over a *base*, it extends the base's sets without changing them:
+    links made here stay here, so it serves as a throwaway overlay.
+    """
+
+    def __init__(self, base: DisjointSets | None = None):
+        self._parent: dict[int, int] = {}
+        self._base = base
+
+    def find(self, x: int) -> int:
+        if self._base is not None:
+            x = self._base.find(x)
+        parent = self._parent
+        while x in parent:
+            up = parent[x]
+            if up in parent:
+                up = parent[x] = parent[up]
+            x = up
         return x
 
-    count = len(nodes)
-    for e in members:
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-    return count
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of *a* and *b*; False if they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self._parent[ra] = rb
+        return True
+
+
+def _component_count(nodes: tuple[int, ...], members: tuple[Edge, ...]) -> int:
+    sets = DisjointSets()
+    return len(nodes) - sum(sets.union(e.a, e.b) for e in members)
 
 
 def member_weight(section: Section, length: float, variant: str = SUM) -> float:

@@ -4,7 +4,9 @@ Everything here is deliberately written with different algorithms than the
 code under test: path enumeration instead of route trees, dense bitmask
 elimination instead of the incremental pivot table, characteristic-polynomial
 root finding instead of eigvalsh, and a displacement (stiffness) solver
-instead of the force method.
+instead of the force method.  The one exception is the reference cycle
+construction, which is the library's own earlier, eager one: two complete
+route trees and a lock-step search that rescans every label per tier.
 """
 
 from __future__ import annotations
@@ -66,6 +68,105 @@ def shortest_cycle_length_through(graph: WeightedGraph, member_id: int) -> int |
     if m.b not in dist:
         return None
     return dist[m.b] + 1
+
+
+def _reference_srt(graph: WeightedGraph, root: int, forbidden: int):
+    """Complete breadth-first route tree: (label, parent) dicts."""
+    label = {root: 0}
+    parent: dict[int, tuple[int, int]] = {}
+    frontier = [root]
+    while frontier:
+        next_frontier = []
+        for u in sorted(frontier):
+            for edge, v in graph.incident(u):
+                if edge.id == forbidden or v in label:
+                    continue
+                label[v] = label[u] + 1
+                parent[v] = (u, edge.id)
+                next_frontier.append(v)
+        frontier = next_frontier
+    return label, parent
+
+
+def _reference_srtm(graph: WeightedGraph, root: int, forbidden: int):
+    """Complete weight-pruned route tree, averages recomputed at every node."""
+    label = {root: 0}
+    parent: dict[int, tuple[int, int]] = {}
+    frontier = [root]
+    while frontier:
+        next_frontier = []
+        for u in sorted(frontier):
+            incident = [(e, v) for e, v in graph.incident(u) if e.id != forbidden]
+            if not incident:
+                continue
+            avg = sum(graph.weight(e.id) for e, _ in incident) / len(incident)
+            survivors = [
+                (e, v) for e, v in incident if graph.weight(e.id) >= avg and v not in label
+            ]
+            survivors.sort(key=lambda item: (-graph.weight(item[0].id), item[0].id))
+            for e, v in survivors:
+                if v in label:
+                    continue
+                label[v] = label[u] + 1
+                parent[v] = (u, e.id)
+                next_frontier.append(v)
+        frontier = next_frontier
+    while True:  # attach stranded nodes, rescanning the whole tree each round
+        attachable: dict[int, tuple[float, int, int]] = {}
+        for u in label:
+            for e, v in graph.incident(u):
+                if e.id == forbidden or v in label:
+                    continue
+                key = (-graph.weight(e.id), e.id, u)
+                if v not in attachable or key < attachable[v]:
+                    attachable[v] = key
+        if not attachable:
+            break
+        for v in sorted(attachable):
+            _, eid, u = attachable[v]
+            label[v] = label[u] + 1
+            parent[v] = (u, eid)
+    return label, parent
+
+
+def _path_members(parent, root: int, node: int) -> list[int]:
+    path = []
+    while node != root:
+        node, via = parent[node]
+        path.append(via)
+    return path
+
+
+def reference_min_cycle(graph: WeightedGraph, member_id: int, tree_kind: str):
+    """(member set, weight) of the minimal cycle on a member, or None for a bridge.
+
+    Both trees are built in full; the lock-step search then rescans every
+    label for each tier.  The member set and the weight are built exactly
+    as the library builds them, so even the weight's last bit must agree.
+    """
+    build = {"SRT": _reference_srt, "SRTM": _reference_srtm}[tree_kind]
+    m = graph.member(member_id)
+    label_a, parent_a = build(graph, m.a, member_id)
+    label_b, parent_b = build(graph, m.b, member_id)
+    max_a, max_b = max(label_a.values()), max(label_b.values())
+    tier_a = tier_b = 0
+    seen_a, seen_b = {m.a}, {m.b}
+    while not seen_a & seen_b:
+        can_a, can_b = tier_a < max_a, tier_b < max_b
+        if not can_a and not can_b:
+            return None
+        if can_a and (tier_a <= tier_b or not can_b):
+            tier_a += 1
+            seen_a.update(n for n, lbl in label_a.items() if lbl == tier_a)
+        else:
+            tier_b += 1
+            seen_b.update(n for n, lbl in label_b.items() if lbl == tier_b)
+    meet = min(seen_a & seen_b)
+    members: set[int] = {member_id}
+    members ^= set(_path_members(parent_a, m.a, meet))
+    members ^= set(_path_members(parent_b, m.b, meet))
+    members = frozenset(members)
+    return members, sum(graph.weight(mid) for mid in members)
 
 
 def gf2_rank(member_sets, universe) -> int:

@@ -3,12 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from framecycles.cycles import (
+    SRT,
+    SRTM,
     CycleSpace,
     CycleVector,
     NoCycleThroughMember,
+    UnionSubgraph,
     admissible_expansion,
     build_srt,
     build_srtm,
@@ -167,12 +172,14 @@ class TestAdmissibleExpansion:
     def test_fresh_cycle_accepted(self):
         g = build_graph(generate_grid(1, 2))
         c = min_cycle_on_member(g, 1)
-        assert admissible_expansion(g, set(), c)
+        assert admissible_expansion(g, UnionSubgraph(), c)
 
     def test_redundant_cycle_rejected(self):
         g = build_graph(generate_grid(1, 2))
         c = min_cycle_on_member(g, 1)
-        assert not admissible_expansion(g, set(c.members), c)
+        union = UnionSubgraph()
+        union.add(g, c.members)
+        assert not admissible_expansion(g, union, c)
 
     def test_betti_accept_implies_gf2_accept(self):
         """The Betti-growth control is the stricter of the two controls."""
@@ -180,7 +187,7 @@ class TestAdmissibleExpansion:
         for _ in range(30):
             g = oracles.random_connected_graph(rng, 18)
             space = CycleSpace.over(g)
-            union: set[int] = set()
+            union = UnionSubgraph()
             cycles = []
             for mid in g.member_ids():
                 try:
@@ -191,4 +198,64 @@ class TestAdmissibleExpansion:
                 if admissible_expansion(g, union, c):
                     assert space.is_independent(c)
                 if space.add(c):
-                    union |= c.members
+                    union.add(g, c.members)
+
+
+# --- properties against the reference construction --------------------------
+
+#: Repeated weights make ties in the SRTM averages and orderings.
+TIED_WEIGHTS = (1.0, 2.0, 2.5, 10.0)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs of up to 9 nodes; parallel members allowed, as in
+    contracted frames whose node is tied to two supports."""
+    n = draw(st.integers(2, 9))
+    ids = draw(st.permutations(range(1, n + 1)))
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]  # spanning tree
+    pairs += draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+                lambda p: (p[0], (p[0] + p[1]) % n)
+            ),
+            max_size=14,
+        )
+    )
+    weight = st.sampled_from(TIED_WEIGHTS) | st.floats(0.5, 100.0)
+    members = tuple(Edge(k + 1, ids[a], ids[b]) for k, (a, b) in enumerate(pairs))
+    weights = {e.id: draw(weight) for e in members}
+    return WeightedGraph(tuple(ids), members, weights)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(connected_graphs())
+def test_cycles_match_reference_construction(g):
+    """Lazy SRT and table-driven SRTM give the eager construction's cycles,
+    down to the last bit of the weight; bridges raise in both."""
+    for kind in (SRT, SRTM):
+        for mid in g.member_ids():
+            expected = oracles.reference_min_cycle(g, mid, kind)
+            if expected is None:
+                with pytest.raises(NoCycleThroughMember):
+                    min_cycle_on_member(g, mid, kind)
+                continue
+            cycle = min_cycle_on_member(g, mid, kind)
+            assert cycle.members == expected[0]
+            assert list(cycle.members) == list(expected[0])  # the order summed in
+            assert repr(cycle.weight) == repr(expected[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(connected_graphs(), st.data())
+def test_union_growth_is_b1_difference(g, data):
+    """Union-find growth equals the rise of the union's b1, by BFS oracle."""
+    union = UnionSubgraph()
+    ids = g.member_ids()
+    for _ in range(data.draw(st.integers(1, 6))):
+        cand = frozenset(data.draw(st.lists(st.sampled_from(ids), min_size=1)))
+        before = oracles.subgraph_b1(g, union.members)
+        after = oracles.subgraph_b1(g, union.members | cand)
+        assert union.growth(g, cand) == after - before
+        if data.draw(st.booleans()):
+            union.add(g, cand)
