@@ -7,24 +7,44 @@ to 3x3x3, each in every section pattern, and seeded random connected
 graphs) the bases of algorithms 1-5 and of the spanning-tree baseline are
 reduced to one SHA-256 over canonical JSON: per algorithm the selected
 member sets in selection order, the repr of each cycle weight and the
-whole ``control_log``.  The digests go to ``golden/bases.json``, which
-``test_golden.py`` checks.  Run it only on a commit whose bases are trusted.
+whole ``control_log``.  The digests go to ``golden/bases.json``.
+
+For each planar grid of the same corpus, with one fixed load case on its
+top-right node, the CLI reports are reduced the same way: the stdout of
+``compare`` over every algorithm, and per algorithm the stdout of
+``condition`` and ``force`` and the PBM bytes of ``render --block
+--sparsity``.  Those digests go to ``golden/reports.json``.  Two parts of
+the ``force`` output are rounding noise of the solve, not results: the
+compatibility residual (about 1e-16) and member forces far below the
+largest one (their error is cond(G) times the unit roundoff of the
+largest).  The digest pins the residual as below ``RESIDUAL_LIMIT`` and
+forces under ``NOISE_FLOOR`` times the largest as ``~0``; every other
+printed digit is pinned as printed.
+
+``test_golden.py`` checks both files.  Run this only on a commit whose
+bases and reports are trusted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import sys
+import tempfile
 
 import oracles
 from framecycles.basis import AlgorithmSpec, baseline_tree_basis, generate_basis
-from framecycles.frames import PATTERNS, generate_grid, generate_grid3d
+from framecycles.cli import main as cli_main
+from framecycles.frames import PATTERNS, generate_grid, generate_grid3d, write_load_case
 from framecycles.model import build_graph, classify_members
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "bases.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN = os.path.join(GOLDEN_DIR, "bases.json")
+GOLDEN_REPORTS = os.path.join(GOLDEN_DIR, "reports.json")
 
 GRID_MAX = 7
 GRID3D_MAX = 3
@@ -69,17 +89,90 @@ def bases_doc(graph) -> dict:
 
 
 def digest(graph) -> str:
-    text = json.dumps(bases_doc(graph), sort_keys=True, separators=(",", ":"))
+    return _sha256(bases_doc(graph))
+
+
+REPORT_ALGORITHMS = ("1", "2", "3", "4", "5", "baseline")
+NOISE_FLOOR = 1e-6
+RESIDUAL_LIMIT = 1e-10
+#: Forces (fx, fy, mz) applied to the top-right node of every report model.
+REPORT_LOAD = (1.0, -2.0, 0.5)
+
+
+def report_corpus():
+    """(spec, stories, spans) for every planar grid of the corpus."""
+    for pattern in PATTERNS:
+        for stories in range(1, GRID_MAX + 1):
+            for spans in range(1, GRID_MAX + 1):
+                yield f"grid:{stories}x{spans}:{pattern}", stories, spans
+
+
+def _stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli_main(argv)
+    if rc != 0:
+        raise RuntimeError(f"framecycles {' '.join(argv)} exited {rc}")
+    return out.getvalue()
+
+
+def _pin_force(stdout: str) -> str:
+    """The force report with its rounding noise pinned (see the module doc)."""
+    header, *rows, residual = stdout.splitlines()
+    rows = [line.split("  ") for line in rows]
+    scale = max((abs(float(v)) for row in rows for v in row[1:]), default=0.0)
+    pinned = [
+        "  ".join([row[0]] + [v if abs(float(v)) >= NOISE_FLOOR * scale else "~0" for v in row[1:]])
+        for row in rows
+    ]
+    name, _, value = residual.partition(" = ")
+    if name == "compatibility residual" and float(value) <= RESIDUAL_LIMIT:
+        residual = f"{name} <= {RESIDUAL_LIMIT}"
+    return "\n".join([header, *pinned, residual])
+
+
+def reports_doc(spec: str, stories: int, spans: int, workdir: str) -> dict:
+    """Every report the digest covers for one grid, as plain strings."""
+    top_right = (stories + 1) * (spans + 1)
+    loads = os.path.join(workdir, "loads.json")
+    write_load_case([(top_right, *REPORT_LOAD)], loads)
+    pbm = os.path.join(workdir, "sparsity.pbm")
+    doc = {"compare": _stdout(["compare", spec, "--algorithms", ",".join(REPORT_ALGORITHMS)])}
+    for alg in REPORT_ALGORITHMS:
+        doc[f"condition-{alg}"] = _stdout(["condition", spec, "--algorithm", alg])
+        doc[f"force-{alg}"] = _pin_force(
+            _stdout(["force", spec, "--loads", loads, "--algorithm", alg])
+        )
+        _stdout(["render", spec, "--algorithm", alg, "--block", "--sparsity", pbm])
+        with open(pbm) as fh:
+            doc[f"render-{alg}"] = fh.read()
+    return doc
+
+
+def report_digests() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as workdir:
+        return {
+            spec: _sha256(reports_doc(spec, stories, spans, workdir))
+            for spec, stories, spans in report_corpus()
+        }
+
+
+def _sha256(doc: dict) -> str:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main() -> int:
-    digests = {name: digest(graph) for name, graph in corpus()}
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as fh:
+def _write(path: str, digests: dict[str, str]) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
         json.dump({"models": digests}, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {len(digests)} digests to {os.path.relpath(GOLDEN)}")
+    print(f"wrote {len(digests)} digests to {os.path.relpath(path)}")
+
+
+def main() -> int:
+    _write(GOLDEN, {name: digest(graph) for name, graph in corpus()})
+    _write(GOLDEN_REPORTS, report_digests())
     return 0
 
 
