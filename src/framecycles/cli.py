@@ -90,10 +90,13 @@ def run_compare(config: RunConfig):
     Returns (table text, csv text, row dicts).  3D models degrade to the
     combinatorial columns with '-' placeholders for the numeric metrics.
     """
+    return _compare_model(load_or_generate(config.model), config)
+
+
+def _compare_model(model: StructuralModel, config: RunConfig):
     if not config.algorithms:
         raise ModelError("no algorithms selected")
-    model = load_or_generate(config.model)
-    numeric = model.ndim == 2
+    Fm = unassembled_flexibility(model) if model.ndim == 2 else None
     rows = []
     for algorithm in config.algorithms:
         cycle_basis = build_basis(
@@ -108,8 +111,7 @@ def run_compare(config: RunConfig):
             "overlapL": cycle_basis.overlap_length(),
             "overlapW": _fmt(cycle_basis.overlap_weight()),
         }
-        if numeric:
-            Fm = unassembled_flexibility(model)
+        if Fm is not None:
             G = assemble_g(build_b1(model, cycle_basis), Fm)
             report = metrics.condition_report(G, D.D, config.precision)
             row.update(
@@ -301,7 +303,7 @@ def _cmd_compare(args) -> int:
     model = load_or_generate(config.model)
     if model.ndim != 2:
         print("warning: 3D model, reporting combinatorial columns only", file=sys.stderr)
-    table, csv_text, _rows = run_compare(config)
+    table, csv_text, _rows = _compare_model(model, config)
     sys.stdout.write(table)
     if config.csv_path:
         with open(config.csv_path, "w") as fh:

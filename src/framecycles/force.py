@@ -13,6 +13,12 @@ generator member at its "a" end, apply the three unit bi-actions there
 around the closed cycle path by rigid-body transfer.  Cycles may close
 through the ground node: the wrench then enters and leaves via support
 reactions, which keeps every free node in equilibrium.
+
+Fm is block diagonal, so it is kept as its (M, 3, 3) stack of member
+blocks and applied block by block.  G is the sum over members m of
+B1_m' F_m B1_m, where B1_m holds member m's rows restricted to the cycles
+through m; only cycle pairs that share a member get a block, which is the
+nonzero pattern of the cycle adjacency matrix D.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ import numpy as np
 
 from framecycles.basis import CycleBasis
 from framecycles.cycles import CycleVector, build_srt
+from framecycles.metrics import block_pattern
 from framecycles.model import (
-    GROUND,
     ModelError,
     Section,
     StructuralModel,
@@ -55,60 +61,56 @@ def member_flexibility(section: Section, length: float) -> np.ndarray:
     )
 
 
-@dataclass
-class _MemberGeometry:
-    id: int
-    ra: np.ndarray  # global coords of the "a" node
-    rb: np.ndarray
-    ex: np.ndarray  # local x axis, a -> b
-    ey: np.ndarray
-    length: float
-
-
-def _geometry(model: StructuralModel) -> dict[int, _MemberGeometry]:
-    geo = {}
-    for m in model.members:
-        ra = np.asarray(model.node(m.a).coords, dtype=float)
-        rb = np.asarray(model.node(m.b).coords, dtype=float)
-        d = rb - ra
-        length = float(np.linalg.norm(d))
-        ex = d / length
-        ey = np.array([-ex[1], ex[0]])
-        geo[m.id] = _MemberGeometry(m.id, ra, rb, ex, ey, length)
-    return geo
-
-
-def _cross2(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
 @dataclass(frozen=True)
-class _Wrench:
-    """Planar force through a point plus a couple."""
+class _Geometry:
+    """Member geometry as arrays, one row per member in id order."""
 
-    f: np.ndarray
-    couple: float
-    point: np.ndarray
-
-    def moment_about(self, r: np.ndarray) -> float:
-        return self.couple + _cross2(self.point - r, self.f)
-
-
-def _member_rows(member_order: list[int]) -> dict[int, int]:
-    return {mid: 3 * i for i, mid in enumerate(member_order)}
+    row: dict[int, int]  # member id -> row
+    ra: np.ndarray  # (M, 2) global coords of the "a" nodes
+    rb: np.ndarray
+    ex: np.ndarray  # (M, 2) local x axes, a -> b
+    ey: np.ndarray
 
 
-def _stored_components(geo: _MemberGeometry, wrench: _Wrench, sign: float) -> np.ndarray:
-    """Member force triple for a member transmitting sign*wrench.
+def _geometry(model: StructuralModel) -> _Geometry:
+    members = sorted(model.members, key=lambda m: m.id)
+    ra = np.array([model.node(m.a).coords for m in members], dtype=float).reshape(-1, 2)
+    rb = np.array([model.node(m.b).coords for m in members], dtype=float).reshape(-1, 2)
+    ex = (rb - ra) / np.linalg.norm(rb - ra, axis=1)[:, None]
+    ey = np.stack((-ex[:, 1], ex[:, 0]), axis=1)
+    return _Geometry({m.id: i for i, m in enumerate(members)}, ra, rb, ex, ey)
 
-    Sign +1 means the traversal direction matches the member's a -> b
-    orientation.  The stored moment is the section moment at a, which is the
-    negative of the external moment action there.
+
+def _carry(
+    geo: _Geometry,
+    rows: np.ndarray,
+    signs: np.ndarray,
+    point: np.ndarray,
+    forces: np.ndarray,
+    couples: np.ndarray,
+) -> np.ndarray:
+    """Stored (N, V, section moment at a) of members transmitting unit wrenches.
+
+    Step i of a path is member row ``rows[i]`` traversed with ``signs[i]``
+    (+1 along its a -> b orientation); it transmits signs[i] times each
+    wrench w: the force ``forces[..., w, :]`` through *point* plus the couple
+    ``couples[w]``.  *point* and *forces* are shared by the whole path or
+    given per step.  The stored moment is the negative of the external
+    moment action at a.  Returns shape (steps, 3, wrenches).
     """
-    n = sign * float(wrench.f @ geo.ex)
-    v = sign * float(wrench.f @ geo.ey)
-    m_action = sign * wrench.moment_about(geo.ra)
-    return np.array([n, v, -m_action])
+    f0, f1 = forces[..., 0], forces[..., 1]
+    ex, ey = geo.ex[rows], geo.ey[rows]
+    d = point - geo.ra[rows]
+    s = signs[:, None]
+    n = s * (ex[:, :1] * f0 + ex[:, 1:] * f1)
+    v = s * (ey[:, :1] * f0 + ey[:, 1:] * f1)
+    m_action = s * (couples + (d[:, :1] * f1 - d[:, 1:] * f0))
+    return np.stack((n, v, -m_action), axis=1)
+
+
+#: Couples of the three unit bi-actions at a cycle cut: axial, shear, moment.
+_CUT_COUPLES = np.array([0.0, 0.0, 1.0])
+_XYZ = np.arange(3)
 
 
 def _order_cycle_walk(graph: WeightedGraph, cycle: CycleVector) -> list[tuple[int, int, int]]:
@@ -147,26 +149,21 @@ def build_b1(model: StructuralModel, basis: CycleBasis) -> np.ndarray:
     if model.ndim != 2:
         raise UnsupportedModel("numerical force method unsupported for 3D")
     geo = _geometry(model)
-    member_order = sorted(geo)
-    rows = _member_rows(member_order)
-    B1 = np.zeros((3 * len(member_order), 3 * len(basis.cycles)))
+    graph = basis.graph
+    rows, signs, cycle_of = [], [], []
     for j, cycle in enumerate(basis.cycles):
-        walk = _order_cycle_walk(basis.graph, cycle)
-        gen_geo = geo[cycle.generator]
-        cut = gen_geo.ra
-        wrenches = (
-            _Wrench(gen_geo.ex.copy(), 0.0, cut),
-            _Wrench(gen_geo.ey.copy(), 0.0, cut),
-            _Wrench(np.zeros(2), 1.0, cut),
-        )
-        for k, wrench in enumerate(wrenches):
-            col = 3 * j + k
-            for mid, u, _v in walk:
-                e = basis.graph.member(mid)
-                sign = 1.0 if u == e.a else -1.0
-                B1[rows[mid] : rows[mid] + 3, col] = _stored_components(
-                    geo[mid], wrench, sign
-                )
+        for mid, u, _v in _order_cycle_walk(graph, cycle):
+            rows.append(geo.row[mid])
+            signs.append(1.0 if u == graph.member(mid).a else -1.0)
+            cycle_of.append(j)
+    rows = np.array(rows, dtype=int)
+    cycle_of = np.array(cycle_of, dtype=int)
+    cut = np.array([geo.row[c.generator] for c in basis.cycles], dtype=int)[cycle_of]
+    # Per step: the generator's axial, shear and zero force, through its "a" end.
+    forces = np.stack((geo.ex[cut], geo.ey[cut], np.zeros((len(cut), 2))), axis=1)
+    blocks = _carry(geo, rows, np.array(signs), geo.ra[cut], forces, _CUT_COUPLES)
+    B1 = np.zeros((3 * len(geo.row), 3 * len(basis.cycles)))
+    B1[(3 * rows)[:, None, None] + _XYZ[:, None], (3 * cycle_of)[:, None, None] + _XYZ] = blocks
     return B1
 
 
@@ -183,49 +180,69 @@ def build_b0(
     if graph.ground is None:
         raise ModelError("particular solution requires a grounded graph")
     geo = _geometry(model)
-    member_order = sorted(geo)
-    rows = _member_rows(member_order)
     tree = build_srt(graph, graph.ground)
-    B0 = np.zeros((3 * len(member_order), len(load_dofs)))
+    supported = set(model.supports)
+    B0 = np.zeros((3 * len(geo.row), len(load_dofs)))
     for col, (node, dof) in enumerate(load_dofs):
-        if node == graph.ground or node in set(model.supports):
+        if node == graph.ground or node in supported:
             raise ModelError(f"load on supported node {node} is rejected")
+        if node not in tree.parent:
+            raise ModelError(f"load on unknown node {node}")
         if dof not in (0, 1, 2):
             raise ModelError(f"load dof must be 0, 1 or 2, got {dof}")
-        r_node = np.asarray(model.node(node).coords, dtype=float)
-        if dof == 2:
-            wrench = _Wrench(np.zeros(2), 1.0, r_node)
-        else:
-            f = np.zeros(2)
-            f[dof] = 1.0
-            wrench = _Wrench(f, 0.0, r_node)
+        rows, signs = [], []
         current = node
         while current != graph.ground:
             parent, mid = tree.parent[current]
-            e = graph.member(mid)
-            sign = 1.0 if current == e.a else -1.0
-            B0[rows[mid] : rows[mid] + 3, col] = _stored_components(geo[mid], wrench, sign)
+            rows.append(geo.row[mid])
+            signs.append(1.0 if current == graph.member(mid).a else -1.0)
             current = parent
+        rows = np.array(rows, dtype=int)
+        unit = np.eye(3)[dof]  # (fx, fy, mz) of the unit load
+        point = np.asarray(model.node(node).coords, dtype=float)
+        blocks = _carry(geo, rows, np.array(signs), point, unit[None, :2], unit[2:])
+        B0[(3 * rows)[:, None] + _XYZ, col] = blocks[:, :, 0]
     return B0
 
 
 def unassembled_flexibility(model: StructuralModel) -> np.ndarray:
-    """Block-diagonal Fm with one cantilever block per member, by member id."""
+    """Fm as its (M, 3, 3) stack of cantilever blocks, in member-id order."""
     if model.ndim != 2:
         raise UnsupportedModel("numerical force method unsupported for 3D")
-    member_order = sorted(m.id for m in model.members)
-    Fm = np.zeros((3 * len(member_order), 3 * len(member_order)))
-    for i, mid in enumerate(member_order):
-        m = model.member(mid)
-        block = member_flexibility(model.member_section(m), model.member_length(m))
-        Fm[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = block
-    return Fm
+    members = sorted(model.members, key=lambda m: m.id)
+    blocks = [member_flexibility(model.member_section(m), model.member_length(m)) for m in members]
+    return np.array(blocks, dtype=float).reshape(-1, 3, 3)
+
+
+def _apply_flexibility(Fm: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Fm r, block by block, for a vector of stored member-force triples."""
+    return np.einsum("mab,mb->ma", Fm, r.reshape(len(Fm), 3)).ravel()
 
 
 def assemble_g(B1: np.ndarray, Fm: np.ndarray) -> np.ndarray:
-    """G = B1' Fm B1, symmetrized; positive definiteness is verified."""
-    G = B1.T @ Fm @ B1
-    G = 0.5 * (G + G.T)
+    """G = B1' Fm B1 from member blocks, symmetrized; positive definiteness is verified.
+
+    Member m adds B1_m' F_m B1_m on the cycles through it, which are the
+    nonzero 3x3 blocks of its rows in B1.  Members through the same number
+    of cycles are summed as one batch.
+    """
+    if Fm.shape != (B1.shape[0] // 3, 3, 3):
+        raise ValueError(f"Fm of shape {Fm.shape} does not match B1 of shape {B1.shape}")
+    n = B1.shape[1]
+    through = block_pattern(B1, 3)  # (member, cycle): the cycle passes through it
+    counts = through.sum(axis=1)
+    G = np.zeros((n, n))
+    flat = G.reshape(-1)
+    for k in np.unique(counts[counts > 0]):
+        members = np.flatnonzero(counts == k)
+        cycles = np.nonzero(through[members])[1].reshape(len(members), k)
+        cols = (3 * cycles[:, :, None] + _XYZ).reshape(len(members), 3 * k)
+        Bm = B1[(3 * members)[:, None, None] + _XYZ[:, None], cols[:, None, :]]
+        # Two members of a batch can share a cycle pair: add.at sums repeats.
+        targets = n * cols[:, :, None] + cols[:, None, :]
+        np.add.at(flat, targets.ravel(), (Bm.transpose(0, 2, 1) @ (Fm[members] @ Bm)).ravel())
+    G += G.T
+    G *= 0.5
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -240,7 +257,6 @@ class ForceSolution:
     member_order: list[int]
     q: np.ndarray  # redundants, 3 per cycle
     r: np.ndarray  # member forces, 3 per member
-    v0: np.ndarray  # displacements conjugate to the load components
     compatibility_residual: float
 
 
@@ -253,19 +269,18 @@ def nodal_equilibrium_residual(
     applied magnitudes that must be balanced by the members.
     """
     geo = _geometry(model)
-    member_order = sorted(geo)
-    rows = _member_rows(member_order)
     supported = set(model.supports)
     residual: dict[int, np.ndarray] = {
         n.id: np.zeros(3) for n in model.nodes if n.id not in supported
     }
+    stored = column.reshape(-1, 3)
     for m in model.members:
-        g = geo[m.id]
-        stored = column[rows[m.id] : rows[m.id] + 3]
-        f_a = stored[0] * g.ex + stored[1] * g.ey  # action on member at a, global
-        m_a = -stored[2]
+        i = geo.row[m.id]
+        f_a = stored[i, 0] * geo.ex[i] + stored[i, 1] * geo.ey[i]  # action on member at a, global
+        m_a = -stored[i, 2]
         f_b = -f_a
-        m_b = -m_a + _cross2(g.rb - g.ra, f_a)
+        d = geo.rb[i] - geo.ra[i]
+        m_b = -m_a + float(d[0] * f_a[1] - d[1] * f_a[0])
         if m.a in residual:
             residual[m.a] += np.array([-f_a[0], -f_a[1], -m_a])
         if m.b in residual:
@@ -297,13 +312,12 @@ def solve_force_method(
     G = assemble_g(B1, Fm)
     if not load_dofs:
         zero_r = np.zeros(3 * len(member_order))
-        return ForceSolution(member_order, np.zeros(B1.shape[1]), zero_r, np.zeros(0), 0.0)
+        return ForceSolution(member_order, np.zeros(B1.shape[1]), zero_r, 0.0)
     B0 = build_b0(model, graph, load_dofs)
-    p = np.asarray(p_values)
-    rhs = B1.T @ Fm @ (B0 @ p)
+    r0 = B0 @ np.asarray(p_values)
+    rhs = B1.T @ _apply_flexibility(Fm, r0)
     q = -np.linalg.solve(G, rhs)
-    r = B0 @ p + B1 @ q
-    incompat = B1.T @ Fm @ r
+    r = r0 + B1 @ q
+    incompat = B1.T @ _apply_flexibility(Fm, r)
     scale = float(np.linalg.norm(rhs)) or 1.0
-    v0 = B0.T @ Fm @ r
-    return ForceSolution(member_order, q, r, v0, float(np.linalg.norm(incompat)) / scale)
+    return ForceSolution(member_order, q, r, float(np.linalg.norm(incompat)) / scale)

@@ -89,20 +89,23 @@ def scaled_determinant(G: np.ndarray) -> tuple[float, float]:
     return float(sign * math.exp(logdet)) if logdet > -745 else 0.0, float(log10det)
 
 
-def nnz(M: np.ndarray, block_size: int = 1) -> int:
-    """Count nonzero entries, or nonzero block_size x block_size blocks."""
-    M = np.asarray(M)
-    if block_size == 1:
-        return int(np.count_nonzero(M))
+def block_pattern(M: np.ndarray, block_size: int) -> np.ndarray:
+    """Boolean map of the block_size x block_size blocks holding a nonzero entry."""
+    M = np.atleast_2d(np.asarray(M))
     rows, cols = M.shape
     if rows % block_size or cols % block_size:
         raise ValueError(f"shape {M.shape} is not divisible into {block_size}-blocks")
-    count = 0
-    for i in range(0, rows, block_size):
-        for j in range(0, cols, block_size):
-            if np.any(M[i : i + block_size, j : j + block_size] != 0):
-                count += 1
-    return count
+    h, w = rows // block_size, cols // block_size
+    # Two single-axis reductions run much faster than one over axes (1, 3).
+    block_rows = (M != 0).reshape(h, block_size, cols).any(axis=1)
+    return block_rows.reshape(h, w, block_size).any(axis=2)
+
+
+def nnz(M: np.ndarray, block_size: int = 1) -> int:
+    """Count nonzero entries, or nonzero block_size x block_size blocks."""
+    if block_size == 1:
+        return int(np.count_nonzero(M))
+    return int(np.count_nonzero(block_pattern(M, block_size)))
 
 
 @dataclass(frozen=True)

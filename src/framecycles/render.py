@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from framecycles.basis import CycleBasis
+from framecycles.metrics import block_pattern
 from framecycles.model import ModelError, StructuralModel
 
 _PALETTE = (
@@ -15,21 +16,10 @@ _PALETTE = (
 
 def render_sparsity(matrix: np.ndarray, path, block_size: int = 1) -> None:
     """Monochrome portable bitmap: one pixel per entry (or per block)."""
-    M = np.atleast_2d(np.asarray(matrix))
-    rows, cols = M.shape
-    if rows % block_size or cols % block_size:
-        raise ValueError(f"shape {M.shape} not divisible into {block_size}-blocks")
-    h, w = rows // block_size, cols // block_size
-    lines = [f"P1", f"{w} {h}"]
-    for i in range(h):
-        bits = []
-        for j in range(w):
-            block = M[
-                i * block_size : (i + 1) * block_size,
-                j * block_size : (j + 1) * block_size,
-            ]
-            bits.append("1" if np.any(block != 0) else "0")
-        lines.append(" ".join(bits))
+    pattern = block_pattern(matrix, block_size)
+    h, w = pattern.shape
+    lines = ["P1", f"{w} {h}"]
+    lines.extend(" ".join(row) for row in np.where(pattern, "1", "0").tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -4,9 +4,12 @@ Everything here is deliberately written with different algorithms than the
 code under test: path enumeration instead of route trees, dense bitmask
 elimination instead of the incremental pivot table, characteristic-polynomial
 root finding instead of eigvalsh, and a displacement (stiffness) solver
-instead of the force method.  The one exception is the reference cycle
-construction, which is the library's own earlier, eager one: two complete
-route trees and a lock-step search that rescans every label per tier.
+instead of the force method.  The exceptions are the library's own earlier
+constructions, kept as references for the faster ones that replaced them:
+the eager cycle construction (two complete route trees and a lock-step
+search that rescans every label per tier), the dense force-method products
+(a 3M x 3M block-diagonal Fm and G = B1' Fm B1), the per-member,
+per-wrench B1 builder and the block-by-block sparsity raster.
 """
 
 from __future__ import annotations
@@ -352,3 +355,79 @@ def stiffness_member_forces(model, load_case) -> dict[int, np.ndarray]:
         f_local = _local_stiffness(s.E * s.A, s.E * s.I, L) @ (T @ ue)
         forces[m.id] = np.array([f_local[0], f_local[1], -f_local[2]])
     return forces
+
+
+# --- dense force-method references ------------------------------------------
+
+
+def dense_flexibility(model) -> np.ndarray:
+    """Block-diagonal 3M x 3M Fm with one cantilever block per member, by id."""
+    from framecycles.force import member_flexibility
+
+    member_order = sorted(m.id for m in model.members)
+    Fm = np.zeros((3 * len(member_order), 3 * len(member_order)))
+    for i, mid in enumerate(member_order):
+        m = model.member(mid)
+        block = member_flexibility(model.member_section(m), model.member_length(m))
+        Fm[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = block
+    return Fm
+
+
+def dense_g(B1: np.ndarray, Fm_dense: np.ndarray) -> np.ndarray:
+    """G = B1' Fm B1 from full dense products."""
+    return B1.T @ Fm_dense @ B1
+
+
+def _cross2(a: np.ndarray, b: np.ndarray) -> float:
+    return float(a[0] * b[1] - a[1] * b[0])
+
+
+def reference_b1(model, basis) -> np.ndarray:
+    """B1 built one member and one unit wrench at a time.
+
+    Each cycle is cut at its generator's "a" end; the three unit wrenches
+    there (axial, shear, moment) are carried around the oriented cycle walk
+    and resolved into every member's stored (N, V, section moment at a).
+    """
+    from framecycles.force import _order_cycle_walk
+
+    member_order = sorted(m.id for m in model.members)
+    rows = {mid: 3 * i for i, mid in enumerate(member_order)}
+    geo = {}
+    for m in model.members:
+        ra = np.asarray(model.node(m.a).coords, dtype=float)
+        rb = np.asarray(model.node(m.b).coords, dtype=float)
+        ex = (rb - ra) / float(np.linalg.norm(rb - ra))
+        geo[m.id] = (ra, ex, np.array([-ex[1], ex[0]]))
+    B1 = np.zeros((3 * len(member_order), 3 * len(basis.cycles)))
+    for j, cycle in enumerate(basis.cycles):
+        cut, gen_ex, gen_ey = geo[cycle.generator]
+        wrenches = ((gen_ex, 0.0), (gen_ey, 0.0), (np.zeros(2), 1.0))
+        for k, (f, couple) in enumerate(wrenches):
+            for mid, u, _v in _order_cycle_walk(basis.graph, cycle):
+                ra, ex, ey = geo[mid]
+                sign = 1.0 if u == basis.graph.member(mid).a else -1.0
+                m_action = sign * (couple + _cross2(cut - ra, f))
+                B1[rows[mid] : rows[mid] + 3, 3 * j + k] = (
+                    sign * float(f @ ex),
+                    sign * float(f @ ey),
+                    -m_action,
+                )
+    return B1
+
+
+def reference_sparsity_pbm(matrix: np.ndarray, block_size: int = 1) -> str:
+    """PBM text of the nonzero pattern, one block at a time."""
+    M = np.atleast_2d(np.asarray(matrix))
+    h, w = M.shape[0] // block_size, M.shape[1] // block_size
+    lines = ["P1", f"{w} {h}"]
+    for i in range(h):
+        bits = []
+        for j in range(w):
+            block = M[
+                i * block_size : (i + 1) * block_size,
+                j * block_size : (j + 1) * block_size,
+            ]
+            bits.append("1" if np.any(block != 0) else "0")
+        lines.append(" ".join(bits))
+    return "\n".join(lines) + "\n"

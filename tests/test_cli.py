@@ -84,6 +84,14 @@ class TestForce:
         assert "compatibility residual" in out
         assert len(out.strip().splitlines()) == 2 + 10  # header + 10 members + residual
 
+    def test_load_on_unknown_node_is_reported(self, tmp_path, capsys):
+        loads = tmp_path / "loads.json"
+        write_load_case([(99, 1.0, 0.0, 0.0)], loads)
+        assert main(["force", "grid:2x2", "--loads", str(loads)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: load on unknown node 99\n"
+        assert captured.out == ""
+
 
 class TestCondition:
     def test_report_fields(self, capsys):

@@ -1,7 +1,12 @@
 """Force-method matrices and solutions for planar frames."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from framecycles.basis import (
@@ -22,8 +27,10 @@ from framecycles.force import (
     solve_force_method,
     unassembled_flexibility,
 )
-from framecycles.frames import HEAVY_SECTION, generate_grid, generate_grid3d
-from framecycles.model import ModelError, build_graph
+from framecycles.cli import build_basis
+from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid, generate_grid3d
+from framecycles.model import FrameNode, ModelError, StructuralModel, build_graph
+from framecycles.render import render_sparsity
 
 
 def basis_for(model, algorithm_id=1):
@@ -47,11 +54,20 @@ class TestMemberFlexibility:
             member_flexibility(HEAVY_SECTION, 0.0)
 
     def test_fm_is_block_diagonal(self):
+        """One cantilever block per member in id order; assembled, they are
+        the diagonal blocks of an otherwise zero 3M x 3M matrix."""
         model = generate_grid(2, 2)
         Fm = unassembled_flexibility(model)
-        assert Fm.shape == (30, 30)
+        assert Fm.shape == (10, 3, 3)
+        members = sorted(model.members, key=lambda m: m.id)
+        for block, m in zip(Fm, members):
+            expected = member_flexibility(model.member_section(m), model.member_length(m))
+            assert np.array_equal(block, expected)
+        dense = oracles.dense_flexibility(model)
+        assert dense.shape == (30, 30)
         mask = np.kron(np.eye(10, dtype=bool), np.ones((3, 3), dtype=bool))
-        assert np.all(Fm[~mask] == 0)
+        assert np.all(dense[~mask] == 0)
+        assert np.array_equal(dense[mask].reshape(10, 3, 3), Fm)
 
 
 class TestB1:
@@ -97,6 +113,14 @@ class TestB0:
         graph = build_graph(model)
         with pytest.raises(ModelError, match="supported node"):
             build_b0(model, graph, [(1, 0)])
+
+    def test_load_on_unknown_node_rejected(self):
+        model = generate_grid(2, 2)
+        graph = build_graph(model)
+        with pytest.raises(ModelError, match="unknown node 99"):
+            build_b0(model, graph, [(99, 0)])
+        with pytest.raises(ModelError, match="unknown node 99"):
+            solve_force_method(model, basis_for(model), [(99, 1.0, 0.0, 0.0)])
 
     def test_bad_dof_rejected(self):
         model = generate_grid(2, 2)
@@ -161,3 +185,54 @@ class TestSolve:
         solution = solve_force_method(model, basis_for(model), [])
         assert not np.any(solution.r)
         assert solution.compatibility_residual == 0.0
+
+
+@st.composite
+def planar_grids(draw):
+    """Grids of random size, section pattern and bay/story dimensions; half
+    of them with every node nudged so that members leave the axes."""
+    bay, height = draw(st.floats(1.0, 8.0)), draw(st.floats(1.0, 8.0))
+    model = generate_grid(
+        draw(st.integers(1, 5)), draw(st.integers(1, 5)), bay, height, draw(st.sampled_from(PATTERNS))
+    )
+    if draw(st.booleans()):
+        nudge = st.floats(-0.3, 0.3)
+        nodes = [
+            FrameNode(n.id, (n.coords[0] + bay * draw(nudge), n.coords[1] + height * draw(nudge)))
+            for n in model.nodes
+        ]
+        model = StructuralModel(nodes, model.members, model.sections, model.supports)
+    return model
+
+
+def _rendered(matrix, block_size):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "pattern.pbm")
+        render_sparsity(matrix, path, block_size)
+        with open(path) as fh:
+            return fh.read()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(planar_grids())
+def test_block_structured_force_layer_matches_dense_references(model):
+    """B1, G and the sparsity rasters agree with the dense, one-block-at-a-time
+    references for every algorithm; G's block pattern is D's."""
+    Fm = unassembled_flexibility(model)
+    dense_fm = oracles.dense_flexibility(model)
+    for algorithm in (1, 2, 3, 4, 5, "baseline"):
+        basis = build_basis(model, algorithm)
+        B1 = build_b1(model, basis)
+        reference_b1 = oracles.reference_b1(model, basis)
+        assert np.all(np.abs(B1 - reference_b1) <= 1e-14 * np.max(np.abs(reference_b1), axis=0))
+
+        G = assemble_g(B1, Fm)
+        dense = oracles.dense_g(reference_b1, dense_fm)
+        assert np.max(np.abs(G - dense)) <= 1e-12 * np.max(np.abs(dense))
+        D = adjacency_matrix(incidence_matrix(basis)).D
+        pattern = oracles.reference_sparsity_pbm(G, 3)
+        assert pattern == oracles.reference_sparsity_pbm(dense, 3)
+        assert pattern == oracles.reference_sparsity_pbm(D)
+
+        for matrix, block_size in ((G, 3), (G, 1), (D, 1)):
+            assert _rendered(matrix, block_size) == oracles.reference_sparsity_pbm(matrix, block_size)

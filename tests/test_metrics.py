@@ -1,9 +1,13 @@
 """Conditioning indicators, chopped arithmetic, and matrix I/O."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from framecycles.metrics import (
@@ -26,6 +30,7 @@ from framecycles.metrics import (
     scaled_determinant,
     write_matrix,
 )
+from framecycles.render import render_sparsity
 
 
 class TestEigExtremes:
@@ -123,6 +128,24 @@ class TestNnz:
     def test_block_size_must_divide(self):
         with pytest.raises(ValueError, match="divisible"):
             nnz(np.zeros((3, 3)), block_size=2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_block_counts_match_the_block_by_block_raster(block_size, h, w, data):
+    """Sparse matrices with nonzeros anywhere inside a block: nnz and the
+    PBM raster agree with the reference that looks at one block at a time."""
+    M = np.zeros((h * block_size, w * block_size))
+    cells = st.tuples(st.integers(0, M.shape[0] - 1), st.integers(0, M.shape[1] - 1))
+    for i, j in data.draw(st.lists(cells, max_size=6)):
+        M[i, j] = data.draw(st.sampled_from([1.0, -2.5, 1e-300]))
+    raster = oracles.reference_sparsity_pbm(M, block_size)
+    assert nnz(M, block_size) == "".join(raster.splitlines()[2:]).count("1")
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "pattern.pbm")
+        render_sparsity(M, path, block_size)
+        with open(path) as fh:
+            assert fh.read() == raster
 
 
 class TestConditionReport:
