@@ -21,7 +21,16 @@ largest).  The digest pins the residual as below ``RESIDUAL_LIMIT`` and
 forces under ``NOISE_FLOOR`` times the largest as ``~0``; every other
 printed digit is pinned as printed.
 
-``test_golden.py`` checks both files.  Run this only on a commit whose
+The CLI outputs that those reports leave out go to ``golden/cli.json``: for
+each planar grid the stdout of ``cycles`` per algorithm, the D-sparsity PBM
+and the frame SVG of ``render --sparsity --frame`` per algorithm and the
+``compare --csv`` file; for each space grid the stdout and stderr of
+``compare``; for a few grids the same under ``--weight-variant sqrt-sum``,
+``--alpha 3`` and ``--alg5-ordering length-ascending``; and the exit code,
+stdout and stderr of a fixed list of rejected command lines, which pins the
+order in which each command checks its inputs.
+
+``test_golden.py`` checks all three files.  Run this only on a commit whose
 bases and reports are trusted.
 """
 
@@ -45,6 +54,7 @@ from framecycles.model import build_graph, classify_members
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN = os.path.join(GOLDEN_DIR, "bases.json")
 GOLDEN_REPORTS = os.path.join(GOLDEN_DIR, "reports.json")
+GOLDEN_CLI = os.path.join(GOLDEN_DIR, "cli.json")
 
 GRID_MAX = 7
 GRID3D_MAX = 3
@@ -157,6 +167,98 @@ def report_digests() -> dict[str, str]:
         }
 
 
+#: Grids also run under each non-default option, and those options.
+VARIANT_GRIDS = ("grid:3x3:checker", "grid:4x5:weak-beams", "grid:6x2:weak-columns")
+VARIANT_OPTIONS = (
+    ["--weight-variant", "sqrt-sum"],
+    ["--alpha", "3"],
+    ["--alg5-ordering", "length-ascending"],
+)
+#: Command lines the CLI rejects; ``{dir}`` is a scratch directory.
+REJECTED = (
+    ["compare", "grid:bad", "--algorithms", "1,9"],
+    ["compare", "grid:2x2", "--algorithms", ","],
+    ["compare", "grid:2x2", "--algorithms", "1,5", "--alg5-ordering", "length-ascending"],
+    ["compare", "grid:2x2", "--algorithms", "1,5", "--alpha", "0"],
+    ["compare", "grid3d:1x1x1", "--algorithms", "1", "--alg5-ordering", "length-ascending"],
+    ["cycles", "grid:bad", "--algorithm", "9"],
+    ["cycles", "grid:2x2", "--algorithm", "9"],
+    ["cycles", "/nonexistent/frame.json"],
+    ["condition", "grid3d:1x1x1", "--algorithm", "9"],
+    ["condition", "grid:bad", "--algorithm", "9"],
+    ["condition", "grid:2x2", "--algorithm", "9"],
+    ["force", "grid:2x2", "--loads", "/nonexistent/loads.json", "--algorithm", "9"],
+    ["force", "grid:2x2", "--loads", "{dir}/loads.json", "--algorithm", "9"],
+    ["force", "grid3d:1x1x1", "--loads", "{dir}/loads.json"],
+    ["render", "grid:1x1"],
+    ["render", "grid:1x1", "--algorithm", "9"],
+    ["render", "grid:1x1", "--alg5-ordering", "length-ascending"],
+    ["render", "grid:bad", "--frame", "{dir}/frame.svg"],
+    ["render", "grid3d:1x1x1", "--frame", "{dir}/frame.svg"],
+)
+
+
+def _run(argv: list[str], workdir: str) -> dict:
+    """Exit code, stdout and stderr of one command, *workdir* written as {dir}."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli_main(argv)
+    return {
+        "rc": rc,
+        "stdout": out.getvalue().replace(workdir, "{dir}"),
+        "stderr": err.getvalue().replace(workdir, "{dir}"),
+    }
+
+
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
+def planar_cli_doc(spec: str, workdir: str, options: list[str] = ()) -> dict:
+    """``cycles``, ``render --sparsity --frame`` and ``compare --csv`` of one grid."""
+    pbm = os.path.join(workdir, "sparsity.pbm")
+    svg = os.path.join(workdir, "frame.svg")
+    csv_path = os.path.join(workdir, "compare.csv")
+    compare = ["compare", spec, "--algorithms", ",".join(REPORT_ALGORITHMS), "--csv", csv_path]
+    doc = {"compare": _run([*compare, *options], workdir)}
+    if doc["compare"]["rc"] == 0:
+        doc["compare-csv"] = _read(csv_path)
+    for alg in REPORT_ALGORITHMS:
+        doc[f"cycles-{alg}"] = _run(["cycles", spec, "--algorithm", alg, *options], workdir)
+        render = ["render", spec, "--algorithm", alg, "--sparsity", pbm, "--frame", svg, *options]
+        doc[f"render-{alg}"] = _run(render, workdir)
+        if doc[f"render-{alg}"]["rc"] == 0:
+            doc[f"render-{alg}-pbm"] = _read(pbm)
+            doc[f"render-{alg}-svg"] = _read(svg)
+    return doc
+
+
+def cli_digests() -> dict[str, str]:
+    digests = {}
+    algorithms = ",".join(REPORT_ALGORITHMS)
+    with tempfile.TemporaryDirectory() as workdir:
+        for spec, _, _ in report_corpus():
+            digests[spec] = _sha256(planar_cli_doc(spec, workdir))
+        for pattern in PATTERNS:
+            for stories in range(1, GRID3D_MAX + 1):
+                for sx in range(1, GRID3D_MAX + 1):
+                    for sy in range(1, GRID3D_MAX + 1):
+                        spec = f"grid3d:{stories}x{sx}x{sy}:{pattern}"
+                        doc = _run(["compare", spec, "--algorithms", algorithms], workdir)
+                        digests[spec] = _sha256(doc)
+        for spec in VARIANT_GRIDS:
+            for options in VARIANT_OPTIONS:
+                doc = planar_cli_doc(spec, workdir, options)
+                doc["compare-5"] = _run(["compare", spec, "--algorithms", "5", *options], workdir)
+                digests[" ".join([spec, *options])] = _sha256(doc)
+        write_load_case([(4, 1.0, 0.0, 0.0)], os.path.join(workdir, "loads.json"))
+        for argv in REJECTED:
+            argv = [arg.replace("{dir}", workdir) for arg in argv]
+            digests[" ".join(argv).replace(workdir, "{dir}")] = _sha256(_run(argv, workdir))
+    return digests
+
+
 def _sha256(doc: dict) -> str:
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -173,6 +275,7 @@ def _write(path: str, digests: dict[str, str]) -> None:
 def main() -> int:
     _write(GOLDEN, {name: digest(graph) for name, graph in corpus()})
     _write(GOLDEN_REPORTS, report_digests())
+    _write(GOLDEN_CLI, cli_digests())
     return 0
 
 

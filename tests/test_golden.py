@@ -32,3 +32,8 @@ def test_golden_bases():
 def test_golden_reports():
     differing = _differing(make_golden.GOLDEN_REPORTS, make_golden.report_digests())
     assert not differing, f"{len(differing)} models differ: {', '.join(differing[:20])}"
+
+
+def test_golden_cli():
+    differing = _differing(make_golden.GOLDEN_CLI, make_golden.cli_digests())
+    assert not differing, f"{len(differing)} runs differ: {', '.join(differing[:20])}"
