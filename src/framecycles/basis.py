@@ -23,6 +23,7 @@ from framecycles.cycles import (
     UnionSubgraph,
     admissible_expansion,
     build_srt,
+    close_cycle,
     min_cycle_on_member,
 )
 from framecycles.model import AdmissibilityPartition, Edge, WeightedGraph, cycle_rank
@@ -76,9 +77,6 @@ class CycleBasis:
 
     def total_length(self) -> int:
         return sum(c.length for c in self.cycles)
-
-    def total_weight(self) -> float:
-        return sum(c.weight for c in self.cycles)
 
     def overlap_members(self) -> set[int]:
         """Members shared by at least two basis cycles."""
@@ -144,7 +142,8 @@ def _greedy_select(
                 break
             if space.add(cand):
                 selected.append(cand)
-    assert len(selected) == target, "cycle space not spanned"
+    if len(selected) != target:
+        raise RuntimeError("cycle space not spanned")
     return selected, log
 
 
@@ -153,15 +152,11 @@ def _fundamental_cycles(graph: WeightedGraph) -> list[CycleVector]:
     root = graph.ground if graph.ground is not None else min(graph.nodes)
     tree = build_srt(graph, root)
     tree_members = {via for _, via in tree.parent.values()}
-    out = []
-    for e in graph.members:
-        if e.id in tree_members:
-            continue
-        members: set[int] = {e.id}
-        members ^= set(tree.path_members(e.a))
-        members ^= set(tree.path_members(e.b))
-        out.append(CycleVector.from_members(graph, frozenset(members), e.id))
-    return out
+    return [
+        close_cycle(graph, e.id, tree.path_members(e.a), tree.path_members(e.b))
+        for e in graph.members
+        if e.id not in tree_members
+    ]
 
 
 def _masked_graph(graph: WeightedGraph, masked: set[int], keep: int) -> WeightedGraph:
@@ -183,24 +178,18 @@ def generate_basis(
 
     candidates: list[CycleVector] = []
     if spec.na_avoidance:
-        assert partition is not None
         na_order = sorted(partition.inadmissible, key=lambda m: (graph.weight(m), m))
         processed: set[int] = set()
         for mid in na_order:
             # Keep earlier NA generators out of this cycle where a cycle
             # still exists without them; otherwise drop the mask.
-            view = _masked_graph(graph, processed, keep=mid) if processed else graph
-            cycle = None
-            try:
-                cycle = min_cycle_on_member(view, mid, spec.tree_kind)
-            except NoCycleThroughMember:
-                if processed:
-                    try:
-                        cycle = min_cycle_on_member(graph, mid, spec.tree_kind)
-                    except NoCycleThroughMember:
-                        cycle = None
-            if cycle is not None:
-                candidates.append(cycle)
+            views = (_masked_graph(graph, processed, keep=mid), graph) if processed else (graph,)
+            for view in views:
+                try:
+                    candidates.append(min_cycle_on_member(view, mid, spec.tree_kind))
+                    break
+                except NoCycleThroughMember:
+                    continue
             processed.add(mid)
         remaining = [m for m in graph.member_ids() if m not in partition.inadmissible]
     else:
@@ -226,7 +215,8 @@ def baseline_tree_basis(graph: WeightedGraph) -> CycleBasis:
     if graph.b0 != 1:
         raise ValueError("baseline basis requires a connected graph")
     cycles = _fundamental_cycles(graph)
-    assert len(cycles) == cycle_rank(graph)
+    if len(cycles) != cycle_rank(graph):
+        raise RuntimeError("cycle space not spanned")
     return CycleBasis(cycles, graph, None)
 
 
@@ -258,13 +248,16 @@ def incidence_matrix(basis: CycleBasis) -> IncidenceMatrix:
 
 
 def adjacency_matrix(incidence: IncidenceMatrix) -> AdjacencyMatrix:
-    """D = C C^t over the integers, with chi(D) = b1 + 2 sum(sigma) asserted."""
-    C = incidence.matrix.astype(np.int64)
-    D = C @ C.T
-    b1 = D.shape[0]
-    sigma = tuple(
-        int(np.count_nonzero(D[i, i + 1 :])) for i in range(b1)
-    )
+    """D = C C^t over the integers, with chi(D) = b1 + 2 sum(sigma) checked.
+
+    The product runs in float64, where numpy uses BLAS (its integer matmul
+    does not), and is cast back: each entry counts shared members, far
+    below 2**53, so it is exact.
+    """
+    C = incidence.matrix.astype(np.float64)
+    D = (C @ C.T).astype(np.int64)
+    sigma = tuple(int(np.count_nonzero(D[i, i + 1 :])) for i in range(len(D)))
     chi = int(np.count_nonzero(D))
-    assert chi == b1 + 2 * sum(sigma), "cycle adjacency identity violated"
+    if chi != len(sigma) + 2 * sum(sigma):
+        raise RuntimeError("cycle adjacency identity violated")
     return AdjacencyMatrix(D, sigma, chi)

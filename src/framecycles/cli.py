@@ -11,35 +11,20 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from framecycles import basis as basis_mod
-from framecycles import frames, metrics, render
+from framecycles import force, frames, metrics, render
 from framecycles.basis import AlgorithmSpec, CycleBasis, adjacency_matrix, incidence_matrix
 from framecycles.force import assemble_g, build_b1, unassembled_flexibility
-from framecycles.model import (
-    ModelError,
-    StructuralModel,
-    build_graph,
-    classify_members,
-    cycle_rank,
-)
+from framecycles.model import ModelError, StructuralModel, build_graph, classify_members, cycle_rank
 
 ALGORITHM_IDS = (1, 2, 3, 4, 5)
 BASELINE = "baseline"
-
-
-@dataclass
-class RunConfig:
-    """Inputs for one comparison run."""
-
-    model: str  # frame file path or generator spec ("grid:3x4:weak-beams")
-    algorithms: list = field(default_factory=lambda: [1, 2, 3, 4])
-    weight_variant: str = "sum"
-    alpha: int = 2
-    alg5_ordering: str | None = None
-    precision: int = 16
-    csv_path: str | None = None
+COMPARE_COLUMNS = ("algorithm", "b1", "XD", "sumL", "overlapL", "overlapW", "PL", "PN", "PDET", "g")
 
 
 def load_or_generate(spec: str) -> StructuralModel:
@@ -69,40 +54,71 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def build_basis(
-    model: StructuralModel,
-    algorithm,
-    weight_variant: str = "sum",
-    alpha: int = 2,
-    alg5_ordering: str | None = None,
-) -> CycleBasis:
-    graph = build_graph(model, variant=weight_variant)
-    if algorithm == BASELINE:
-        return basis_mod.baseline_tree_basis(graph)
-    spec = AlgorithmSpec.for_id(int(algorithm), alg5_ordering)
-    partition = classify_members(graph, alpha) if spec.na_avoidance else None
-    return basis_mod.generate_basis(graph, spec, partition)
+@dataclass
+class Analysis:
+    """The method's pipeline for one model under one set of options.
 
-
-def run_compare(config: RunConfig):
-    """Run the selected algorithms side by side.
-
-    Returns (table text, csv text, row dicts).  3D models degrade to the
-    combinatorial columns with '-' placeholders for the numeric metrics.
+    Contracted graph -> cycle basis -> D = C C' -> G = B1' Fm B1.  The
+    graph, the admissibility partition and (planar only) the unassembled
+    flexibility Fm are built once, on first use.  Bases, D and G are built
+    on request and kept by the caller, so a comparison holds one
+    algorithm's basis and matrices at a time.
     """
-    return _compare_model(load_or_generate(config.model), config)
 
+    model: StructuralModel
+    weight_variant: str = "sum"
+    alpha: int = 2
+    alg5_ordering: str | None = None
 
-def _compare_model(model: StructuralModel, config: RunConfig):
-    if not config.algorithms:
-        raise ModelError("no algorithms selected")
-    Fm = unassembled_flexibility(model) if model.ndim == 2 else None
-    rows = []
-    for algorithm in config.algorithms:
-        cycle_basis = build_basis(
-            model, algorithm, config.weight_variant, config.alpha, config.alg5_ordering
-        )
-        D = adjacency_matrix(incidence_matrix(cycle_basis))
+    @cached_property
+    def graph(self):
+        return build_graph(self.model, variant=self.weight_variant)
+
+    @cached_property
+    def partition(self):
+        return classify_members(self.graph, self.alpha)
+
+    @cached_property
+    def flexibility(self) -> np.ndarray:
+        return unassembled_flexibility(self.model)
+
+    def basis(self, algorithm) -> CycleBasis:
+        """The basis of algorithm 1-5 or of the spanning-tree baseline."""
+        graph = self.graph
+        if algorithm == BASELINE:
+            return basis_mod.baseline_tree_basis(graph)
+        spec = AlgorithmSpec.for_id(int(algorithm), self.alg5_ordering)
+        partition = self.partition if spec.na_avoidance else None
+        return basis_mod.generate_basis(graph, spec, partition)
+
+    @staticmethod
+    def adjacency(cycle_basis: CycleBasis) -> basis_mod.AdjacencyMatrix:
+        return adjacency_matrix(incidence_matrix(cycle_basis))
+
+    def g(self, cycle_basis: CycleBasis) -> np.ndarray:
+        return assemble_g(build_b1(self.model, cycle_basis), self.flexibility)
+
+    def compare(self, algorithms: list, precision: int = 16) -> tuple[str, str, list[dict]]:
+        """The algorithms side by side: (table text, CSV text, row dicts).
+
+        Space frames get '-' placeholders for the numeric metrics.
+        """
+        rows = [self._compare_row(algorithm, precision) for algorithm in algorithms]
+        table_rows = [[str(r[h]) for h in COMPARE_COLUMNS] for r in rows]
+        widths = [max(map(len, column)) for column in zip(COMPARE_COLUMNS, *table_rows)]
+        lines = [
+            "  ".join(v.ljust(widths[i]) for i, v in enumerate(tr)).rstrip()
+            for tr in [COMPARE_COLUMNS, *table_rows]
+        ]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(COMPARE_COLUMNS)
+        writer.writerows(table_rows)
+        return "\n".join(lines) + "\n", buf.getvalue(), rows
+
+    def _compare_row(self, algorithm, precision: int) -> dict:
+        cycle_basis = self.basis(algorithm)
+        D = self.adjacency(cycle_basis)
         row = {
             "algorithm": str(algorithm),
             "b1": len(cycle_basis),
@@ -111,53 +127,23 @@ def _compare_model(model: StructuralModel, config: RunConfig):
             "overlapL": cycle_basis.overlap_length(),
             "overlapW": _fmt(cycle_basis.overlap_weight()),
         }
-        if Fm is not None:
-            G = assemble_g(build_b1(model, cycle_basis), Fm)
-            report = metrics.condition_report(G, D.D, config.precision)
-            row.update(
-                PL=_fmt(report.pl),
-                PN=_fmt(report.pn),
-                PDET=_fmt(report.pdet),
-                g=_fmt(report.good_digits),
-            )
-        else:
-            row.update(PL="-", PN="-", PDET="-", g="-")
-        rows.append(row)
-
-    headers = ["algorithm", "b1", "XD", "sumL", "overlapL", "overlapW", "PL", "PN", "PDET", "g"]
-    table_rows = [[str(r[h]) for h in headers] for r in rows]
-    widths = [
-        max(len(h), *(len(tr[i]) for tr in table_rows)) for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for tr in table_rows:
-        lines.append("  ".join(v.ljust(widths[i]) for i, v in enumerate(tr)).rstrip())
-    table = "\n".join(lines) + "\n"
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for tr in table_rows:
-        writer.writerow(tr)
-    return table, buf.getvalue(), rows
+        if self.model.ndim != 2:
+            return {**row, "PL": "-", "PN": "-", "PDET": "-", "g": "-"}
+        report = metrics.condition_report(self.g(cycle_basis), D.D, precision)
+        numeric = (report.pl, report.pn, report.pdet, report.good_digits)
+        return {**row, **dict(zip(("PL", "PN", "PDET", "g"), map(_fmt, numeric)))}
 
 
 def _parse_algorithms(raw: str) -> list:
     algorithms = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token == BASELINE:
-            algorithms.append(BASELINE)
-        else:
-            try:
-                value = int(token)
-            except ValueError:
-                raise ModelError(f"unknown algorithm '{token}'") from None
-            if value not in ALGORITHM_IDS:
-                raise ModelError(f"unknown algorithm '{token}'")
-            algorithms.append(value)
+    for token in filter(None, (t.strip() for t in raw.split(","))):
+        try:
+            value = token if token == BASELINE else int(token)
+        except ValueError:
+            value = None
+        if value != BASELINE and value not in ALGORITHM_IDS:
+            raise ModelError(f"unknown algorithm '{token}'")
+        algorithms.append(value)
     if not algorithms:
         raise ModelError("no algorithms selected")
     return algorithms
@@ -224,6 +210,11 @@ def _one_algorithm(raw: str):
     return _parse_algorithms(raw)[0]
 
 
+def _analysis(args) -> Analysis:
+    model = load_or_generate(args.model)
+    return Analysis(model, args.weight_variant, args.alpha, args.alg5_ordering)
+
+
 def _cmd_generate(args) -> int:
     if args.spans_y is not None:
         model = frames.generate_grid3d(
@@ -239,12 +230,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cycles(args) -> int:
-    model = load_or_generate(args.model)
-    cycle_basis = build_basis(
-        model, _one_algorithm(args.algorithm), args.weight_variant, args.alpha, args.alg5_ordering
-    )
-    graph = cycle_basis.graph
-    print(f"b1 = {cycle_rank(graph)}")
+    analysis = _analysis(args)
+    cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
+    print(f"b1 = {cycle_rank(analysis.graph)}")
     for i, c in enumerate(cycle_basis.cycles, start=1):
         members = ",".join(str(m) for m in sorted(c.members))
         print(
@@ -255,14 +243,10 @@ def _cmd_cycles(args) -> int:
 
 
 def _cmd_force(args) -> int:
-    from framecycles.force import solve_force_method
-
-    model = load_or_generate(args.model)
+    analysis = _analysis(args)
     loads = frames.parse_load_case(args.loads)
-    cycle_basis = build_basis(
-        model, _one_algorithm(args.algorithm), args.weight_variant, args.alpha, args.alg5_ordering
-    )
-    solution = solve_force_method(model, cycle_basis, loads)
+    cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
+    solution = force.solve_force_method(analysis.model, cycle_basis, loads)
     print("member  N  V  M")
     for i, mid in enumerate(solution.member_order):
         n, v, m = solution.r[3 * i : 3 * i + 3]
@@ -272,16 +256,13 @@ def _cmd_force(args) -> int:
 
 
 def _cmd_condition(args) -> int:
-    model = load_or_generate(args.model)
-    if model.ndim != 2:
+    analysis = _analysis(args)
+    if analysis.model.ndim != 2:
         print("error: condition report requires a planar model", file=sys.stderr)
         return 1
-    cycle_basis = build_basis(
-        model, _one_algorithm(args.algorithm), args.weight_variant, args.alpha, args.alg5_ordering
-    )
-    D = adjacency_matrix(incidence_matrix(cycle_basis))
-    G = assemble_g(build_b1(model, cycle_basis), unassembled_flexibility(model))
-    report = metrics.condition_report(G, D.D, args.precision)
+    cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
+    D = analysis.adjacency(cycle_basis)
+    report = metrics.condition_report(analysis.g(cycle_basis), D.D, args.precision)
     print(f"PL = {_fmt(report.pl)}")
     print(f"PN = {_fmt(report.pn)} (log10 {_fmt(report.pn_log10)})")
     print(f"PDET = {_fmt(report.pdet)} (log10 {_fmt(report.pdet_log10)})")
@@ -291,44 +272,32 @@ def _cmd_condition(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = RunConfig(
-        model=args.model,
-        algorithms=_parse_algorithms(args.algorithms),
-        weight_variant=args.weight_variant,
-        alpha=args.alpha,
-        alg5_ordering=args.alg5_ordering,
-        precision=args.precision,
-        csv_path=args.csv,
-    )
-    model = load_or_generate(config.model)
-    if model.ndim != 2:
+    algorithms = _parse_algorithms(args.algorithms)
+    analysis = _analysis(args)
+    if analysis.model.ndim != 2:
         print("warning: 3D model, reporting combinatorial columns only", file=sys.stderr)
-    table, csv_text, _rows = _compare_model(model, config)
+    table, csv_text, _rows = analysis.compare(algorithms, args.precision)
     sys.stdout.write(table)
-    if config.csv_path:
-        with open(config.csv_path, "w") as fh:
+    if args.csv:
+        with open(args.csv, "w") as fh:
             fh.write(csv_text)
     return 0
 
 
 def _cmd_render(args) -> int:
-    model = load_or_generate(args.model)
-    cycle_basis = build_basis(
-        model, _one_algorithm(args.algorithm), args.weight_variant, args.alpha, args.alg5_ordering
-    )
+    analysis = _analysis(args)
+    cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
     if not args.sparsity and not args.frame:
         print("error: choose --sparsity and/or --frame output paths", file=sys.stderr)
         return 2
     if args.sparsity:
-        D = adjacency_matrix(incidence_matrix(cycle_basis))
-        if args.block and model.ndim == 2:
-            G = assemble_g(build_b1(model, cycle_basis), unassembled_flexibility(model))
-            render.render_sparsity(G, args.sparsity, block_size=3)
+        if args.block and analysis.model.ndim == 2:
+            render.render_sparsity(analysis.g(cycle_basis), args.sparsity, block_size=3)
         else:
-            render.render_sparsity(D.D, args.sparsity)
+            render.render_sparsity(analysis.adjacency(cycle_basis).D, args.sparsity)
         print(f"wrote {args.sparsity}")
     if args.frame:
-        render.render_frame(model, cycle_basis, args.frame)
+        render.render_frame(analysis.model, cycle_basis, args.frame)
         print(f"wrote {args.frame}")
     return 0
 

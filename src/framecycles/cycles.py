@@ -44,14 +44,6 @@ class RouteTree:
             path.append(via)
         return path
 
-    def path_nodes(self, node: int) -> list[int]:
-        """Nodes from *node* up to and including the root."""
-        nodes = [node]
-        while node != self.root:
-            node = self.parent[node][0]
-            nodes.append(node)
-        return nodes
-
 
 @dataclass(frozen=True)
 class CycleVector:
@@ -78,9 +70,21 @@ class CycleVector:
         weight = sum(graph.weight(m) for m in members)
         return CycleVector(members, len(members), weight, generator)
 
-    def symmetric_difference(self, other: "CycleVector", graph: WeightedGraph) -> "CycleVector":
-        members = frozenset(self.members ^ other.members)
-        return CycleVector.from_members(graph, members, self.generator)
+
+def close_cycle(
+    graph: WeightedGraph, member_id: int, path_a: list[int], path_b: list[int]
+) -> CycleVector:
+    """The cycle that *member_id* closes with two tree paths from its ends.
+
+    The paths (member ids, as ``RouteTree.path_members`` gives them) run
+    from the member's two ends to a common node; members on both cancel
+    over GF(2).  The set is built as the member, then ^ path a, then ^
+    path b: that order fixes the weight's last bit (``from_members``).
+    """
+    members: set[int] = {member_id}
+    members ^= set(path_a)
+    members ^= set(path_b)
+    return CycleVector.from_members(graph, frozenset(members), member_id)
 
 
 def build_srt(graph: WeightedGraph, root: int, forbidden: int | None = None) -> RouteTree:
@@ -214,10 +218,7 @@ def min_cycle_on_member(graph: WeightedGraph, member_id: int, tree_kind: str = S
     meet = _first_common_node(tree_a.root, tiers_a, tree_b.root, tiers_b)
     if meet is None:
         raise NoCycleThroughMember(f"no cycle through member {member_id}")
-    members: set[int] = {member_id}
-    members ^= set(tree_a.path_members(meet))
-    members ^= set(tree_b.path_members(meet))
-    return CycleVector.from_members(graph, frozenset(members), member_id)
+    return close_cycle(graph, member_id, tree_a.path_members(meet), tree_b.path_members(meet))
 
 
 def _first_common_node(
@@ -247,25 +248,6 @@ def _first_common_node(
         if common:
             return min(common)
     return None
-
-
-def min_cycle_through_node(graph: WeightedGraph, node: int, member_id: int) -> CycleVector:
-    """Minimal cycle on a member passing through a given node.
-
-    A single SRT rooted at the node reaches both ends of the member; the two
-    backtracked routes plus the member form the cycle.  Utility only; no
-    basis algorithm consumes it.
-    """
-    m = graph.member(member_id)
-    tree = build_srt(graph, node, forbidden=member_id)
-    if m.a not in tree.label or m.b not in tree.label:
-        raise NoCycleThroughMember(
-            f"no cycle through member {member_id} and node {node}"
-        )
-    members: set[int] = {member_id}
-    members ^= set(tree.path_members(m.a))
-    members ^= set(tree.path_members(m.b))
-    return CycleVector.from_members(graph, frozenset(members), member_id)
 
 
 @dataclass
@@ -309,21 +291,6 @@ class CycleSpace:
             return False
         self.pivots[reduced.bit_length() - 1] = reduced
         return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
-def is_independent(basis: list[CycleVector], candidate: CycleVector) -> bool:
-    """True iff *candidate* lies outside the GF(2) span of *basis*."""
-    universe: set[int] = set(candidate.members)
-    for c in basis:
-        universe.update(c.members)
-    space = CycleSpace({mid: i for i, mid in enumerate(sorted(universe))})
-    for c in basis:
-        space.add(c)
-    return space.is_independent(candidate)
 
 
 @dataclass

@@ -32,10 +32,24 @@ class ParseError(ModelError):
     """A frame or load file failed validation; the message names the field."""
 
 
-def _require(mapping: dict, key: str, context: str):
+def _require(mapping: dict, key: str, context: str, convert=None):
+    """mapping[key], through ``int`` or ``float`` if *convert* is given."""
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{context}: expected an object, got {json.dumps(mapping)}")
     if key not in mapping:
         raise ParseError(f"{context}: missing field '{key}'")
-    return mapping[key]
+    if convert is None:
+        return mapping[key]
+    return _number(mapping[key], convert, f"{context}: field '{key}'")
+
+
+def _number(value, convert, field: str):
+    """*value* through ``int`` or ``float``; a ParseError names *field* if it fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise ParseError(f"{field} must be {kind}, got {json.dumps(value)}") from None
 
 
 def parse_model(path) -> StructuralModel:
@@ -54,36 +68,37 @@ def parse_model(path) -> StructuralModel:
 
     sections = {}
     for name, raw in _require(doc, "sections", str(path)).items():
+        context = f"section '{name}'"
+        A, I, E = (_require(raw, key, context, float) for key in ("A", "I", "E"))
         try:
-            sections[name] = Section(
-                A=float(_require(raw, "A", f"section '{name}'")),
-                I=float(_require(raw, "I", f"section '{name}'")),
-                E=float(_require(raw, "E", f"section '{name}'")),
-            )
+            sections[name] = Section(A=A, I=I, E=E)
         except ModelError as exc:
-            raise ParseError(f"section '{name}': {exc}") from exc
+            raise ParseError(f"{context}: {exc}") from exc
 
     nodes = []
     for raw in _require(doc, "nodes", str(path)):
-        nid = int(_require(raw, "id", "node"))
+        nid = _require(raw, "id", "node", int)
         coords = _require(raw, "coords", f"node {nid}")
-        nodes.append(FrameNode(nid, tuple(float(c) for c in coords)))
+        if not isinstance(coords, list):
+            raise ParseError(f"node {nid}: field 'coords' must be a list, got {json.dumps(coords)}")
+        values = (_number(c, float, f"node {nid}: coords[{i}]") for i, c in enumerate(coords))
+        nodes.append(FrameNode(nid, tuple(values)))
 
     members = []
     for raw in _require(doc, "members", str(path)):
-        mid = int(_require(raw, "id", "member"))
+        mid = _require(raw, "id", "member", int)
         members.append(
             FrameMember(
                 mid,
-                int(_require(raw, "a", f"member {mid}")),
-                int(_require(raw, "b", f"member {mid}")),
+                _require(raw, "a", f"member {mid}", int),
+                _require(raw, "b", f"member {mid}", int),
                 str(_require(raw, "section", f"member {mid}")),
             )
         )
 
     supports = []
     for raw in _require(doc, "supports", str(path)):
-        node = int(_require(raw, "node", "support"))
+        node = _require(raw, "node", "support", int)
         kind = raw.get("kind", "fixed")
         if kind != "fixed":
             raise ParseError(f"support at node {node}: unsupported kind '{kind}'")
@@ -124,10 +139,12 @@ def parse_load_case(path) -> list[tuple[int, float, float, float]]:
         raise ParseError(f"{path}: unsupported format_version")
     loads = []
     for raw in _require(doc, "loads", str(path)):
-        node = int(_require(raw, "node", "load"))
-        loads.append(
-            (node, float(raw.get("fx", 0.0)), float(raw.get("fy", 0.0)), float(raw.get("mz", 0.0)))
+        node = _require(raw, "node", "load", int)
+        fx, fy, mz = (
+            _number(raw.get(k, 0.0), float, f"load on node {node}: field '{k}'")
+            for k in ("fx", "fy", "mz")
         )
+        loads.append((node, fx, fy, mz))
     return loads
 
 

@@ -17,10 +17,15 @@ import numpy as np
 _SYMMETRY_TOL = 1e-12
 
 
-def _check_symmetric(G: np.ndarray) -> np.ndarray:
+def _square(G: np.ndarray) -> np.ndarray:
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
+    return G
+
+
+def _check_symmetric(G: np.ndarray) -> np.ndarray:
+    G = _square(G)
     scale = float(np.max(np.abs(G))) or 1.0
     if float(np.max(np.abs(G - G.T))) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
@@ -55,13 +60,16 @@ def pn(G: np.ndarray) -> float:
 
 def row_normalized_determinant(G: np.ndarray) -> tuple[float, float]:
     """(determinant, log10 |determinant|) of the row-normalized matrix."""
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {G.shape}")
+    G = _square(G)
     norms = np.linalg.norm(G, axis=1)
     if np.any(norms == 0):
         raise ValueError("matrix has a zero row")
-    sign, logdet = np.linalg.slogdet(G / norms[:, None])
+    return _determinant(G / norms[:, None])
+
+
+def _determinant(M: np.ndarray) -> tuple[float, float]:
+    """(determinant, log10 |determinant|); the determinant is 0 where it underflows."""
+    sign, logdet = np.linalg.slogdet(M)
     if sign == 0:
         return 0.0, -math.inf
     log10det = logdet / math.log(10.0)
@@ -75,18 +83,12 @@ def pdet(G: np.ndarray) -> float:
 
 def scaled_determinant(G: np.ndarray) -> tuple[float, float]:
     """(determinant, log10 |determinant|) of D^-1/2 G D^-1/2 with D = diag(G)."""
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {G.shape}")
+    G = _square(G)
     d = np.diag(G)
     if np.any(d <= 0):
         raise ValueError("matrix has a non-positive diagonal entry")
     s = 1.0 / np.sqrt(d)
-    sign, logdet = np.linalg.slogdet(G * np.outer(s, s))
-    if sign == 0:
-        return 0.0, -math.inf
-    log10det = logdet / math.log(10.0)
-    return float(sign * math.exp(logdet)) if logdet > -745 else 0.0, float(log10det)
+    return _determinant(G * np.outer(s, s))
 
 
 def block_pattern(M: np.ndarray, block_size: int) -> np.ndarray:
@@ -150,38 +152,6 @@ def chop(value: float, digits: int) -> float:
     exponent = math.floor(math.log10(abs(value)))
     scale = 10.0 ** (digits - 1 - exponent)
     return math.copysign(math.floor(abs(value) * scale + 0.5), value) / scale
-
-
-@dataclass(frozen=True)
-class ChoppedNumber:
-    """A float re-rounded to a significant-digit budget after every operation."""
-
-    value: float
-    digits: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", chop(self.value, self.digits))
-
-    def _wrap(self, value: float) -> "ChoppedNumber":
-        return ChoppedNumber(value, self.digits)
-
-    def _other(self, other) -> float:
-        return other.value if isinstance(other, ChoppedNumber) else float(other)
-
-    def __add__(self, other):
-        return self._wrap(self.value + self._other(other))
-
-    def __sub__(self, other):
-        return self._wrap(self.value - self._other(other))
-
-    def __mul__(self, other):
-        return self._wrap(self.value * self._other(other))
-
-    def __truediv__(self, other):
-        return self._wrap(self.value / self._other(other))
-
-    def __float__(self) -> float:
-        return self.value
 
 
 class ChoppedPivotBreakdown(ZeroDivisionError):
@@ -274,27 +244,3 @@ def chopped_gauss_solve(
             acc = rnd(acc - rnd(M[i][j] * x[j]))
         x[i] = rnd(acc / M[i][i])
     return np.array(x)
-
-
-# --- plain-text matrix exchange -------------------------------------------
-
-
-def write_matrix(path, M: np.ndarray) -> None:
-    """Dense text format: 'rows cols' header, then row-major values."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    with open(path, "w") as fh:
-        fh.write(f"{M.shape[0]} {M.shape[1]}\n")
-        for row in M:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: bad matrix header")
-        rows, cols = int(header[0]), int(header[1])
-        values = fh.read().split()
-    if len(values) != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, got {len(values)}")
-    return np.array([float(v) for v in values]).reshape(rows, cols)

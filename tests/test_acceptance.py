@@ -33,7 +33,7 @@ from framecycles.basis import (
     generate_basis,
     incidence_matrix,
 )
-from framecycles.cli import RunConfig, build_basis, run_compare
+from framecycles.cli import Analysis, load_or_generate
 from framecycles.cycles import NoCycleThroughMember, min_cycle_on_member
 from framecycles.force import (
     assemble_g,
@@ -56,7 +56,7 @@ from framecycles.model import build_graph, classify_members, cycle_rank
 
 
 def chi_and_pl(model, algorithm):
-    basis = build_basis(model, algorithm)
+    basis = Analysis(model).basis(algorithm)
     D = adjacency_matrix(incidence_matrix(basis))
     G = assemble_g(build_b1(model, basis), unassembled_flexibility(model))
     return D.chi, pl(G)
@@ -64,7 +64,7 @@ def chi_and_pl(model, algorithm):
 
 def timed_chi(model, algorithm):
     start = time.perf_counter()
-    basis = build_basis(model, algorithm)
+    basis = Analysis(model).basis(algorithm)
     elapsed = time.perf_counter() - start
     return adjacency_matrix(incidence_matrix(basis)).chi, elapsed
 
@@ -137,7 +137,7 @@ def test_criterion_03_independence_controls():
     for label, model in models:
         graph = build_graph(model)
         for algorithm_id in (1, 2, 3, 4):
-            basis = build_basis(model, algorithm_id)
+            basis = Analysis(model).basis(algorithm_id)
             assert len(basis) == cycle_rank(graph)
             rank = oracles.gf2_rank(
                 [c.members for c in basis.cycles], graph.member_ids()
@@ -231,7 +231,7 @@ def test_criterion_06_flexibility_sparsity_matches_cycle_overlap():
     ]
     for stories, spans, pattern, algorithm in cases:
         model = generate_grid(stories, spans, pattern=pattern)
-        basis = build_basis(model, algorithm)
+        basis = Analysis(model).basis(algorithm)
         D = adjacency_matrix(incidence_matrix(basis)).D
         G = assemble_g(build_b1(model, basis), unassembled_flexibility(model))
         n = D.shape[0]
@@ -250,7 +250,7 @@ def test_criterion_07_force_method_matches_displacement_method():
     ]
     for stories, spans in [(1, 1), (2, 2), (3, 3)]:
         model = generate_grid(stories, spans)
-        basis = build_basis(model, 1)
+        basis = Analysis(model).basis(1)
         top = model.nodes[-1].id
         for make_loads in load_cases:
             loads = make_loads(top)
@@ -299,13 +299,9 @@ def test_criterion_09_small_pivot_demo():
 
 def test_criterion_10_reports_are_deterministic(tmp_path):
     """Two identical comparison runs produce byte-identical table and CSV."""
-    config = RunConfig(
-        model="grid:3x4:checker",
-        algorithms=[1, 2, 3, 4, 5, "baseline"],
-        csv_path=None,
-    )
-    table1, csv1, rows1 = run_compare(config)
-    table2, csv2, rows2 = run_compare(config)
+    algorithms = [1, 2, 3, 4, 5, "baseline"]
+    table1, csv1, rows1 = Analysis(load_or_generate("grid:3x4:checker")).compare(algorithms)
+    table2, csv2, rows2 = Analysis(load_or_generate("grid:3x4:checker")).compare(algorithms)
     assert table1 == table2
     assert csv1 == csv2
     assert rows1 == rows2

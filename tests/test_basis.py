@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
+import make_golden
 import oracles
+from framecycles import basis as basis_mod
 from framecycles.basis import (
     LENGTH_ASCENDING,
     WEIGHT_DESCENDING,
@@ -15,6 +17,7 @@ from framecycles.basis import (
     generate_basis,
     incidence_matrix,
 )
+from framecycles.cli import Analysis, load_or_generate
 from framecycles.frames import generate_grid, generate_grid3d
 from framecycles.model import build_graph, classify_members, cycle_rank
 
@@ -111,6 +114,19 @@ class TestGenerateBasis:
         lengths = [c.length for c in by_length.cycles]
         assert lengths[0] == min(lengths)
 
+    def test_unspanned_cycle_space_raises(self, monkeypatch):
+        """Without the fundamental cycles the rank check fails with an exception,
+        which, unlike an assert, also holds under ``python -O``."""
+        graph = oracles.random_connected_graph(random.Random(20), 26)
+        spec = AlgorithmSpec.for_id(1)
+        log = generate_basis(graph, spec).control_log
+        assert sum(1 for _, independent, _ in log if independent) < cycle_rank(graph)
+        monkeypatch.setattr(basis_mod, "_fundamental_cycles", lambda graph: [])
+        with pytest.raises(RuntimeError, match="cycle space not spanned"):
+            generate_basis(graph, spec)
+        with pytest.raises(RuntimeError, match="cycle space not spanned"):
+            baseline_tree_basis(graph)
+
     def test_identity_on_random_graphs(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -165,3 +181,14 @@ class TestMatrices:
         assert len(basis) == cycle_rank(graph)
         D = adjacency_matrix(incidence_matrix(basis))
         assert D.chi == len(basis) + 2 * sum(D.sigma)
+
+    def test_adjacency_is_the_integer_product_on_golden_grids(self):
+        """D, formed in float64, equals the int64 product C C' exactly."""
+        for spec, _, _ in make_golden.report_corpus():
+            analysis = Analysis(load_or_generate(spec))
+            for algorithm in make_golden.REPORT_ALGORITHMS:
+                incidence = incidence_matrix(analysis.basis(algorithm))
+                C = incidence.matrix.astype(np.int64)
+                D = adjacency_matrix(incidence).D
+                assert D.dtype == np.int64
+                assert np.array_equal(D, C @ C.T)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from framecycles.cli import RunConfig, load_or_generate, main, run_compare
+from framecycles import cli
+from framecycles.cli import Analysis, load_or_generate, main
 from framecycles.frames import write_load_case
-from framecycles.model import ModelError
+from framecycles.model import ModelError, build_graph
 
 
 class TestLoadOrGenerate:
@@ -123,9 +124,9 @@ class TestCompare:
         assert csv_lines[3].startswith("baseline,")
 
     def test_runs_are_deterministic(self, tmp_path):
-        config = RunConfig(model="grid:3x3:checker", algorithms=[1, 2, 3, 4, 5])
-        table1, csv1, _ = run_compare(config)
-        table2, csv2, _ = run_compare(config)
+        algorithms = [1, 2, 3, 4, 5]
+        table1, csv1, _ = Analysis(load_or_generate("grid:3x3:checker")).compare(algorithms)
+        table2, csv2, _ = Analysis(load_or_generate("grid:3x3:checker")).compare(algorithms)
         assert table1 == table2
         assert csv1 == csv2
 
@@ -135,6 +136,17 @@ class TestCompare:
         assert "combinatorial columns only" in captured.err
         for line in captured.out.strip().splitlines()[1:]:
             assert line.split()[-4:] == ["-", "-", "-", "-"]
+
+    def test_builds_the_graph_once(self, monkeypatch):
+        calls = []
+
+        def counting_build_graph(*args, **kwargs):
+            calls.append(args)
+            return build_graph(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_graph", counting_build_graph)
+        assert main(["compare", "grid:3x3:checker", "--algorithms", "1,2,3,4,5,baseline"]) == 0
+        assert len(calls) == 1
 
     def test_unknown_algorithm_token(self, capsys):
         assert main(["compare", "grid:1x1", "--algorithms", "1,9"]) == 1
@@ -167,3 +179,28 @@ class TestErrors:
     def test_missing_file_is_reported(self, capsys):
         assert main(["cycles", "/nonexistent/frame.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (
+                lambda doc: doc["sections"]["heavy"].update(A=None),
+                "section 'heavy': field 'A' must be a number, got null",
+            ),
+            (
+                lambda doc: doc["nodes"][0].update(coords=0),
+                "node 1: field 'coords' must be a list, got 0",
+            ),
+        ],
+    )
+    def test_malformed_frame_file_is_reported(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "frame.json"
+        assert main(["generate", "--stories", "1", "--spans", "1", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["cycles", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""

@@ -27,7 +27,7 @@ from framecycles.force import (
     solve_force_method,
     unassembled_flexibility,
 )
-from framecycles.cli import build_basis
+from framecycles.cli import Analysis
 from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid, generate_grid3d
 from framecycles.model import FrameNode, ModelError, StructuralModel, build_graph
 from framecycles.render import render_sparsity
@@ -220,8 +220,9 @@ def test_block_structured_force_layer_matches_dense_references(model):
     references for every algorithm; G's block pattern is D's."""
     Fm = unassembled_flexibility(model)
     dense_fm = oracles.dense_flexibility(model)
+    analysis = Analysis(model)
     for algorithm in (1, 2, 3, 4, 5, "baseline"):
-        basis = build_basis(model, algorithm)
+        basis = analysis.basis(algorithm)
         B1 = build_b1(model, basis)
         reference_b1 = oracles.reference_b1(model, basis)
         assert np.all(np.abs(B1 - reference_b1) <= 1e-14 * np.max(np.abs(reference_b1), axis=0))

@@ -107,6 +107,30 @@ class TestParseModel:
         with pytest.raises(ParseError, match="unsupported kind 'pinned'"):
             parse_model(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "where,value,message",
+        [
+            (("sections", "s", "A"), None, "section 's': field 'A' must be a number, got null"),
+            (("sections", "s", "E"), "stiff", "section 's': field 'E' must be a number"),
+            (("nodes", 1, "coords"), 0, "node 2: field 'coords' must be a list, got 0"),
+            (("nodes", 1, "coords"), [0.0, None], r"node 2: coords\[1\] must be a number"),
+            (("nodes", 0, "id"), None, "node: field 'id' must be an integer, got null"),
+            (("members", 2, "id"), None, "member: field 'id' must be an integer"),
+            (("members", 0, "b"), [2], "member 1: field 'b' must be an integer"),
+            (("supports", 0, "node"), "one", "support: field 'node' must be an integer"),
+            (("nodes", 1), 7, "node: expected an object, got 7"),
+        ],
+    )
+    def test_bad_field_type_is_named(self, tmp_path, where, value, message):
+        doc = valid_doc()
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ParseError, match=message):
+            parse_model(write_doc(tmp_path, doc))
+
     def test_model_validation_wrapped(self, tmp_path):
         doc = valid_doc()
         doc["members"].append({"id": 4, "a": 1, "b": 9, "section": "s"})
@@ -136,6 +160,21 @@ class TestLoadCaseFiles:
         path = tmp_path / "loads.json"
         path.write_text(json.dumps({"format_version": 1, "loads": [{"fx": 1.0}]}))
         with pytest.raises(ParseError, match="load: missing field 'node'"):
+            parse_load_case(path)
+
+
+    @pytest.mark.parametrize(
+        "load,message",
+        [
+            ({"node": 3, "fx": None}, "load on node 3: field 'fx' must be a number, got null"),
+            ({"node": 3, "mz": "big"}, "load on node 3: field 'mz' must be a number"),
+            ({"node": None, "fx": 1.0}, "load: field 'node' must be an integer, got null"),
+        ],
+    )
+    def test_bad_field_type_is_named(self, tmp_path, load, message):
+        path = tmp_path / "loads.json"
+        path.write_text(json.dumps({"format_version": 1, "loads": [load]}))
+        with pytest.raises(ParseError, match=message):
             parse_load_case(path)
 
 

@@ -1,4 +1,4 @@
-"""Conditioning indicators, chopped arithmetic, and matrix I/O."""
+"""Conditioning indicators and chopped arithmetic."""
 
 import math
 import os
@@ -13,7 +13,6 @@ import oracles
 from framecycles.metrics import (
     NO_PIVOTING,
     ROW_REORDER,
-    ChoppedNumber,
     ChoppedPivotBreakdown,
     chop,
     chopped_gauss_solve,
@@ -25,10 +24,8 @@ from framecycles.metrics import (
     pdet,
     pl,
     pn,
-    read_matrix,
     row_normalized_determinant,
     scaled_determinant,
-    write_matrix,
 )
 from framecycles.render import render_sparsity
 
@@ -181,23 +178,6 @@ class TestChop:
             chop(1.0, 0)
 
 
-class TestChoppedNumber:
-    def test_operations_rechop(self):
-        a = ChoppedNumber(1.2345, 3)
-        assert a.value == 1.23
-        b = a + 0.006
-        assert b.value == 1.24
-        assert (a * 2).value == 2.46
-        assert (a - 1).value == 0.23
-        assert (ChoppedNumber(1.0, 3) / 3).value == 0.333
-        assert float(a) == 1.23
-
-    def test_mixed_operand(self):
-        a = ChoppedNumber(2.0, 4)
-        b = ChoppedNumber(3.0, 4)
-        assert (a * b).value == 6.0
-
-
 class TestChoppedGaussSolve:
     def test_exact_mode_recovers_solution(self):
         A, b, x = ill_conditioned_demo()
@@ -243,28 +223,3 @@ class TestChoppedGaussSolve:
         A, b, x = ill_conditioned_demo()
         assert np.allclose(A @ x, b, atol=1e-14)
         assert x.tolist() == [-1.0, 1.0, 1.0]
-
-
-class TestMatrixIO:
-    def test_round_trip(self, tmp_path):
-        M = np.array([[1.5, -2.25e-8], [3.0, 4.0], [0.0, 1e300]])
-        path = tmp_path / "m.txt"
-        write_matrix(path, M)
-        assert np.array_equal(read_matrix(path), M)
-
-    def test_vector_promoted_to_row(self, tmp_path):
-        path = tmp_path / "v.txt"
-        write_matrix(path, np.array([1.0, 2.0, 3.0]))
-        assert read_matrix(path).shape == (1, 3)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2\n1 2\n")
-        with pytest.raises(ValueError, match="header"):
-            read_matrix(path)
-
-    def test_wrong_value_count(self, tmp_path):
-        path = tmp_path / "short.txt"
-        path.write_text("2 2\n1 2 3\n")
-        with pytest.raises(ValueError, match="expected 4 values"):
-            read_matrix(path)
