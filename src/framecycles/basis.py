@@ -3,9 +3,10 @@
 Each algorithm grows one candidate cycle per graph member (SRT for the
 sparsity-oriented variants, SRTM for the conditioning-oriented ones), sorts
 the candidates, and greedily keeps independent cycles until the basis holds
-b1 of them.  Algorithm 5 additionally processes inadmissible (NA) members
-first on masked graph views so low-weight members stay out of cycle
-overlaps.
+b1 of them.  A member's cycle on the whole graph is built once per graph
+and shared by every algorithm with its tree kind.  Algorithm 5 additionally
+processes inadmissible (NA) members first, each with the earlier ones
+masked, so low-weight members stay out of cycle overlaps.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from framecycles.cycles import (
     SRTM,
     CycleSpace,
     CycleVector,
+    MemberMask,
     NoCycleThroughMember,
     UnionSubgraph,
     admissible_expansion,
@@ -159,10 +161,21 @@ def _fundamental_cycles(graph: WeightedGraph) -> list[CycleVector]:
     ]
 
 
-def _masked_graph(graph: WeightedGraph, masked: set[int], keep: int) -> WeightedGraph:
-    members = tuple(e for e in graph.members if e.id == keep or e.id not in masked)
-    weights = {e.id: graph.weights[e.id] for e in members}
-    return WeightedGraph(graph.nodes, members, weights, ground=graph.ground)
+def _min_cycle(graph: WeightedGraph, member_id: int, tree_kind: str) -> CycleVector | None:
+    """The member's minimal cycle on the whole graph, or None for a bridge.
+
+    Built once per graph (``WeightedGraph.min_cycles``), through this
+    module's ``min_cycle_on_member``, so a wrapper put there sees every
+    real build.
+    """
+    memo = graph.min_cycles
+    key = (member_id, tree_kind)
+    if key not in memo:
+        try:
+            memo[key] = min_cycle_on_member(graph, member_id, tree_kind)
+        except NoCycleThroughMember:
+            memo[key] = None
+    return memo[key]
 
 
 def generate_basis(
@@ -176,31 +189,30 @@ def generate_basis(
     if spec.na_avoidance and partition is None:
         raise ValueError(f"algorithm {spec.id} requires an admissibility partition")
 
-    candidates: list[CycleVector] = []
+    candidates: list[CycleVector | None] = []
     if spec.na_avoidance:
         na_order = sorted(partition.inadmissible, key=lambda m: (graph.weight(m), m))
-        processed: set[int] = set()
+        mask = MemberMask(graph)
         for mid in na_order:
             # Keep earlier NA generators out of this cycle where a cycle
             # still exists without them; otherwise drop the mask.
-            views = (_masked_graph(graph, processed, keep=mid), graph) if processed else (graph,)
-            for view in views:
+            cycle = None
+            if mask.members:
                 try:
-                    candidates.append(min_cycle_on_member(view, mid, spec.tree_kind))
-                    break
+                    cycle = min_cycle_on_member(graph, mid, spec.tree_kind, mask)
                 except NoCycleThroughMember:
-                    continue
-            processed.add(mid)
+                    pass
+            if cycle is None:
+                cycle = _min_cycle(graph, mid, spec.tree_kind)
+            candidates.append(cycle)
+            mask.add(mid)
         remaining = [m for m in graph.member_ids() if m not in partition.inadmissible]
     else:
         remaining = graph.member_ids()
+    candidates += [_min_cycle(graph, mid, spec.tree_kind) for mid in remaining]
 
-    for mid in remaining:
-        try:
-            candidates.append(min_cycle_on_member(graph, mid, spec.tree_kind))
-        except NoCycleThroughMember:
-            continue  # bridge member; no cycle exists
-
+    # A bridge member has no cycle and gives no candidate.
+    candidates = [c for c in candidates if c is not None]
     candidates.sort(key=_sort_key(spec.ordering))
     selected, log = _greedy_select(graph, candidates)
     return CycleBasis(selected, graph, spec, log)

@@ -35,6 +35,7 @@ class RouteTree:
     parent: dict[int, tuple[int, int]]  # node -> (parent node, via member id)
     label: dict[int, int]
     forbidden: int | None = None
+    masked: set[int] | frozenset[int] = frozenset()
 
     def path_members(self, node: int) -> list[int]:
         """Member ids on the tree path from *node* up to the root."""
@@ -87,13 +88,41 @@ def close_cycle(
     return CycleVector.from_members(graph, frozenset(members), member_id)
 
 
-def build_srt(graph: WeightedGraph, root: int, forbidden: int | None = None) -> RouteTree:
+class MemberMask:
+    """Members kept out of route trees, as if deleted from the graph.
+
+    ``heavy`` is the SRTM survivor table of the graph without them: it
+    starts as ``WeightedGraph.heavy_incident``, and taking a member in
+    recomputes ``heavy_first`` at its two ends only, over their unmasked
+    incident members in member-id order, so each list and each mean is the
+    one a copy of the graph without the masked members would give.
+    """
+
+    def __init__(self, graph: WeightedGraph):
+        self.graph = graph
+        self.members: set[int] = set()
+        self.heavy = dict(graph.heavy_incident)
+
+    def add(self, member_id: int) -> None:
+        self.members.add(member_id)
+        e = self.graph.member(member_id)
+        for end in (e.a, e.b):
+            kept = [(f, v) for f, v in self.graph.incident(end) if f.id not in self.members]
+            self.heavy[end] = heavy_first(kept, self.graph.weights)
+
+
+def build_srt(
+    graph: WeightedGraph,
+    root: int,
+    forbidden: int | None = None,
+    mask: MemberMask | None = None,
+) -> RouteTree:
     """Breadth-first shortest route tree rooted at *root*.
 
-    The forbidden member, if any, never enters the tree; nodes unreachable
-    without it are simply absent.
+    The forbidden member and the masked ones, if any, never enter the tree;
+    nodes unreachable without them are simply absent.
     """
-    tree, tiers = _srt_route(graph, root, forbidden)
+    tree, tiers = _srt_route(graph, root, forbidden, mask)
     for _ in tiers:
         pass
     return tree
@@ -106,14 +135,14 @@ def _grow_srt(graph: WeightedGraph, tree: RouteTree) -> Iterator[list[int]]:
     id, members by ascending id), so a tree grown part way is exactly the
     top of the full tree.
     """
-    label, parent, forbidden = tree.label, tree.parent, tree.forbidden
+    label, parent, forbidden, masked = tree.label, tree.parent, tree.forbidden, tree.masked
     frontier = [tree.root]
     while True:
         next_frontier = []
         for u in sorted(frontier):
             depth = label[u] + 1
             for edge, v in graph.incident(u):
-                if edge.id == forbidden or v in label:
+                if edge.id == forbidden or v in label or edge.id in masked:
                     continue
                 label[v] = depth
                 parent[v] = (u, edge.id)
@@ -124,7 +153,12 @@ def _grow_srt(graph: WeightedGraph, tree: RouteTree) -> Iterator[list[int]]:
         frontier = next_frontier
 
 
-def build_srtm(graph: WeightedGraph, root: int, forbidden: int | None = None) -> RouteTree:
+def build_srtm(
+    graph: WeightedGraph,
+    root: int,
+    forbidden: int | None = None,
+    mask: MemberMask | None = None,
+) -> RouteTree:
     """Weight-pruned route tree: SRTM.
 
     Tier expansion as in the SRT, except that at each expanded node the
@@ -132,25 +166,29 @@ def build_srtm(graph: WeightedGraph, root: int, forbidden: int | None = None) ->
     node's incident members are pruned from tree candidacy, and surviving
     candidates are taken in descending weight order.  A final pass attaches
     any node stranded by pruning through its maximum-weight available member
-    so the tree still spans the reachable component.
+    so the tree still spans the reachable component.  The forbidden member
+    and the masked ones never enter the tree or any average.
     """
     label = {root: 0}
     parent: dict[int, tuple[int, int]] = {}
-    # The graph's survivor lists hold for every node but the forbidden
-    # member's two ends, whose average leaves that member out.
-    survivors = graph.heavy_incident
+    masked = mask.members if mask is not None else frozenset()
+    survivors = mask.heavy if mask is not None else graph.heavy_incident
+    # The survivor lists hold for every node but the forbidden member's two
+    # ends, whose average leaves that member out.
+    ends: dict[int, list] = {}
     if forbidden is not None:
         m = graph.member(forbidden)
-        survivors = dict(survivors)
         for end in (m.a, m.b):
-            kept = [(e, v) for e, v in graph.incident(end) if e.id != forbidden]
-            survivors[end] = heavy_first(kept, graph.weights)
+            kept = [
+                (e, v) for e, v in graph.incident(end) if e.id != forbidden and e.id not in masked
+            ]
+            ends[end] = heavy_first(kept, graph.weights)
     frontier = [root]
     while frontier:
         next_frontier = []
         for u in sorted(frontier):
             depth = label[u] + 1
-            for e, v in survivors[u]:
+            for e, v in ends[u] if u in ends else survivors[u]:
                 if v in label:
                     continue
                 label[v] = depth
@@ -166,7 +204,7 @@ def build_srtm(graph: WeightedGraph, root: int, forbidden: int | None = None) ->
         attachable: dict[int, tuple[float, int, int]] = {}
         for u in scan:
             for e, v in graph.incident(u):
-                if e.id == forbidden or v in label:
+                if e.id == forbidden or v in label or e.id in masked:
                     continue
                 key = (-graph.weight(e.id), e.id, u)
                 if v not in attachable or key < attachable[v]:
@@ -176,20 +214,23 @@ def build_srtm(graph: WeightedGraph, root: int, forbidden: int | None = None) ->
             _, eid, u = attachable[v]
             label[v] = label[u] + 1
             parent[v] = (u, eid)
-    return RouteTree(root, SRTM, parent, label, forbidden)
+    return RouteTree(root, SRTM, parent, label, forbidden, masked)
 
 
 def _srt_route(
-    graph: WeightedGraph, root: int, forbidden: int | None
+    graph: WeightedGraph, root: int, forbidden: int | None, mask: MemberMask | None
 ) -> tuple[RouteTree, Iterator]:
-    tree = RouteTree(root, SRT, {}, {root: 0}, forbidden)
+    masked = mask.members if mask is not None else frozenset()
+    tree = RouteTree(root, SRT, {}, {root: 0}, forbidden, masked)
     return tree, _grow_srt(graph, tree)
 
 
-def _srtm_route(graph: WeightedGraph, root: int, forbidden: int) -> tuple[RouteTree, Iterator]:
+def _srtm_route(
+    graph: WeightedGraph, root: int, forbidden: int, mask: MemberMask | None
+) -> tuple[RouteTree, Iterator]:
     # The whole tree is needed: the fallback can attach nodes below the
     # tier at which the trees meet.
-    tree = build_srtm(graph, root, forbidden)
+    tree = build_srtm(graph, root, forbidden, mask)
     tiers: list[list[int]] = [[] for _ in range(max(tree.label.values()) + 1)]
     for node, tier in tree.label.items():
         tiers[tier].append(node)
@@ -200,21 +241,27 @@ def _srtm_route(graph: WeightedGraph, root: int, forbidden: int) -> tuple[RouteT
 _ROUTES = {SRT: _srt_route, SRTM: _srtm_route}
 
 
-def min_cycle_on_member(graph: WeightedGraph, member_id: int, tree_kind: str = SRT) -> CycleVector:
+def min_cycle_on_member(
+    graph: WeightedGraph,
+    member_id: int,
+    tree_kind: str = SRT,
+    mask: MemberMask | None = None,
+) -> CycleVector:
     """Minimal cycle on a generator member.
 
     Two route trees of the given kind grow from the member's two ends with
     the member itself forbidden, expanding in lock-step tiers; the first
     common node closes the cycle.  SRT trees grow only as far as that node.
     With SRT trees the result has minimum length among cycles through the
-    member; SRTM trades length for weight.
+    member; SRTM trades length for weight.  With a *mask*, the cycle is the
+    one on the graph without the masked members.
     """
     if tree_kind not in _ROUTES:
         raise ValueError(f"unknown tree kind '{tree_kind}'")
     m = graph.member(member_id)
     route = _ROUTES[tree_kind]
-    tree_a, tiers_a = route(graph, m.a, member_id)
-    tree_b, tiers_b = route(graph, m.b, member_id)
+    tree_a, tiers_a = route(graph, m.a, member_id, mask)
+    tree_b, tiers_b = route(graph, m.b, member_id, mask)
     meet = _first_common_node(tree_a.root, tiers_a, tree_b.root, tiers_b)
     if meet is None:
         raise NoCycleThroughMember(f"no cycle through member {member_id}")

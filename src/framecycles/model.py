@@ -167,6 +167,15 @@ class WeightedGraph:
         """Per node, ``heavy_first`` of all its incident members."""
         return {n: heavy_first(self._adj[n], self.weights) for n in self.nodes}
 
+    @cached_property
+    def min_cycles(self) -> dict:
+        """Memo of the minimal cycle per (member id, tree kind), filled by ``basis``.
+
+        It lives as long as the graph, so every algorithm run on one graph
+        shares each cycle; None marks a member with no cycle (a bridge).
+        """
+        return {}
+
     def member(self, member_id: int) -> Edge:
         return self._member_map[member_id]
 

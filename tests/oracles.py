@@ -7,7 +7,8 @@ root finding instead of eigvalsh, and a displacement (stiffness) solver
 instead of the force method.  The exceptions are the library's own earlier
 constructions, kept as references for the faster ones that replaced them:
 the eager cycle construction (two complete route trees and a lock-step
-search that rescans every label per tier), the dense force-method products
+search that rescans every label per tier), algorithm 5's masked graph copy
+(a new graph without the masked members), the dense force-method products
 (a 3M x 3M block-diagonal Fm and G = B1' Fm B1), the per-member,
 per-wrench B1 builder and the block-by-block sparsity raster.
 """
@@ -51,6 +52,62 @@ def random_connected_graph(rng: random.Random, max_members: int) -> WeightedGrap
     members = tuple(Edge(i + 1, a, b) for i, (a, b) in enumerate(edges))
     weights = {e.id: rng.uniform(0.5, 100.0) for e in members}
     return WeightedGraph(tuple(nodes), members, weights)
+
+
+def masked_graph(graph: WeightedGraph, masked, keep: int) -> WeightedGraph:
+    """A new graph without the *masked* members, except *keep*."""
+    members = tuple(e for e in graph.members if e.id == keep or e.id not in masked)
+    weights = {e.id: graph.weights[e.id] for e in members}
+    return WeightedGraph(graph.nodes, members, weights, ground=graph.ground)
+
+
+def _bfs_parents(graph: WeightedGraph, root: int) -> dict[int, tuple[int, int]]:
+    parent: dict[int, tuple[int, int]] = {root: (root, 0)}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for edge, v in graph.incident(u):
+            if v not in parent:
+                parent[v] = (u, edge.id)
+                queue.append(v)
+    return parent
+
+
+def horton_minimum_cycle_basis(graph: WeightedGraph) -> list[frozenset[int]]:
+    """A minimum-length cycle basis, by Horton's construction (1987).
+
+    For every node v and member (x, y) the candidate is P(v, x) + (x, y) +
+    P(y, v), with the paths taken from one breadth-first tree per v; the
+    candidates, shortest first, are kept greedily while independent over
+    GF(2).  Horton showed that these candidates hold a minimum basis.
+    """
+    candidates = set()
+    for v in graph.nodes:
+        parent = _bfs_parents(graph, v)
+
+        def path(node):
+            members: set[int] = set()
+            while node != v:
+                node, via = parent[node]
+                members.add(via)
+            return members
+
+        for e in graph.members:
+            if e.a in parent:
+                cycle = frozenset({e.id} ^ path(e.a) ^ path(e.b))
+                if e.id in cycle:
+                    candidates.add(cycle)
+    index = {mid: i for i, mid in enumerate(graph.member_ids())}
+    rows: dict[int, int] = {}  # leading bit -> reduced row
+    basis = []
+    for cycle in sorted(candidates, key=lambda c: (len(c), sorted(c))):
+        bits = sum(1 << index[mid] for mid in cycle)
+        while bits and bits.bit_length() - 1 in rows:
+            bits ^= rows[bits.bit_length() - 1]
+        if bits:
+            rows[bits.bit_length() - 1] = bits
+            basis.append(cycle)
+    return basis
 
 
 def shortest_cycle_length_through(graph: WeightedGraph, member_id: int) -> int | None:

@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from framecycles.basis import (
     incidence_matrix,
 )
 from framecycles.cli import Analysis, load_or_generate
+from framecycles.cycles import SRT, SRTM, min_cycle_on_member
 from framecycles.frames import generate_grid, generate_grid3d
 from framecycles.model import build_graph, classify_members, cycle_rank
 
@@ -136,6 +138,59 @@ class TestGenerateBasis:
                 spec = AlgorithmSpec.for_id(algorithm_id)
                 basis = generate_basis(g, spec, partition if spec.na_avoidance else None)
                 assert len(basis) == cycle_rank(g)
+
+
+    def test_compare_builds_each_unmasked_cycle_once(self, monkeypatch):
+        """Algorithms 1-5 on one graph share each member's cycle per tree kind."""
+        built = []
+
+        def counting(graph, member_id, tree_kind=SRT, *mask):
+            if not mask:
+                built.append((member_id, tree_kind))
+            return min_cycle_on_member(graph, member_id, tree_kind, *mask)
+
+        monkeypatch.setattr(basis_mod, "min_cycle_on_member", counting)
+        analysis = Analysis(load_or_generate("grid:4x4:checker"))
+        analysis.compare([1, 2, 3, 4, 5])
+        ids = analysis.graph.member_ids()
+        assert sorted(built) == sorted((mid, kind) for mid in ids for kind in (SRT, SRTM))
+
+
+class TestMinimumCycleBasis:
+    def test_horton_oracle_matches_networkx(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            g = oracles.random_connected_graph(rng, 30)
+            mcb = oracles.horton_minimum_cycle_basis(g)
+            assert len(mcb) == cycle_rank(g)
+            assert oracles.gf2_rank(mcb, g.member_ids()) == cycle_rank(g)
+            nx_graph = nx.Graph([(e.a, e.b) for e in g.members])
+            expected = sum(len(c) for c in nx.minimum_cycle_basis(nx_graph))
+            assert sum(len(c) for c in mcb) == expected
+        # The cells of a grid, three members each in the grounded story.
+        grid = build_graph(generate_grid(3, 4))
+        assert sum(map(len, oracles.horton_minimum_cycle_basis(grid))) == 44
+
+    @pytest.mark.parametrize(
+        "spec", ["grid:3x4:checker", "grid:4x3:weak-columns", "grid:5x5:weak-beams", "grid3d:2x2x1"]
+    )
+    def test_no_algorithm_beats_the_minimum(self, spec):
+        analysis = Analysis(load_or_generate(spec))
+        minimum = sum(map(len, oracles.horton_minimum_cycle_basis(analysis.graph)))
+        for algorithm in (1, 2, 3, 4, 5, "baseline"):
+            assert analysis.basis(algorithm).total_length() >= minimum
+
+    def test_no_algorithm_beats_the_minimum_on_random_graphs(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            g = oracles.random_connected_graph(rng, 30)
+            minimum = sum(map(len, oracles.horton_minimum_cycle_basis(g)))
+            partition = classify_members(g)
+            for algorithm_id in (1, 2, 3, 4, 5):
+                spec = AlgorithmSpec.for_id(algorithm_id)
+                basis = generate_basis(g, spec, partition if spec.na_avoidance else None)
+                assert basis.total_length() >= minimum
+            assert baseline_tree_basis(g).total_length() >= minimum
 
 
 class TestBaseline:

@@ -12,6 +12,7 @@ from framecycles.cycles import (
     SRTM,
     CycleSpace,
     CycleVector,
+    MemberMask,
     NoCycleThroughMember,
     UnionSubgraph,
     admissible_expansion,
@@ -240,3 +241,33 @@ def test_union_growth_is_b1_difference(g, data):
         assert union.growth(g, cand) == after - before
         if data.draw(st.booleans()):
             union.add(g, cand)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_masked_cycles_match_the_masked_copy(seed, tied, data):
+    """With members masked, each other member's cycle is the one on a copy of
+    the graph without them, down to the last bit of the weight; a member
+    left without a cycle raises in both."""
+    g = oracles.random_connected_graph(random.Random(seed), 24)
+    if tied:  # repeated weights make ties in the SRTM averages
+        weights = {mid: data.draw(st.sampled_from(TIED_WEIGHTS)) for mid in g.member_ids()}
+        g = WeightedGraph(g.nodes, g.members, weights)
+    ids = g.member_ids()
+    mask = MemberMask(g)
+    for mid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids) - 1)):
+        mask.add(mid)
+    for kind in (SRT, SRTM):
+        for mid in ids:
+            if mid in mask.members:
+                continue
+            view = oracles.masked_graph(g, mask.members, keep=mid)
+            expected = oracles.reference_min_cycle(view, mid, kind)
+            if expected is None:
+                with pytest.raises(NoCycleThroughMember):
+                    min_cycle_on_member(g, mid, kind, mask)
+                continue
+            cycle = min_cycle_on_member(g, mid, kind, mask)
+            assert cycle.members == expected[0]
+            assert list(cycle.members) == list(expected[0])  # the order summed in
+            assert repr(cycle.weight) == repr(expected[1])
