@@ -83,11 +83,16 @@ class Analysis:
         return unassembled_flexibility(self.model)
 
     def basis(self, algorithm) -> CycleBasis:
-        """The basis of algorithm 1-5 or of the spanning-tree baseline."""
+        """The basis of algorithm 1-5 or of the spanning-tree baseline.
+
+        ``alg5_ordering`` applies to algorithm 5 alone.
+        """
         graph = self.graph
         if algorithm == BASELINE:
             return basis_mod.baseline_tree_basis(graph)
-        spec = AlgorithmSpec.for_id(int(algorithm), self.alg5_ordering)
+        algorithm_id = int(algorithm)
+        ordering = self.alg5_ordering if algorithm_id == 5 else None
+        spec = AlgorithmSpec.for_id(algorithm_id, ordering)
         partition = self.partition if spec.na_avoidance else None
         return basis_mod.generate_basis(graph, spec, partition)
 

@@ -174,7 +174,7 @@ VARIANT_OPTIONS = (
     ["--alpha", "3"],
     ["--alg5-ordering", "length-ascending"],
 )
-#: Command lines the CLI rejects; ``{dir}`` is a scratch directory.
+#: Edge-case command lines, most of them rejected; ``{dir}`` is a scratch directory.
 REJECTED = (
     ["compare", "grid:bad", "--algorithms", "1,9"],
     ["compare", "grid:2x2", "--algorithms", ","],

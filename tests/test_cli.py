@@ -148,6 +148,17 @@ class TestCompare:
         assert main(["compare", "grid:3x3:checker", "--algorithms", "1,2,3,4,5,baseline"]) == 0
         assert len(calls) == 1
 
+    def test_alg5_ordering_applies_to_algorithm_5_alone(self, capsys):
+        def rows(*options):
+            assert main(["compare", "grid:3x3:checker", *options]) == 0
+            return [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+
+        ordering = ["--alg5-ordering", "length-ascending"]
+        row1, row5 = rows("--algorithms", "1,5", *ordering)
+        assert rows("--algorithms", "1") == [row1]
+        assert rows("--algorithms", "5", *ordering) == [row5]
+        assert rows("--algorithms", "5") != [row5]
+
     def test_unknown_algorithm_token(self, capsys):
         assert main(["compare", "grid:1x1", "--algorithms", "1,9"]) == 1
         assert "unknown algorithm '9'" in capsys.readouterr().err
