@@ -43,6 +43,15 @@ def _require(mapping: dict, key: str, context: str, convert=None):
     return _number(mapping[key], convert, f"{context}: field '{key}'")
 
 
+def _container(mapping: dict, key: str, context: str, kind: type):
+    """mapping[key], which must be a JSON list (*kind* ``list``) or object (``dict``)."""
+    value = _require(mapping, key, context)
+    if not isinstance(value, kind):
+        name = "a list" if kind is list else "an object"
+        raise ParseError(f"{context}: field '{key}' must be {name}, got {json.dumps(value)}")
+    return value
+
+
 def _number(value, convert, field: str):
     """*value* through ``int`` or ``float``; a ParseError names *field* if it fails."""
     try:
@@ -67,7 +76,7 @@ def parse_model(path) -> StructuralModel:
     ndim = doc.get("dimensionality", 2)
 
     sections = {}
-    for name, raw in _require(doc, "sections", str(path)).items():
+    for name, raw in _container(doc, "sections", str(path), dict).items():
         context = f"section '{name}'"
         A, I, E = (_require(raw, key, context, float) for key in ("A", "I", "E"))
         try:
@@ -76,16 +85,14 @@ def parse_model(path) -> StructuralModel:
             raise ParseError(f"{context}: {exc}") from exc
 
     nodes = []
-    for raw in _require(doc, "nodes", str(path)):
+    for raw in _container(doc, "nodes", str(path), list):
         nid = _require(raw, "id", "node", int)
-        coords = _require(raw, "coords", f"node {nid}")
-        if not isinstance(coords, list):
-            raise ParseError(f"node {nid}: field 'coords' must be a list, got {json.dumps(coords)}")
+        coords = _container(raw, "coords", f"node {nid}", list)
         values = (_number(c, float, f"node {nid}: coords[{i}]") for i, c in enumerate(coords))
         nodes.append(FrameNode(nid, tuple(values)))
 
     members = []
-    for raw in _require(doc, "members", str(path)):
+    for raw in _container(doc, "members", str(path), list):
         mid = _require(raw, "id", "member", int)
         members.append(
             FrameMember(
@@ -97,7 +104,7 @@ def parse_model(path) -> StructuralModel:
         )
 
     supports = []
-    for raw in _require(doc, "supports", str(path)):
+    for raw in _container(doc, "supports", str(path), list):
         node = _require(raw, "node", "support", int)
         kind = raw.get("kind", "fixed")
         if kind != "fixed":
@@ -138,7 +145,7 @@ def parse_load_case(path) -> list[tuple[int, float, float, float]]:
     if _require(doc, "format_version", str(path)) != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version")
     loads = []
-    for raw in _require(doc, "loads", str(path)):
+    for raw in _container(doc, "loads", str(path), list):
         node = _require(raw, "node", "load", int)
         fx, fy, mz = (
             _number(raw.get(k, 0.0), float, f"load on node {node}: field '{k}'")

@@ -215,3 +215,24 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "field,value,shown",
+        [
+            ("sections", [], "an object, got []"),
+            ("nodes", 5, "a list, got 5"),
+            ("members", {}, "a list, got {}"),
+            ("supports", 3, "a list, got 3"),
+        ],
+    )
+    def test_container_of_the_wrong_type_is_reported(self, tmp_path, capsys, field, value, shown):
+        path = tmp_path / "frame.json"
+        assert main(["generate", "--stories", "1", "--spans", "1", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["cycles", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: field '{field}' must be {shown}\n"
+        assert captured.out == ""

@@ -119,6 +119,13 @@ class TestParseModel:
             (("members", 0, "b"), [2], "member 1: field 'b' must be an integer"),
             (("supports", 0, "node"), "one", "support: field 'node' must be an integer"),
             (("nodes", 1), 7, "node: expected an object, got 7"),
+            (("sections",), [], r"frame.json: field 'sections' must be an object, got \[\]"),
+            (("sections", "s"), [1.0], r"section 's': expected an object, got \[1.0\]"),
+            (("nodes",), 5, "frame.json: field 'nodes' must be a list, got 5"),
+            (("nodes",), "1234", "frame.json: field 'nodes' must be a list, got \"1234\""),
+            (("members",), {}, r"frame.json: field 'members' must be a list, got \{\}"),
+            (("supports",), 3, "frame.json: field 'supports' must be a list, got 3"),
+            (("supports",), None, "frame.json: field 'supports' must be a list, got null"),
         ],
     )
     def test_bad_field_type_is_named(self, tmp_path, where, value, message):
@@ -175,6 +182,13 @@ class TestLoadCaseFiles:
         path = tmp_path / "loads.json"
         path.write_text(json.dumps({"format_version": 1, "loads": [load]}))
         with pytest.raises(ParseError, match=message):
+            parse_load_case(path)
+
+    @pytest.mark.parametrize("loads", [{"node": 3}, 3, None])
+    def test_loads_must_be_a_list(self, tmp_path, loads):
+        path = tmp_path / "loads.json"
+        path.write_text(json.dumps({"format_version": 1, "loads": loads}))
+        with pytest.raises(ParseError, match="loads.json: field 'loads' must be a list"):
             parse_load_case(path)
 
 
