@@ -93,10 +93,9 @@ def horton_minimum_cycle_basis(graph: WeightedGraph) -> list[frozenset[int]]:
             return members
 
         for e in graph.members:
-            if e.a in parent:
-                cycle = frozenset({e.id} ^ path(e.a) ^ path(e.b))
-                if e.id in cycle:
-                    candidates.add(cycle)
+            cycle = frozenset({e.id} ^ path(e.a) ^ path(e.b))
+            if cycle:  # empty for a member of the tree
+                candidates.add(cycle)
     index = {mid: i for i, mid in enumerate(graph.member_ids())}
     rows: dict[int, int] = {}  # leading bit -> reduced row
     basis = []
