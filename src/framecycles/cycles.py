@@ -1,10 +1,12 @@
 """Shortest route trees, minimal cycles on members, and GF(2) independence.
 
-Two tree kinds drive cycle generation: the plain breadth-first SRT, which
-yields minimum-length cycles, and the weight-pruned SRTM, which drops
-below-average-weight members from tree candidacy to steer cycles through
-heavy members.  All tie-breaking is by ascending member id then ascending
-node id, so every result is deterministic.
+Both route trees grow by one breadth-first tier loop over per-node
+candidate lists: the plain SRT over all incident members, which yields
+minimum-length cycles, and the weight-pruned SRTM over the members at
+least as heavy as their node's average, plus a pass that attaches nodes
+stranded by pruning.  Forbidden and masked members are left out of the
+lists, nowhere else.  All tie-breaking is by ascending member id then
+ascending node id, so every result is deterministic.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ class RouteTree:
     kind: str
     parent: dict[int, tuple[int, int]]  # node -> (parent node, via member id)
     label: dict[int, int]
-    forbidden: int | None = None
-    masked: set[int] | frozenset[int] = frozenset()
 
     def path_members(self, node: int) -> list[int]:
         """Member ids on the tree path from *node* up to the root."""
@@ -88,27 +88,76 @@ def close_cycle(
     return CycleVector.from_members(graph, frozenset(members), member_id)
 
 
+#: Per-node (edge, other-end) lists: a table, and overrides at the forbidden ends.
+Lists = tuple[dict[int, list], dict[int, list]]
+
+
 class MemberMask:
     """Members kept out of route trees, as if deleted from the graph.
 
-    ``heavy`` is the SRTM survivor table of the graph without them: it
-    starts as ``WeightedGraph.heavy_incident``, and taking a member in
-    recomputes ``heavy_first`` at its two ends only, over their unmasked
-    incident members in member-id order, so each list and each mean is the
-    one a copy of the graph without the masked members would give.
+    ``incident`` and ``heavy`` are the plain and the SRTM candidate tables
+    of the graph without them.  They start as the graph's ``adjacency``
+    and ``heavy_incident``; taking a member in recomputes both at its two
+    ends only, in member-id order, so each list and each mean is the one a
+    copy of the graph without the masked members would give.
     """
 
     def __init__(self, graph: WeightedGraph):
         self.graph = graph
         self.members: set[int] = set()
+        self.incident = dict(graph.adjacency)
         self.heavy = dict(graph.heavy_incident)
 
     def add(self, member_id: int) -> None:
         self.members.add(member_id)
         e = self.graph.member(member_id)
         for end in (e.a, e.b):
-            kept = [(f, v) for f, v in self.graph.incident(end) if f.id not in self.members]
+            kept = [(f, v) for f, v in self.incident[end] if f.id != member_id]
+            self.incident[end] = kept
             self.heavy[end] = heavy_first(kept, self.graph.weights)
+
+
+def _plain(graph: WeightedGraph, forbidden: int | None, mask: MemberMask | None) -> Lists:
+    """The incident lists without the forbidden and masked members: with
+    ``_pruned``'s, the only place where route trees leave members out."""
+    table = graph.adjacency if mask is None else mask.incident
+    if forbidden is None:
+        return table, {}
+    m = graph.member(forbidden)
+    ends = {end: [(e, v) for e, v in table[end] if e.id != forbidden] for end in (m.a, m.b)}
+    return table, ends
+
+
+def _pruned(graph: WeightedGraph, plain: Lists, mask: MemberMask | None) -> Lists:
+    """The SRTM survivor lists (``heavy_first``) of the same graph as *plain*."""
+    table = graph.heavy_incident if mask is None else mask.heavy
+    return table, {end: heavy_first(kept, graph.weights) for end, kept in plain[1].items()}
+
+
+def _grow(tree: RouteTree, lists: Lists) -> Iterator[list[int]]:
+    """Add the tree's breadth-first tiers one at a time, yielding each new one.
+
+    Each node of a tier takes its unlabelled candidates in list order; tier
+    k+1 depends only on tiers 0..k (each expanded in ascending node id), so
+    a tree grown part way is exactly the top of the full tree.
+    """
+    table, ends = lists
+    label, parent = tree.label, tree.parent
+    frontier = [tree.root]
+    while True:
+        next_frontier = []
+        for u in sorted(frontier):
+            depth = label[u] + 1
+            for edge, v in ends[u] if u in ends else table[u]:
+                if v in label:
+                    continue
+                label[v] = depth
+                parent[v] = (u, edge.id)
+                next_frontier.append(v)
+        if not next_frontier:
+            return
+        yield next_frontier
+        frontier = next_frontier
 
 
 def build_srt(
@@ -122,35 +171,10 @@ def build_srt(
     The forbidden member and the masked ones, if any, never enter the tree;
     nodes unreachable without them are simply absent.
     """
-    tree, tiers = _srt_route(graph, root, forbidden, mask)
-    for _ in tiers:
+    tree = RouteTree(root, SRT, {}, {root: 0})
+    for _ in _grow(tree, _plain(graph, forbidden, mask)):
         pass
     return tree
-
-
-def _grow_srt(graph: WeightedGraph, tree: RouteTree) -> Iterator[list[int]]:
-    """Add the tree's breadth-first tiers one at a time, yielding each new one.
-
-    Tier k+1 depends only on tiers 0..k (each expanded in ascending node
-    id, members by ascending id), so a tree grown part way is exactly the
-    top of the full tree.
-    """
-    label, parent, forbidden, masked = tree.label, tree.parent, tree.forbidden, tree.masked
-    frontier = [tree.root]
-    while True:
-        next_frontier = []
-        for u in sorted(frontier):
-            depth = label[u] + 1
-            for edge, v in graph.incident(u):
-                if edge.id == forbidden or v in label or edge.id in masked:
-                    continue
-                label[v] = depth
-                parent[v] = (u, edge.id)
-                next_frontier.append(v)
-        if not next_frontier:
-            return
-        yield next_frontier
-        frontier = next_frontier
 
 
 def build_srtm(
@@ -169,42 +193,26 @@ def build_srtm(
     so the tree still spans the reachable component.  The forbidden member
     and the masked ones never enter the tree or any average.
     """
-    label = {root: 0}
-    parent: dict[int, tuple[int, int]] = {}
-    masked = mask.members if mask is not None else frozenset()
-    survivors = mask.heavy if mask is not None else graph.heavy_incident
-    # The survivor lists hold for every node but the forbidden member's two
-    # ends, whose average leaves that member out.
-    ends: dict[int, list] = {}
-    if forbidden is not None:
-        m = graph.member(forbidden)
-        for end in (m.a, m.b):
-            kept = [
-                (e, v) for e, v in graph.incident(end) if e.id != forbidden and e.id not in masked
-            ]
-            ends[end] = heavy_first(kept, graph.weights)
-    frontier = [root]
-    while frontier:
-        next_frontier = []
-        for u in sorted(frontier):
-            depth = label[u] + 1
-            for e, v in ends[u] if u in ends else survivors[u]:
-                if v in label:
-                    continue
-                label[v] = depth
-                parent[v] = (u, e.id)
-                next_frontier.append(v)
-        frontier = next_frontier
+    plain = _plain(graph, forbidden, mask)
+    return _srtm(graph, root, plain, _pruned(graph, plain, mask))
 
+
+def _srtm(graph: WeightedGraph, root: int, plain: Lists, pruned: Lists) -> RouteTree:
+    """The tier loop run to the end over *pruned*, then the fallback over *plain*."""
+    tree = RouteTree(root, SRTM, {}, {root: 0})
+    for _ in _grow(tree, pruned):
+        pass
     # Fallback: pruning can strand nodes that are reachable in the graph.
     # Only a node attached in the previous round can have an unlabelled
     # neighbour, so each round scans just those.
+    table, ends = plain
+    label, parent = tree.label, tree.parent
     scan = list(label)
     while scan:
         attachable: dict[int, tuple[float, int, int]] = {}
         for u in scan:
-            for e, v in graph.incident(u):
-                if e.id == forbidden or v in label or e.id in masked:
+            for e, v in ends[u] if u in ends else table[u]:
+                if v in label:
                     continue
                 key = (-graph.weight(e.id), e.id, u)
                 if v not in attachable or key < attachable[v]:
@@ -214,31 +222,15 @@ def build_srtm(
             _, eid, u = attachable[v]
             label[v] = label[u] + 1
             parent[v] = (u, eid)
-    return RouteTree(root, SRTM, parent, label, forbidden, masked)
+    return tree
 
 
-def _srt_route(
-    graph: WeightedGraph, root: int, forbidden: int | None, mask: MemberMask | None
-) -> tuple[RouteTree, Iterator]:
-    masked = mask.members if mask is not None else frozenset()
-    tree = RouteTree(root, SRT, {}, {root: 0}, forbidden, masked)
-    return tree, _grow_srt(graph, tree)
-
-
-def _srtm_route(
-    graph: WeightedGraph, root: int, forbidden: int, mask: MemberMask | None
-) -> tuple[RouteTree, Iterator]:
-    # The whole tree is needed: the fallback can attach nodes below the
-    # tier at which the trees meet.
-    tree = build_srtm(graph, root, forbidden, mask)
+def _tiers(tree: RouteTree) -> Iterator[list[int]]:
+    """A complete tree's tiers below the root, in label order."""
     tiers: list[list[int]] = [[] for _ in range(max(tree.label.values()) + 1)]
     for node, tier in tree.label.items():
         tiers[tier].append(node)
-    return tree, iter(tiers[1:])
-
-
-#: Tree kind -> (tree, iterator over its tiers below the root).
-_ROUTES = {SRT: _srt_route, SRTM: _srtm_route}
+    return iter(tiers[1:])
 
 
 def min_cycle_on_member(
@@ -251,17 +243,23 @@ def min_cycle_on_member(
 
     Two route trees of the given kind grow from the member's two ends with
     the member itself forbidden, expanding in lock-step tiers; the first
-    common node closes the cycle.  SRT trees grow only as far as that node.
-    With SRT trees the result has minimum length among cycles through the
-    member; SRTM trades length for weight.  With a *mask*, the cycle is the
-    one on the graph without the masked members.
+    common node closes the cycle.  SRT trees grow only as far as that node;
+    SRTM trees are built whole, as the fallback can attach nodes below the
+    tier at which they meet.  With SRT trees the result has minimum length
+    among cycles through the member; SRTM trades length for weight.  With a
+    *mask*, the cycle is the one on the graph without the masked members.
     """
-    if tree_kind not in _ROUTES:
+    if tree_kind not in (SRT, SRTM):
         raise ValueError(f"unknown tree kind '{tree_kind}'")
     m = graph.member(member_id)
-    route = _ROUTES[tree_kind]
-    tree_a, tiers_a = route(graph, m.a, member_id, mask)
-    tree_b, tiers_b = route(graph, m.b, member_id, mask)
+    plain = _plain(graph, member_id, mask)
+    if tree_kind == SRT:
+        tree_a, tree_b = (RouteTree(end, SRT, {}, {end: 0}) for end in (m.a, m.b))
+        tiers_a, tiers_b = _grow(tree_a, plain), _grow(tree_b, plain)
+    else:
+        pruned = _pruned(graph, plain, mask)
+        tree_a, tree_b = (_srtm(graph, end, plain, pruned) for end in (m.a, m.b))
+        tiers_a, tiers_b = _tiers(tree_a), _tiers(tree_b)
     meet = _first_common_node(tree_a.root, tiers_a, tree_b.root, tiers_b)
     if meet is None:
         raise NoCycleThroughMember(f"no cycle through member {member_id}")

@@ -150,22 +150,23 @@ class WeightedGraph:
                 raise ModelError(f"graph member {e.id} must have positive weight")
         self.nodes = tuple(sorted(node_set))
         self.b0 = _component_count(self.nodes, self.members)
-        self._adj: dict[int, list[tuple[Edge, int]]] = {n: [] for n in self.nodes}
+        # node -> its incident (edge, other-end) pairs, by member id; never mutated
+        self.adjacency: dict[int, list[tuple[Edge, int]]] = {n: [] for n in self.nodes}
         for e in self.members:
-            self._adj[e.a].append((e, e.b))
-            self._adj[e.b].append((e, e.a))
+            self.adjacency[e.a].append((e, e.b))
+            self.adjacency[e.b].append((e, e.a))
         for n in self.nodes:
-            self._adj[n].sort(key=lambda item: item[0].id)
+            self.adjacency[n].sort(key=lambda item: item[0].id)
         self._member_map = {e.id: e for e in self.members}
 
     def incident(self, node: int) -> list[tuple[Edge, int]]:
         """Members incident to *node* as (edge, other-end) pairs, by member id."""
-        return self._adj[node]
+        return self.adjacency[node]
 
     @cached_property
     def heavy_incident(self) -> dict[int, list[tuple[Edge, int]]]:
         """Per node, ``heavy_first`` of all its incident members."""
-        return {n: heavy_first(self._adj[n], self.weights) for n in self.nodes}
+        return {n: heavy_first(self.adjacency[n], self.weights) for n in self.nodes}
 
     @cached_property
     def min_cycles(self) -> dict:
