@@ -10,6 +10,7 @@ variants.
 from __future__ import annotations
 
 import json
+import sys
 
 from framecycles.model import (
     FrameMember,
@@ -33,7 +34,7 @@ class ParseError(ModelError):
 
 
 def _require(mapping: dict, key: str, context: str, convert=None):
-    """mapping[key], through ``int`` or ``float`` if *convert* is given."""
+    """mapping[key], checked by ``_number`` if *convert* (``int`` or ``float``) is given."""
     if not isinstance(mapping, dict):
         raise ParseError(f"{context}: expected an object, got {json.dumps(mapping)}")
     if key not in mapping:
@@ -53,12 +54,15 @@ def _container(mapping: dict, key: str, context: str, kind: type):
 
 
 def _number(value, convert, field: str):
-    """*value* through ``int`` or ``float``; a ParseError names *field* if it fails."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        kind = "an integer" if convert is int else "a number"
-        raise ParseError(f"{field} must be {kind}, got {json.dumps(value)}") from None
+    """*value* as a JSON integer (*convert* ``int``) or a finite JSON number
+    (``float``); anything else, a bool, a numeric string or NaN too, is a
+    ParseError naming *field*."""
+    if type(value) is int and convert is int:
+        return value
+    if type(value) in (int, float) and convert is float and abs(value) <= sys.float_info.max:
+        return float(value)
+    kind = "an integer" if convert is int else "a number"
+    raise ParseError(f"{field} must be {kind}, got {json.dumps(value)}")
 
 
 def parse_model(path) -> StructuralModel:
@@ -70,10 +74,10 @@ def parse_model(path) -> StructuralModel:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    version = _require(doc, "format_version", str(path))
+    version = _require(doc, "format_version", str(path), int)
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version {version}")
-    ndim = doc.get("dimensionality", 2)
+    ndim = _number(doc.get("dimensionality", 2), int, f"{path}: field 'dimensionality'")
 
     sections = {}
     for name, raw in _container(doc, "sections", str(path), dict).items():
@@ -142,7 +146,7 @@ def parse_load_case(path) -> list[tuple[int, float, float, float]]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if _require(doc, "format_version", str(path)) != FORMAT_VERSION:
+    if _require(doc, "format_version", str(path), int) != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version")
     loads = []
     for raw in _container(doc, "loads", str(path), list):

@@ -202,6 +202,10 @@ class TestErrors:
                 lambda doc: doc["nodes"][0].update(coords=0),
                 "node 1: field 'coords' must be a list, got 0",
             ),
+            (
+                lambda doc: doc["sections"]["heavy"].update(E=float("nan")),
+                "section 'heavy': field 'E' must be a number, got NaN",
+            ),
         ],
     )
     def test_malformed_frame_file_is_reported(self, tmp_path, capsys, edit, message):

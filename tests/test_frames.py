@@ -1,8 +1,11 @@
 """Frame file parsing/writing and the rectangular grid generators."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecycles.frames import (
     FORMAT_VERSION,
@@ -17,6 +20,8 @@ from framecycles.frames import (
     write_model,
 )
 from framecycles.model import ModelError
+
+NAN, INF = float("nan"), float("inf")
 
 
 def valid_doc():
@@ -126,6 +131,20 @@ class TestParseModel:
             (("members",), {}, r"frame.json: field 'members' must be a list, got \{\}"),
             (("supports",), 3, "frame.json: field 'supports' must be a list, got 3"),
             (("supports",), None, "frame.json: field 'supports' must be a list, got null"),
+            (("members", 0, "b"), 3.9, "member 1: field 'b' must be an integer, got 3.9"),
+            (("members", 0, "id"), "7", "member: field 'id' must be an integer, got \"7\""),
+            (("nodes", 0, "id"), True, "node: field 'id' must be an integer, got true"),
+            (("sections", "s", "E"), "2.1e7", "field 'E' must be a number, got \"2.1e7\""),
+            (("sections", "s", "A"), NAN, "section 's': field 'A' must be a number, got NaN"),
+            (("sections", "s", "I"), INF, "section 's': field 'I' must be a number, got Infinity"),
+            (("sections", "s", "I"), False, "section 's': field 'I' must be a number, got false"),
+            (("nodes", 1, "coords"), [0.0, NAN], r"node 2: coords\[1\] must be a number, got NaN"),
+            (("nodes", 1, "coords"), [-INF, 3.0], r"node 2: coords\[0\] must be a number"),
+            (("format_version",), True, "field 'format_version' must be an integer, got true"),
+            (("format_version",), "1", "field 'format_version' must be an integer"),
+            (("dimensionality",), 2.0, "field 'dimensionality' must be an integer, got 2.0"),
+            (("dimensionality",), "2", "field 'dimensionality' must be an integer, got \"2\""),
+            (("dimensionality",), None, "field 'dimensionality' must be an integer, got null"),
         ],
     )
     def test_bad_field_type_is_named(self, tmp_path, where, value, message):
@@ -163,6 +182,13 @@ class TestLoadCaseFiles:
         with pytest.raises(ParseError, match="format_version"):
             parse_load_case(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_must_be_an_integer(self, tmp_path, version):
+        path = tmp_path / "loads.json"
+        path.write_text(json.dumps({"format_version": version, "loads": []}))
+        with pytest.raises(ParseError, match="field 'format_version' must be an integer"):
+            parse_load_case(path)
+
     def test_load_needs_node(self, tmp_path):
         path = tmp_path / "loads.json"
         path.write_text(json.dumps({"format_version": 1, "loads": [{"fx": 1.0}]}))
@@ -176,6 +202,12 @@ class TestLoadCaseFiles:
             ({"node": 3, "fx": None}, "load on node 3: field 'fx' must be a number, got null"),
             ({"node": 3, "mz": "big"}, "load on node 3: field 'mz' must be a number"),
             ({"node": None, "fx": 1.0}, "load: field 'node' must be an integer, got null"),
+            ({"node": 3.0}, "load: field 'node' must be an integer, got 3.0"),
+            ({"node": True}, "load: field 'node' must be an integer, got true"),
+            ({"node": 3, "fy": "1.5"}, "load on node 3: field 'fy' must be a number"),
+            ({"node": 3, "fx": NAN}, "load on node 3: field 'fx' must be a number, got NaN"),
+            ({"node": 3, "mz": -INF}, "load on node 3: field 'mz' must be a number, got -Infinity"),
+            ({"node": 3, "fy": 10**400}, "load on node 3: field 'fy' must be a number"),
         ],
     )
     def test_bad_field_type_is_named(self, tmp_path, load, message):
@@ -261,3 +293,77 @@ class TestGenerateGrid3d:
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ModelError, match=">= 1"):
             generate_grid3d(1, 0, 1)
+
+
+# --- fuzzed documents ---------------------------------------------------------
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+
+#: Any JSON value, NaN and the infinities included (``json`` writes and reads
+#: them); mostly scalars, as containers in a scalar's place fail at once.
+JSON = SCALARS | st.recursive(
+    SCALARS,
+    lambda json: st.lists(json, max_size=3) | st.dictionaries(st.text(max_size=6), json, max_size=3),
+    max_leaves=8,
+)
+
+VALID_LOADS = {"format_version": FORMAT_VERSION, "loads": [{"node": 2, "fx": 1.0, "mz": -0.5}]}
+
+
+def field_paths(value, prefix=()):
+    """The key path of *value* and of every field nested in it."""
+    yield prefix
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from field_paths(child, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of *doc* with the field at *path* replaced by *value*."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def is_int(value):
+    return type(value) is int
+
+
+def is_finite_float(value):
+    return type(value) is float and math.isfinite(value)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(list(field_paths(valid_doc()))), JSON)
+def test_fuzzed_frame_gives_a_model_or_a_parse_error(tmp_path_factory, path, value):
+    """One field of a valid frame replaced by any JSON: a model or a ParseError,
+    and an accepted model holds integer ids and finite numbers only."""
+    file = write_doc(tmp_path_factory.getbasetemp(), replaced(valid_doc(), path, value))
+    try:
+        model = parse_model(file)
+    except ParseError:
+        return
+    assert is_int(model.ndim)
+    assert all(is_finite_float(x) for s in model.sections.values() for x in (s.A, s.I, s.E))
+    assert all(is_int(n.id) and all(map(is_finite_float, n.coords)) for n in model.nodes)
+    assert all(is_int(m.id) and is_int(m.a) and is_int(m.b) for m in model.members)
+    assert all(map(is_int, model.supports))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(list(field_paths(VALID_LOADS))), JSON)
+def test_fuzzed_load_case_gives_loads_or_a_parse_error(tmp_path_factory, path, value):
+    """One field of a valid load case replaced by any JSON: integer nodes and
+    finite components, or a ParseError."""
+    file = write_doc(tmp_path_factory.getbasetemp(), replaced(VALID_LOADS, path, value), "loads.json")
+    try:
+        loads = parse_load_case(file)
+    except ParseError:
+        return
+    for node, *components in loads:
+        assert is_int(node) and all(map(is_finite_float, components))
