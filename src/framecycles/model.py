@@ -240,13 +240,8 @@ def _component_count(nodes: tuple[int, ...], members: tuple[Edge, ...]) -> int:
     return len(nodes) - sum(sets.union(e.a, e.b) for e in members)
 
 
-def member_weight(section: Section, length: float, variant: str = SUM) -> float:
-    """Stiffness-based weight of a planar member.
-
-    The weight is twice the sum of the translational and rotational diagonal
-    stiffness terms EA/L, 12EI/L^3 and 4EI/L; the sqrt-sum variant uses their
-    square roots instead.
-    """
+def _stiffness_terms(section: Section, length: float, variant: str) -> tuple[float, float, float]:
+    """EA/L, 12EI/L^3 and 4EI/L, or their square roots for the sqrt-sum variant."""
     if length <= 0:
         raise ModelError(f"member length must be positive, got {length}")
     if variant not in WEIGHT_VARIANTS:
@@ -255,8 +250,19 @@ def member_weight(section: Section, length: float, variant: str = SUM) -> float:
     a4 = 12.0 * section.E * section.I / length**3
     a3 = 4.0 * section.E * section.I / length
     if variant == SUM:
-        return 2.0 * (a1 + a4 + a3)
-    return 2.0 * (math.sqrt(a1) + math.sqrt(a4) + math.sqrt(a3))
+        return a1, a4, a3
+    return math.sqrt(a1), math.sqrt(a4), math.sqrt(a3)
+
+
+def member_weight(section: Section, length: float, variant: str = SUM) -> float:
+    """Stiffness-based weight of a planar member.
+
+    The weight is twice the sum of the translational and rotational diagonal
+    stiffness terms EA/L, 12EI/L^3 and 4EI/L; the sqrt-sum variant uses their
+    square roots instead.
+    """
+    a1, a4, a3 = _stiffness_terms(section, length, variant)
+    return 2.0 * (a1 + a4 + a3)
 
 
 def member_weight_3d(section: Section, length: float, variant: str = SUM) -> float:
@@ -266,14 +272,8 @@ def member_weight_3d(section: Section, length: float, variant: str = SUM) -> flo
     bending plane, same I for both).  Space frames get combinatorial treatment
     only, so this is used for cycle generation, not numerics.
     """
-    if length <= 0:
-        raise ModelError(f"member length must be positive, got {length}")
-    a1 = section.E * section.A / length
-    a4 = 12.0 * section.E * section.I / length**3
-    a3 = 4.0 * section.E * section.I / length
-    if variant == SUM:
-        return 2.0 * (a1 + 2.0 * a4 + 2.0 * a3)
-    return 2.0 * (math.sqrt(a1) + 2.0 * math.sqrt(a4) + 2.0 * math.sqrt(a3))
+    a1, a4, a3 = _stiffness_terms(section, length, variant)
+    return 2.0 * (a1 + 2.0 * a4 + 2.0 * a3)
 
 
 def build_graph(model: StructuralModel, variant: str = SUM) -> WeightedGraph:

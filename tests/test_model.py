@@ -113,6 +113,8 @@ class TestMemberWeight:
             member_weight(HEAVY_SECTION, 0.0)
         with pytest.raises(ModelError):
             member_weight(HEAVY_SECTION, 3.0, "product")
+        with pytest.raises(ModelError, match="unknown weight variant 'bogus'"):
+            member_weight_3d(HEAVY_SECTION, 3.0, "bogus")
 
 
 class TestWeightedGraph:
