@@ -243,12 +243,8 @@ def test_union_growth_is_b1_difference(g, data):
             union.add(g, cand)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
-def test_masked_cycles_match_the_masked_copy(seed, tied, data):
-    """With members masked, each other member's cycle is the one on a copy of
-    the graph without them, down to the last bit of the weight; a member
-    left without a cycle raises in both."""
+def masked_case(seed, tied, data):
+    """A random graph and a mask over some of its members, all but one at most."""
     g = oracles.random_connected_graph(random.Random(seed), 24)
     if tied:  # repeated weights make ties in the SRTM averages
         weights = {mid: data.draw(st.sampled_from(TIED_WEIGHTS)) for mid in g.member_ids()}
@@ -257,8 +253,18 @@ def test_masked_cycles_match_the_masked_copy(seed, tied, data):
     mask = MemberMask(g)
     for mid in data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids) - 1)):
         mask.add(mid)
+    return g, mask
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_masked_cycles_match_the_masked_copy(seed, tied, data):
+    """With members masked, each other member's cycle is the one on a copy of
+    the graph without them, down to the last bit of the weight; a member
+    left without a cycle raises in both."""
+    g, mask = masked_case(seed, tied, data)
     for kind in (SRT, SRTM):
-        for mid in ids:
+        for mid in g.member_ids():
             if mid in mask.members:
                 continue
             view = oracles.masked_graph(g, mask.members, keep=mid)
@@ -271,3 +277,24 @@ def test_masked_cycles_match_the_masked_copy(seed, tied, data):
             assert cycle.members == expected[0]
             assert list(cycle.members) == list(expected[0])  # the order summed in
             assert repr(cycle.weight) == repr(expected[1])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_masked_trees_match_the_masked_copy(seed, tied, data):
+    """With members masked and one more forbidden, both whole route trees from
+    either end of the forbidden member are the reference trees on a copy of
+    the graph without them: every label and parent, past any meet."""
+    g, mask = masked_case(seed, tied, data)
+    for mid in g.member_ids():
+        if mid in mask.members:
+            continue
+        view = oracles.masked_graph(g, mask.members, keep=mid)
+        e = g.member(mid)
+        for end in (e.a, e.b):
+            for build, reference in (
+                (build_srt, oracles._reference_srt),
+                (build_srtm, oracles._reference_srtm),
+            ):
+                tree = build(g, end, forbidden=mid, mask=mask)
+                assert (tree.label, tree.parent) == reference(view, end, mid)
