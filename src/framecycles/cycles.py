@@ -254,7 +254,7 @@ def min_cycle_on_member(
     m = graph.member(member_id)
     plain = _plain(graph, member_id, mask)
     if tree_kind == SRT:
-        tree_a, tree_b = (RouteTree(end, SRT, {}, {end: 0}) for end in (m.a, m.b))
+        tree_a, tree_b = RouteTree(m.a, SRT, {}, {m.a: 0}), RouteTree(m.b, SRT, {}, {m.b: 0})
         tiers_a, tiers_b = _grow(tree_a, plain), _grow(tree_b, plain)
     else:
         pruned = _pruned(graph, plain, mask)

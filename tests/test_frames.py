@@ -303,7 +303,8 @@ SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_
 #: them); mostly scalars, as containers in a scalar's place fail at once.
 JSON = SCALARS | st.recursive(
     SCALARS,
-    lambda json: st.lists(json, max_size=3) | st.dictionaries(st.text(max_size=6), json, max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8,
 )
 
@@ -360,7 +361,8 @@ def test_fuzzed_frame_gives_a_model_or_a_parse_error(tmp_path_factory, path, val
 def test_fuzzed_load_case_gives_loads_or_a_parse_error(tmp_path_factory, path, value):
     """One field of a valid load case replaced by any JSON: integer nodes and
     finite components, or a ParseError."""
-    file = write_doc(tmp_path_factory.getbasetemp(), replaced(VALID_LOADS, path, value), "loads.json")
+    doc = replaced(VALID_LOADS, path, value)
+    file = write_doc(tmp_path_factory.getbasetemp(), doc, "loads.json")
     try:
         loads = parse_load_case(file)
     except ParseError:
