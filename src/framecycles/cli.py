@@ -26,6 +26,9 @@ ALGORITHM_IDS = (1, 2, 3, 4, 5)
 BASELINE = "baseline"
 COMPARE_COLUMNS = ("algorithm", "b1", "XD", "sumL", "overlapL", "overlapW", "PL", "PN", "PDET", "g")
 
+#: Generator spec (kind, number of sizes) -> grid generator.
+_GENERATORS = {("grid", 2): frames.generate_grid, ("grid3d", 3): frames.generate_grid3d}
+
 
 def load_or_generate(spec: str) -> StructuralModel:
     """Resolve a model argument: a frame file path or a grid generator spec.
@@ -35,16 +38,13 @@ def load_or_generate(spec: str) -> StructuralModel:
     """
     if spec.startswith("grid:") or spec.startswith("grid3d:"):
         kind, dims, *rest = spec.split(":")
-        pattern = rest[0] if rest else "homogeneous"
         try:
             sizes = [int(v) for v in dims.split("x")]
-        except ValueError:
+            generate = _GENERATORS[kind, len(sizes)]
+            (pattern,) = rest or ["homogeneous"]
+        except (ValueError, KeyError):
             raise ModelError(f"bad generator spec '{spec}'") from None
-        if kind == "grid" and len(sizes) == 2:
-            return frames.generate_grid(sizes[0], sizes[1], pattern=pattern)
-        if kind == "grid3d" and len(sizes) == 3:
-            return frames.generate_grid3d(sizes[0], sizes[1], sizes[2], pattern=pattern)
-        raise ModelError(f"bad generator spec '{spec}'")
+        return generate(*sizes, pattern=pattern)
     return frames.parse_model(spec)
 
 
@@ -212,7 +212,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _one_algorithm(raw: str):
-    return _parse_algorithms(raw)[0]
+    algorithms = _parse_algorithms(raw)
+    if len(algorithms) > 1:
+        raise ModelError(f"choose one algorithm, got '{raw}'")
+    return algorithms[0]
 
 
 def _analysis(args) -> Analysis:

@@ -33,40 +33,34 @@ class ParseError(ModelError):
     """A frame or load file failed validation; the message names the field."""
 
 
-def _require(mapping: dict, key: str, context: str, convert=None):
-    """mapping[key], checked by ``_number`` if *convert* (``int`` or ``float``) is given."""
+_KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, field: str):
+    """*value* as a JSON integer, finite number, string, list or object (*kind*
+    ``int``, ``float``, ``str``, ``list`` or ``dict``; a ``float`` field takes
+    an integer too); anything else, a bool, a numeric string or NaN too, is a
+    ParseError naming *field*."""
+    if type(value) is kind and kind is not float:
+        return value
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ParseError(f"{field} must be {_KINDS[kind]}, got {json.dumps(value)}")
+
+
+def _field(mapping: dict, key: str, context: str, kind: type, default=None):
+    """mapping[key] checked by ``_typed``; a missing key takes *default* unless
+    that is None."""
     if not isinstance(mapping, dict):
         raise ParseError(f"{context}: expected an object, got {json.dumps(mapping)}")
-    if key not in mapping:
+    value = mapping.get(key, default)
+    if value is None and key not in mapping:
         raise ParseError(f"{context}: missing field '{key}'")
-    if convert is None:
-        return mapping[key]
-    return _number(mapping[key], convert, f"{context}: field '{key}'")
+    return _typed(value, kind, f"{context}: field '{key}'")
 
 
-def _container(mapping: dict, key: str, context: str, kind: type):
-    """mapping[key], which must be a JSON list (*kind* ``list``) or object (``dict``)."""
-    value = _require(mapping, key, context)
-    if not isinstance(value, kind):
-        name = "a list" if kind is list else "an object"
-        raise ParseError(f"{context}: field '{key}' must be {name}, got {json.dumps(value)}")
-    return value
-
-
-def _number(value, convert, field: str):
-    """*value* as a JSON integer (*convert* ``int``) or a finite JSON number
-    (``float``); anything else, a bool, a numeric string or NaN too, is a
-    ParseError naming *field*."""
-    if type(value) is int and convert is int:
-        return value
-    if type(value) in (int, float) and convert is float and abs(value) <= sys.float_info.max:
-        return float(value)
-    kind = "an integer" if convert is int else "a number"
-    raise ParseError(f"{field} must be {kind}, got {json.dumps(value)}")
-
-
-def parse_model(path) -> StructuralModel:
-    """Load and validate a frame description file."""
+def _read_document(path) -> dict:
+    """The top-level object of a frame or load file, its format_version checked."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -74,43 +68,44 @@ def parse_model(path) -> StructuralModel:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    version = _require(doc, "format_version", str(path), int)
+    version = _field(doc, "format_version", str(path), int)
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version {version}")
-    ndim = _number(doc.get("dimensionality", 2), int, f"{path}: field 'dimensionality'")
+    return doc
+
+
+def parse_model(path) -> StructuralModel:
+    """Load and validate a frame description file."""
+    doc = _read_document(path)
+    ndim = _field(doc, "dimensionality", str(path), int, default=2)
 
     sections = {}
-    for name, raw in _container(doc, "sections", str(path), dict).items():
+    for name, raw in _field(doc, "sections", str(path), dict).items():
         context = f"section '{name}'"
-        A, I, E = (_require(raw, key, context, float) for key in ("A", "I", "E"))
+        A, I, E = (_field(raw, key, context, float) for key in ("A", "I", "E"))
         try:
             sections[name] = Section(A=A, I=I, E=E)
         except ModelError as exc:
             raise ParseError(f"{context}: {exc}") from exc
 
     nodes = []
-    for raw in _container(doc, "nodes", str(path), list):
-        nid = _require(raw, "id", "node", int)
-        coords = _container(raw, "coords", f"node {nid}", list)
-        values = (_number(c, float, f"node {nid}: coords[{i}]") for i, c in enumerate(coords))
+    for raw in _field(doc, "nodes", str(path), list):
+        nid = _field(raw, "id", "node", int)
+        coords = _field(raw, "coords", f"node {nid}", list)
+        values = (_typed(c, float, f"node {nid}: coords[{i}]") for i, c in enumerate(coords))
         nodes.append(FrameNode(nid, tuple(values)))
 
     members = []
-    for raw in _container(doc, "members", str(path), list):
-        mid = _require(raw, "id", "member", int)
-        members.append(
-            FrameMember(
-                mid,
-                _require(raw, "a", f"member {mid}", int),
-                _require(raw, "b", f"member {mid}", int),
-                str(_require(raw, "section", f"member {mid}")),
-            )
-        )
+    for raw in _field(doc, "members", str(path), list):
+        mid = _field(raw, "id", "member", int)
+        context = f"member {mid}"
+        a, b = _field(raw, "a", context, int), _field(raw, "b", context, int)
+        members.append(FrameMember(mid, a, b, _field(raw, "section", context, str)))
 
     supports = []
-    for raw in _container(doc, "supports", str(path), list):
-        node = _require(raw, "node", "support", int)
-        kind = raw.get("kind", "fixed")
+    for raw in _field(doc, "supports", str(path), list):
+        node = _field(raw, "node", "support", int)
+        kind = _field(raw, "kind", f"support at node {node}", str, "fixed")
         if kind != "fixed":
             raise ParseError(f"support at node {node}: unsupported kind '{kind}'")
         supports.append(node)
@@ -141,20 +136,11 @@ def write_model(model: StructuralModel, path) -> None:
 
 def parse_load_case(path) -> list[tuple[int, float, float, float]]:
     """Load a nodal load case file: list of (node, fx, fy, moment)."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if _require(doc, "format_version", str(path), int) != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format_version")
     loads = []
-    for raw in _container(doc, "loads", str(path), list):
-        node = _require(raw, "node", "load", int)
-        fx, fy, mz = (
-            _number(raw.get(k, 0.0), float, f"load on node {node}: field '{k}'")
-            for k in ("fx", "fy", "mz")
-        )
+    for raw in _field(_read_document(path), "loads", str(path), list):
+        node = _field(raw, "node", "load", int)
+        context = f"load on node {node}"
+        fx, fy, mz = (_field(raw, key, context, float, 0.0) for key in ("fx", "fy", "mz"))
         loads.append((node, fx, fy, mz))
     return loads
 
@@ -183,6 +169,46 @@ def _section_for(pattern: str, is_beam: bool, story: int, index: int) -> str:
     raise ModelError(f"unknown section pattern '{pattern}'")
 
 
+def _grid(stories, spans_x, spans_y, bay, height, pattern) -> StructuralModel:
+    """The grid of both generators; *spans_y* None is the planar frame, built
+    as the space frame's one row of bays without its y coordinate.
+
+    Nodes go level by level, row by row along x; members story by story:
+    columns, then beams along x, then beams along y.
+    """
+    planar = spans_y is None
+    if min(stories, spans_x, 1 if planar else spans_y) < 1:
+        raise ModelError("stories and spans must be >= 1")
+    rows = 1 if planar else spans_y + 1
+
+    def node_id(ix: int, iy: int, level: int) -> int:
+        return (level * rows + iy) * (spans_x + 1) + ix + 1
+
+    def coords(ix: int, iy: int, level: int) -> tuple:
+        if planar:
+            return (ix * bay, level * height)
+        return (ix * bay, iy * bay, level * height)
+
+    nodes = [
+        FrameNode(node_id(ix, iy, level), coords(ix, iy, level))
+        for level in range(stories + 1)
+        for iy in range(rows)
+        for ix in range(spans_x + 1)
+    ]
+    members = []
+    for story in range(1, stories + 1):
+        # the step from end a to end b of a column, an x-beam and a y-beam
+        for dx, dy, dz in ((0, 0, 1), (1, 0, 0), (0, 1, 0)):
+            for iy in range(rows - dy):
+                for ix in range(spans_x + 1 - dx):
+                    a, b = node_id(ix, iy, story - dz), node_id(ix + dx, iy + dy, story)
+                    section = _section_for(pattern, dz == 0, story, ix + iy)
+                    members.append(FrameMember(len(members) + 1, a, b, section))
+    supports = [node_id(ix, iy, 0) for iy in range(rows) for ix in range(spans_x + 1)]
+    sections = {"light": LIGHT_SECTION, "heavy": HEAVY_SECTION}
+    return StructuralModel(nodes, members, sections, supports, ndim=2 if planar else 3)
+
+
 def generate_grid(
     stories: int,
     spans: int,
@@ -195,43 +221,7 @@ def generate_grid(
     Nodes are numbered level by level from the base; members story by story,
     columns before beams.
     """
-    if stories < 1 or spans < 1:
-        raise ModelError("stories and spans must be >= 1")
-
-    def node_id(i: int, level: int) -> int:
-        return level * (spans + 1) + i + 1
-
-    nodes = [
-        FrameNode(node_id(i, level), (i * bay, level * height))
-        for level in range(stories + 1)
-        for i in range(spans + 1)
-    ]
-    members = []
-    mid = 0
-    for story in range(1, stories + 1):
-        for i in range(spans + 1):
-            mid += 1
-            members.append(
-                FrameMember(
-                    mid,
-                    node_id(i, story - 1),
-                    node_id(i, story),
-                    _section_for(pattern, False, story, i),
-                )
-            )
-        for i in range(spans):
-            mid += 1
-            members.append(
-                FrameMember(
-                    mid,
-                    node_id(i, story),
-                    node_id(i + 1, story),
-                    _section_for(pattern, True, story, i),
-                )
-            )
-    supports = [node_id(i, 0) for i in range(spans + 1)]
-    sections = {"light": LIGHT_SECTION, "heavy": HEAVY_SECTION}
-    return StructuralModel(nodes, members, sections, supports, ndim=2)
+    return _grid(stories, spans, None, bay, height, pattern)
 
 
 def generate_grid3d(
@@ -243,55 +233,4 @@ def generate_grid3d(
     pattern: str = "homogeneous",
 ) -> StructuralModel:
     """Rectangular space frame with fixed bases (combinatorial use only)."""
-    if stories < 1 or spans_x < 1 or spans_y < 1:
-        raise ModelError("stories and spans must be >= 1")
-    per_level = (spans_x + 1) * (spans_y + 1)
-
-    def node_id(ix: int, iy: int, level: int) -> int:
-        return level * per_level + iy * (spans_x + 1) + ix + 1
-
-    nodes = [
-        FrameNode(node_id(ix, iy, level), (ix * bay, iy * bay, level * height))
-        for level in range(stories + 1)
-        for iy in range(spans_y + 1)
-        for ix in range(spans_x + 1)
-    ]
-    members = []
-    mid = 0
-    for story in range(1, stories + 1):
-        for iy in range(spans_y + 1):
-            for ix in range(spans_x + 1):
-                mid += 1
-                members.append(
-                    FrameMember(
-                        mid,
-                        node_id(ix, iy, story - 1),
-                        node_id(ix, iy, story),
-                        _section_for(pattern, False, story, ix + iy),
-                    )
-                )
-        for iy in range(spans_y + 1):
-            for ix in range(spans_x):
-                mid += 1
-                members.append(
-                    FrameMember(
-                        mid,
-                        node_id(ix, iy, story),
-                        node_id(ix + 1, iy, story),
-                        _section_for(pattern, True, story, ix + iy),
-                    )
-                )
-        for iy in range(spans_y):
-            for ix in range(spans_x + 1):
-                mid += 1
-                members.append(
-                    FrameMember(
-                        mid,
-                        node_id(ix, iy, story),
-                        node_id(ix, iy + 1, story),
-                        _section_for(pattern, True, story, ix + iy),
-                    )
-                )
-    supports = [node_id(ix, iy, 0) for iy in range(spans_y + 1) for ix in range(spans_x + 1)]
-    sections = {"light": LIGHT_SECTION, "heavy": HEAVY_SECTION}
-    return StructuralModel(nodes, members, sections, supports, ndim=3)
+    return _grid(stories, spans_x, spans_y, bay, height, pattern)

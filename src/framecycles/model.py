@@ -159,10 +159,6 @@ class WeightedGraph:
             self.adjacency[n].sort(key=lambda item: item[0].id)
         self._member_map = {e.id: e for e in self.members}
 
-    def incident(self, node: int) -> list[tuple[Edge, int]]:
-        """Members incident to *node* as (edge, other-end) pairs, by member id."""
-        return self.adjacency[node]
-
     @cached_property
     def heavy_incident(self) -> dict[int, list[tuple[Edge, int]]]:
         """Per node, ``heavy_first`` of all its incident members."""
@@ -193,7 +189,7 @@ def heavy_first(
     """The (edge, other-end) pairs weighing at least their mean, heaviest first.
 
     The mean is summed in the given order (member-id order for
-    ``WeightedGraph.incident``), so it is the same float wherever it is
+    ``WeightedGraph.adjacency``), so it is the same float wherever it is
     recomputed from the same pairs; ties in weight go by member id.
     """
     if not incident:

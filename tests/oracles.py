@@ -66,7 +66,7 @@ def _bfs_parents(graph: WeightedGraph, root: int) -> dict[int, tuple[int, int]]:
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for edge, v in graph.incident(u):
+        for edge, v in graph.adjacency[u]:
             if v not in parent:
                 parent[v] = (u, edge.id)
                 queue.append(v)
@@ -119,7 +119,7 @@ def shortest_cycle_length_through(graph: WeightedGraph, member_id: int) -> int |
     queue = deque([m.a])
     while queue:
         u = queue.popleft()
-        for edge, v in graph.incident(u):
+        for edge, v in graph.adjacency[u]:
             if edge.id == member_id or v in dist:
                 continue
             dist[v] = dist[u] + 1
@@ -137,7 +137,7 @@ def _reference_srt(graph: WeightedGraph, root: int, forbidden: int):
     while frontier:
         next_frontier = []
         for u in sorted(frontier):
-            for edge, v in graph.incident(u):
+            for edge, v in graph.adjacency[u]:
                 if edge.id == forbidden or v in label:
                     continue
                 label[v] = label[u] + 1
@@ -155,7 +155,7 @@ def _reference_srtm(graph: WeightedGraph, root: int, forbidden: int):
     while frontier:
         next_frontier = []
         for u in sorted(frontier):
-            incident = [(e, v) for e, v in graph.incident(u) if e.id != forbidden]
+            incident = [(e, v) for e, v in graph.adjacency[u] if e.id != forbidden]
             if not incident:
                 continue
             avg = sum(graph.weight(e.id) for e, _ in incident) / len(incident)
@@ -173,7 +173,7 @@ def _reference_srtm(graph: WeightedGraph, root: int, forbidden: int):
     while True:  # attach stranded nodes, rescanning the whole tree each round
         attachable: dict[int, tuple[float, int, int]] = {}
         for u in label:
-            for e, v in graph.incident(u):
+            for e, v in graph.adjacency[u]:
                 if e.id == forbidden or v in label:
                     continue
                 key = (-graph.weight(e.id), e.id, u)

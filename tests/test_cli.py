@@ -240,3 +240,21 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: field '{field}' must be {shown}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["cycles", "condition", "force", "render"])
+    def test_more_than_one_algorithm_is_reported(self, tmp_path, capsys, command):
+        loads = tmp_path / "loads.json"
+        write_load_case([(4, 1.0, 0.0, 0.0)], loads)
+        options = {"force": ["--loads", str(loads)], "render": ["--frame", str(tmp_path / "f.svg")]}
+        argv = [command, "grid:2x2", "--algorithm", "1,2", *options.get(command, [])]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: choose one algorithm, got '1,2'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "f.svg").exists()
+
+    def test_trailing_generator_spec_field_is_reported(self, capsys):
+        assert main(["cycles", "grid:1x1:checker:junk"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: bad generator spec 'grid:1x1:checker:junk'\n"
+        assert captured.out == ""

@@ -237,3 +237,31 @@ def test_block_structured_force_layer_matches_dense_references(model):
 
         for matrix, block_size in ((G, 3), (G, 1), (D, 1)):
             assert _rendered(matrix, block_size) == oracles.reference_sparsity_pbm(matrix, block_size)
+
+
+@st.composite
+def loaded_planar_grids(draw):
+    """A ``planar_grids`` frame with one to four loaded free nodes."""
+    model = draw(planar_grids())
+    free = [n.id for n in model.nodes if n.id not in set(model.supports)]
+    component = st.floats(-100.0, 100.0).map(lambda value: round(value, 2))
+    nodes = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
+    return model, [(node, draw(component), draw(component), draw(component)) for node in nodes]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(loaded_planar_grids())
+def test_force_method_matches_stiffness_method_for_every_basis(case):
+    """Member forces agree with the displacement-method oracle to criterion 7's
+    tolerances and balance the loads at every free node, whatever the basis."""
+    model, loads = case
+    expected = oracles.stiffness_member_forces(model, loads)
+    scale = max(np.max(np.abs(v)) for v in expected.values())
+    applied = {(node, dof): value for node, *values in loads for dof, value in enumerate(values)}
+    analysis = Analysis(model)
+    for algorithm in (1, 2, 3, 4, 5, "baseline"):
+        solution = solve_force_method(model, analysis.basis(algorithm), loads)
+        for i, mid in enumerate(solution.member_order):
+            got = solution.r[3 * i : 3 * i + 3]
+            assert np.allclose(got, expected[mid], rtol=1e-6, atol=1e-6 * scale)
+        assert nodal_equilibrium_residual(model, solution.r, applied) < 1e-9

@@ -145,10 +145,15 @@ class TestParseModel:
             (("dimensionality",), 2.0, "field 'dimensionality' must be an integer, got 2.0"),
             (("dimensionality",), "2", "field 'dimensionality' must be an integer, got \"2\""),
             (("dimensionality",), None, "field 'dimensionality' must be an integer, got null"),
+            (("members", 1, "section"), None, "member 2: field 'section' must be a string, got null"),
+            (("members", 1, "section"), 5, "member 2: field 'section' must be a string, got 5"),
+            (("supports", 0, "kind"), None, "support at node 1: field 'kind' must be a string"),
         ],
     )
     def test_bad_field_type_is_named(self, tmp_path, where, value, message):
         doc = valid_doc()
+        # sections that a section reference turned into a string would name
+        doc["sections"].update({"None": doc["sections"]["s"], "5": doc["sections"]["s"]})
         *parents, last = where
         target = doc
         for key in parents:

@@ -124,7 +124,7 @@ class TestWeightedGraph:
             (Edge(3, 1, 2), Edge(1, 1, 3), Edge(2, 2, 3)),
             {1: 1.0, 2: 1.0, 3: 1.0},
         )
-        assert [e.id for e, _ in g.incident(1)] == [1, 3]
+        assert [e.id for e, _ in g.adjacency[1]] == [1, 3]
         assert g.b0 == 1
         assert cycle_rank(g) == 1
 
