@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,13 +39,11 @@ def load_or_generate(spec: str) -> StructuralModel:
     """
     if spec.startswith("grid:") or spec.startswith("grid3d:"):
         kind, dims, *rest = spec.split(":")
-        try:
-            sizes = [int(v) for v in dims.split("x")]
-            generate = _GENERATORS[kind, len(sizes)]
-            (pattern,) = rest or ["homogeneous"]
-        except (ValueError, KeyError):
-            raise ModelError(f"bad generator spec '{spec}'") from None
-        return generate(*sizes, pattern=pattern)
+        generate = _GENERATORS.get((kind, dims.count("x") + 1))
+        # Sizes are ASCII digits: int() would also take "1_0", " 2", "+1" and "２".
+        if generate is None or len(rest) > 1 or not re.fullmatch(r"[0-9]+(x[0-9]+)*", dims):
+            raise ModelError(f"bad generator spec '{spec}'")
+        return generate(*map(int, dims.split("x")), pattern=rest[0] if rest else "homogeneous")
     return frames.parse_model(spec)
 
 
@@ -294,10 +293,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_render(args) -> int:
     analysis = _analysis(args)
-    cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
+    algorithm = _one_algorithm(args.algorithm)
     if not args.sparsity and not args.frame:
         print("error: choose --sparsity and/or --frame output paths", file=sys.stderr)
         return 2
+    cycle_basis = analysis.basis(algorithm)
     if args.sparsity:
         if args.block and analysis.model.ndim == 2:
             render.render_sparsity(analysis.g(cycle_basis), args.sparsity, block_size=3)

@@ -33,7 +33,6 @@ class RouteTree:
     """
 
     root: int
-    kind: str
     parent: dict[int, tuple[int, int]]  # node -> (parent node, via member id)
     label: dict[int, int]
 
@@ -171,7 +170,7 @@ def build_srt(
     The forbidden member and the masked ones, if any, never enter the tree;
     nodes unreachable without them are simply absent.
     """
-    tree = RouteTree(root, SRT, {}, {root: 0})
+    tree = RouteTree(root, {}, {root: 0})
     for _ in _grow(tree, _plain(graph, forbidden, mask)):
         pass
     return tree
@@ -199,7 +198,7 @@ def build_srtm(
 
 def _srtm(graph: WeightedGraph, root: int, plain: Lists, pruned: Lists) -> RouteTree:
     """The tier loop run to the end over *pruned*, then the fallback over *plain*."""
-    tree = RouteTree(root, SRTM, {}, {root: 0})
+    tree = RouteTree(root, {}, {root: 0})
     for _ in _grow(tree, pruned):
         pass
     # Fallback: pruning can strand nodes that are reachable in the graph.
@@ -254,7 +253,7 @@ def min_cycle_on_member(
     m = graph.member(member_id)
     plain = _plain(graph, member_id, mask)
     if tree_kind == SRT:
-        tree_a, tree_b = RouteTree(m.a, SRT, {}, {m.a: 0}), RouteTree(m.b, SRT, {}, {m.b: 0})
+        tree_a, tree_b = RouteTree(m.a, {}, {m.a: 0}), RouteTree(m.b, {}, {m.b: 0})
         tiers_a, tiers_b = _grow(tree_a, plain), _grow(tree_b, plain)
     else:
         pruned = _pruned(graph, plain, mask)

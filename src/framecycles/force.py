@@ -1,5 +1,5 @@
-"""Planar force-method matrices: B0, B1, the unassembled flexibility Fm,
-and the structure flexibility G = B1' Fm B1.
+"""Planar force method: the self-stress matrix B1, the unassembled flexibility
+Fm, the structure flexibility G = B1' Fm B1, and the loads' particular forces r0.
 
 Member forces are stored as three components per member, referenced at the
 member's "a" end in local axes (x from a to b): axial N, shear V, and the
@@ -73,6 +73,8 @@ class _Geometry:
 
 
 def _geometry(model: StructuralModel) -> _Geometry:
+    if model.ndim != 2:
+        raise UnsupportedModel("numerical force method unsupported for 3D")
     members = sorted(model.members, key=lambda m: m.id)
     ra = np.array([model.node(m.a).coords for m in members], dtype=float).reshape(-1, 2)
     rb = np.array([model.node(m.b).coords for m in members], dtype=float).reshape(-1, 2)
@@ -94,7 +96,7 @@ def _carry(
     Step i of a path is member row ``rows[i]`` traversed with ``signs[i]``
     (+1 along its a -> b orientation); it transmits signs[i] times each
     wrench w: the force ``forces[..., w, :]`` through *point* plus the couple
-    ``couples[w]``.  *point* and *forces* are shared by the whole path or
+    ``couples[..., w]``.  Each of the three is shared by the whole path or
     given per step.  The stored moment is the negative of the external
     moment action at a.  Returns shape (steps, 3, wrenches).
     """
@@ -146,8 +148,6 @@ def _order_cycle_walk(graph: WeightedGraph, cycle: CycleVector) -> list[tuple[in
 
 def build_b1(model: StructuralModel, basis: CycleBasis) -> np.ndarray:
     """Self-stress matrix: three unit bi-action columns per basis cycle."""
-    if model.ndim != 2:
-        raise UnsupportedModel("numerical force method unsupported for 3D")
     geo = _geometry(model)
     graph = basis.graph
     rows, signs, cycle_of = [], [], []
@@ -165,44 +165,6 @@ def build_b1(model: StructuralModel, basis: CycleBasis) -> np.ndarray:
     B1 = np.zeros((3 * len(geo.row), 3 * len(basis.cycles)))
     B1[(3 * rows)[:, None, None] + _XYZ[:, None], (3 * cycle_of)[:, None, None] + _XYZ] = blocks
     return B1
-
-
-def build_b0(
-    model: StructuralModel, graph: WeightedGraph, load_dofs: list[tuple[int, int]]
-) -> np.ndarray:
-    """Particular matrix: unit nodal loads carried to ground along an SRT.
-
-    *load_dofs* lists (node id, dof) pairs with dof 0 = fx, 1 = fy,
-    2 = moment; one column per pair.  Off-tree member rows stay zero.
-    """
-    if model.ndim != 2:
-        raise UnsupportedModel("numerical force method unsupported for 3D")
-    if graph.ground is None:
-        raise ModelError("particular solution requires a grounded graph")
-    geo = _geometry(model)
-    tree = build_srt(graph, graph.ground)
-    supported = set(model.supports)
-    B0 = np.zeros((3 * len(geo.row), len(load_dofs)))
-    for col, (node, dof) in enumerate(load_dofs):
-        if node == graph.ground or node in supported:
-            raise ModelError(f"load on supported node {node} is rejected")
-        if node not in tree.parent:
-            raise ModelError(f"load on unknown node {node}")
-        if dof not in (0, 1, 2):
-            raise ModelError(f"load dof must be 0, 1 or 2, got {dof}")
-        rows, signs = [], []
-        current = node
-        while current != graph.ground:
-            parent, mid = tree.parent[current]
-            rows.append(geo.row[mid])
-            signs.append(1.0 if current == graph.member(mid).a else -1.0)
-            current = parent
-        rows = np.array(rows, dtype=int)
-        unit = np.eye(3)[dof]  # (fx, fy, mz) of the unit load
-        point = np.asarray(model.node(node).coords, dtype=float)
-        blocks = _carry(geo, rows, np.array(signs), point, unit[None, :2], unit[2:])
-        B0[(3 * rows)[:, None] + _XYZ, col] = blocks[:, :, 0]
-    return B0
 
 
 def unassembled_flexibility(model: StructuralModel) -> np.ndarray:
@@ -298,23 +260,42 @@ def solve_force_method(
     basis: CycleBasis,
     load_case: list[tuple[int, float, float, float]],
 ) -> ForceSolution:
-    """Solve redundants and member forces for nodal loads (node, fx, fy, mz)."""
-    graph = basis.graph
-    load_dofs: list[tuple[int, int]] = []
-    p_values: list[float] = []
-    for node, fx, fy, mz in load_case:
-        for dof, value in enumerate((fx, fy, mz)):
-            load_dofs.append((node, dof))
-            p_values.append(value)
+    """Solve redundants and member forces for nodal loads (node, fx, fy, mz).
+
+    The particular forces r0 carry each load's wrench to ground through the
+    members on its node's path in the ground's SRT; off-tree members carry none.
+    """
     member_order = sorted(m.id for m in model.members)
     Fm = unassembled_flexibility(model)
     B1 = build_b1(model, basis)
     G = assemble_g(B1, Fm)
-    if not load_dofs:
-        zero_r = np.zeros(3 * len(member_order))
-        return ForceSolution(member_order, np.zeros(B1.shape[1]), zero_r, 0.0)
-    B0 = build_b0(model, graph, load_dofs)
-    r0 = B0 @ np.asarray(p_values)
+    graph = basis.graph
+    if graph.ground is None:
+        raise ModelError("particular solution requires a grounded graph")
+    geo = _geometry(model)
+    tree = build_srt(graph, graph.ground)
+    supported = set(model.supports)
+    rows, signs, points, wrenches = [], [], [], []
+    for node, fx, fy, mz in load_case:
+        if node == graph.ground or node in supported:
+            raise ModelError(f"load on supported node {node} is rejected")
+        if node not in tree.parent:
+            raise ModelError(f"load on unknown node {node}")
+        current = node
+        for mid in tree.path_members(node):
+            e = graph.member(mid)
+            rows.append(geo.row[mid])
+            signs.append(1.0 if current == e.a else -1.0)
+            points.append(model.node(node).coords)
+            wrenches.append((fx, fy, mz))
+            current = e.b if current == e.a else e.a
+    rows = np.array(rows, dtype=int)
+    wrenches = np.array(wrenches, dtype=float).reshape(-1, 1, 3)
+    points = np.array(points, dtype=float).reshape(-1, 2)
+    blocks = _carry(geo, rows, np.array(signs), points, wrenches[..., :2], wrenches[..., 2])
+    r0 = np.zeros(3 * len(member_order))
+    # Loads on one branch of the tree share its members: add.at sums repeats.
+    np.add.at(r0, (3 * rows)[:, None] + _XYZ, blocks[:, :, 0])
     rhs = B1.T @ _apply_flexibility(Fm, r0)
     q = -np.linalg.solve(G, rhs)
     r = r0 + B1 @ q

@@ -310,7 +310,6 @@ class AdmissibilityPartition:
 
     admissible: frozenset[int]
     inadmissible: frozenset[int]
-    alpha: int
     mean_weight: float
 
 
@@ -328,7 +327,7 @@ def classify_members(graph: WeightedGraph, alpha: int = 2) -> AdmissibilityParti
     threshold = mean / alpha
     admissible = frozenset(e.id for e in graph.members if graph.weight(e.id) >= threshold)
     inadmissible = frozenset(e.id for e in graph.members) - admissible
-    return AdmissibilityPartition(admissible, inadmissible, alpha, mean)
+    return AdmissibilityPartition(admissible, inadmissible, mean)
 
 
 def cycle_rank(graph: WeightedGraph) -> int:

@@ -24,7 +24,7 @@ def render_sparsity(matrix: np.ndarray, path, block_size: int = 1) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def render_frame(model: StructuralModel, basis: CycleBasis | None, path) -> None:
+def render_frame(model: StructuralModel, basis: CycleBasis, path) -> None:
     """SVG of the frame: members, supports with their fictitious links, and
     each basis cycle traced in a distinct stroke."""
     if model.ndim != 2:
@@ -67,17 +67,16 @@ def render_frame(model: StructuralModel, basis: CycleBasis | None, path) -> None
             f'<rect x="{sx - 6:.2f}" y="{sy - 3:.2f}" width="12" height="6" '
             'fill="#d4b106"/>'
         )
-    if basis is not None:
-        for i, cycle in enumerate(basis.cycles):
-            color = _PALETTE[i % len(_PALETTE)]
-            for mid in sorted(cycle.members):
-                m = model.member(mid)
-                ax, ay = pt(model.node(m.a).coords)
-                bx, by = pt(model.node(m.b).coords)
-                parts.append(
-                    f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
-                    f'stroke="{color}" stroke-width="4" stroke-opacity="0.45"/>'
-                )
+    for i, cycle in enumerate(basis.cycles):
+        color = _PALETTE[i % len(_PALETTE)]
+        for mid in sorted(cycle.members):
+            m = model.member(mid)
+            ax, ay = pt(model.node(m.a).coords)
+            bx, by = pt(model.node(m.b).coords)
+            parts.append(
+                f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
+                f'stroke="{color}" stroke-width="4" stroke-opacity="0.45"/>'
+            )
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

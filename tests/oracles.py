@@ -438,6 +438,27 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+def _cycle_walk(graph, cycle) -> list[tuple[int, float]]:
+    """(member id, sign) around a simple cycle, from its generator's "a" end.
+
+    The sign is +1 where the walk runs a member from its "a" to its "b" end.
+    At each node the walk takes the lowest-id unused member of the set there.
+    """
+    ends = {mid: (graph.member(mid).a, graph.member(mid).b) for mid in cycle.members}
+    start, node = ends[cycle.generator]
+    steps = [(cycle.generator, 1.0)]
+    unused = set(cycle.members) - {cycle.generator}
+    while unused:
+        mid = min(m for m in unused if node in ends[m])
+        a, b = ends[mid]
+        steps.append((mid, 1.0 if node == a else -1.0))
+        node = b if node == a else a
+        unused.remove(mid)
+    if node != start:
+        raise ValueError(f"cycle on generator {cycle.generator} does not close")
+    return steps
+
+
 def reference_b1(model, basis) -> np.ndarray:
     """B1 built one member and one unit wrench at a time.
 
@@ -445,8 +466,6 @@ def reference_b1(model, basis) -> np.ndarray:
     there (axial, shear, moment) are carried around the oriented cycle walk
     and resolved into every member's stored (N, V, section moment at a).
     """
-    from framecycles.force import _order_cycle_walk
-
     member_order = sorted(m.id for m in model.members)
     rows = {mid: 3 * i for i, mid in enumerate(member_order)}
     geo = {}
@@ -460,9 +479,8 @@ def reference_b1(model, basis) -> np.ndarray:
         cut, gen_ex, gen_ey = geo[cycle.generator]
         wrenches = ((gen_ex, 0.0), (gen_ey, 0.0), (np.zeros(2), 1.0))
         for k, (f, couple) in enumerate(wrenches):
-            for mid, u, _v in _order_cycle_walk(basis.graph, cycle):
+            for mid, sign in _cycle_walk(basis.graph, cycle):
                 ra, ex, ey = geo[mid]
-                sign = 1.0 if u == basis.graph.member(mid).a else -1.0
                 m_action = sign * (couple + _cross2(cut - ra, f))
                 B1[rows[mid] : rows[mid] + 3, 3 * j + k] = (
                     sign * float(f @ ex),

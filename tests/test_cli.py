@@ -185,6 +185,13 @@ class TestRender:
         assert main(["render", "grid:1x1"]) == 2
         assert "choose --sparsity" in capsys.readouterr().err
 
+    def test_no_output_is_rejected_before_the_basis_is_built(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.basis_mod, "generate_basis", lambda *args: calls.append(args))
+        assert main(["render", "grid:8x8", "--algorithm", "5"]) == 2
+        assert "choose --sparsity" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestErrors:
     def test_missing_file_is_reported(self, capsys):
@@ -258,3 +265,14 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == "error: bad generator spec 'grid:1x1:checker:junk'\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("spec", ["grid:1_0x1", "grid: 2x+1", "grid:２x1", "grid:2x-1"])
+    def test_grid_size_that_is_not_plain_digits_is_reported(self, capsys, spec):
+        assert main(["cycles", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad generator spec '{spec}'\n"
+        assert captured.out == ""
+
+    def test_zero_grid_size_reaches_the_generator(self, capsys):
+        assert main(["cycles", "grid:0x1"]) == 1
+        assert capsys.readouterr().err == "error: stories and spans must be >= 1\n"

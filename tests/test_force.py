@@ -20,7 +20,6 @@ from framecycles.force import (
     RankDeficientBasis,
     UnsupportedModel,
     assemble_g,
-    build_b0,
     build_b1,
     member_flexibility,
     nodal_equilibrium_residual,
@@ -93,40 +92,35 @@ class TestB1:
 
 
 class TestB0:
-    def test_off_tree_rows_stay_zero(self):
-        model = generate_grid(2, 2)
-        graph = build_graph(model)
-        B0 = build_b0(model, graph, [(8, 0), (8, 1), (8, 2)])
-        used = {i for i in range(len(model.members)) if np.any(B0[3 * i : 3 * i + 3])}
-        assert 0 < len(used) < len(model.members)
+    """The particular forces r0 = B0 p, carried from the loads without a B0."""
 
     def test_columns_equilibrate_their_load(self):
+        """The forces for each unit load, one column of the solution, balance it."""
         model = generate_grid(2, 2)
-        graph = build_graph(model)
+        basis = basis_for(model)
         for node, dof in [(5, 0), (7, 1), (9, 2)]:
-            B0 = build_b0(model, graph, [(node, dof)])
-            res = nodal_equilibrium_residual(model, B0[:, 0], {(node, dof): 1.0})
+            wrench = [0.0, 0.0, 0.0]
+            wrench[dof] = 1.0
+            solution = solve_force_method(model, basis, [(node, *wrench)])
+            res = nodal_equilibrium_residual(model, solution.r, {(node, dof): 1.0})
             assert res < 1e-12
 
     def test_load_on_support_rejected(self):
         model = generate_grid(2, 2)
-        graph = build_graph(model)
-        with pytest.raises(ModelError, match="supported node"):
-            build_b0(model, graph, [(1, 0)])
+        with pytest.raises(ModelError, match="load on supported node 1 is rejected"):
+            solve_force_method(model, basis_for(model), [(1, 1.0, 0.0, 0.0)])
 
     def test_load_on_unknown_node_rejected(self):
         model = generate_grid(2, 2)
-        graph = build_graph(model)
-        with pytest.raises(ModelError, match="unknown node 99"):
-            build_b0(model, graph, [(99, 0)])
         with pytest.raises(ModelError, match="unknown node 99"):
             solve_force_method(model, basis_for(model), [(99, 1.0, 0.0, 0.0)])
 
-    def test_bad_dof_rejected(self):
-        model = generate_grid(2, 2)
-        graph = build_graph(model)
-        with pytest.raises(ModelError, match="dof"):
-            build_b0(model, graph, [(5, 3)])
+    def test_loads_on_one_node_add_up(self):
+        model = generate_grid(2, 2, pattern="checker")
+        basis = basis_for(model, 2)
+        split = solve_force_method(model, basis, [(7, 5.0, -3.0, 2.0), (7, -1.5, 4.0, 0.5)])
+        summed = solve_force_method(model, basis, [(7, 3.5, 1.0, 2.5)])
+        assert np.max(np.abs(split.r - summed.r)) <= 1e-12 * np.max(np.abs(summed.r))
 
 
 class TestAssembleG:
@@ -183,8 +177,14 @@ class TestSolve:
     def test_zero_load_case(self):
         model = generate_grid(1, 1)
         solution = solve_force_method(model, basis_for(model), [])
+        assert not np.any(solution.q)
         assert not np.any(solution.r)
         assert solution.compatibility_residual == 0.0
+
+    def test_3d_equilibrium_residual_rejected(self):
+        model = generate_grid3d(1, 1, 1)
+        with pytest.raises(UnsupportedModel, match="unsupported for 3D"):
+            nodal_equilibrium_residual(model, np.ones(3 * len(model.members)))
 
 
 @st.composite
