@@ -133,7 +133,7 @@ class Analysis:
         }
         if self.model.ndim != 2:
             return {**row, "PL": "-", "PN": "-", "PDET": "-", "g": "-"}
-        report = metrics.condition_report(self.g(cycle_basis), D.D, precision)
+        report = metrics.condition_report(self.g(cycle_basis), precision)
         numeric = (report.pl, report.pn, report.pdet, report.good_digits)
         return {**row, **dict(zip(("PL", "PN", "PDET", "g"), map(_fmt, numeric)))}
 
@@ -269,11 +269,11 @@ def _cmd_condition(args) -> int:
         return 1
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
     D = analysis.adjacency(cycle_basis)
-    report = metrics.condition_report(analysis.g(cycle_basis), D.D, args.precision)
+    report = metrics.condition_report(analysis.g(cycle_basis), args.precision)
     print(f"PL = {_fmt(report.pl)}")
     print(f"PN = {_fmt(report.pn)} (log10 {_fmt(report.pn_log10)})")
     print(f"PDET = {_fmt(report.pdet)} (log10 {_fmt(report.pdet_log10)})")
-    print(f"X(D) = {report.xd}")
+    print(f"X(D) = {D.chi}")
     print(f"good digits (p={report.precision}) = {_fmt(report.good_digits)}")
     return 0
 
@@ -297,9 +297,12 @@ def _cmd_render(args) -> int:
     if not args.sparsity and not args.frame:
         print("error: choose --sparsity and/or --frame output paths", file=sys.stderr)
         return 2
+    if args.block and analysis.model.ndim != 2:
+        print("error: --block requires a planar model", file=sys.stderr)
+        return 1
     cycle_basis = analysis.basis(algorithm)
     if args.sparsity:
-        if args.block and analysis.model.ndim == 2:
+        if args.block:
             render.render_sparsity(analysis.g(cycle_basis), args.sparsity, block_size=3)
         else:
             render.render_sparsity(analysis.adjacency(cycle_basis).D, args.sparsity)

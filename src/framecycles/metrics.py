@@ -1,4 +1,4 @@
-"""Condition numbers, sparsity counts, and the chopped-arithmetic demo.
+"""Condition numbers, block sparsity patterns, and the chopped-arithmetic demo.
 
 Three conditioning indicators are reported per flexibility matrix: PL, the
 base-10 log of the extreme eigenvalue ratio; PN, the determinant of the
@@ -55,40 +55,37 @@ def good_digits(pl_value: float, p: int = 16) -> float:
 
 def pn(G: np.ndarray) -> float:
     """Determinant of the row-normalized matrix (0 when it underflows)."""
-    return row_normalized_determinant(G)[0]
+    return _determinants(G)[0][0]
 
 
-def row_normalized_determinant(G: np.ndarray) -> tuple[float, float]:
-    """(determinant, log10 |determinant|) of the row-normalized matrix."""
+def pdet(G: np.ndarray) -> float:
+    """Determinant of D^-1/2 G D^-1/2 with D = diag(G) (0 when it underflows)."""
+    return _determinants(G)[1][0]
+
+
+def _determinants(G: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """PN and PDET of G, each as (determinant, log10 |determinant|).
+
+    Both scalings are diagonal, so each determinant is det G over the product
+    of its scale factors: the row norms for PN, the diagonal for PDET.  One
+    log-determinant of G serves both; a determinant that underflows is 0.
+    """
     G = _square(G)
     norms = np.linalg.norm(G, axis=1)
     if np.any(norms == 0):
         raise ValueError("matrix has a zero row")
-    return _determinant(G / norms[:, None])
-
-
-def _determinant(M: np.ndarray) -> tuple[float, float]:
-    """(determinant, log10 |determinant|); the determinant is 0 where it underflows."""
-    sign, logdet = np.linalg.slogdet(M)
-    if sign == 0:
-        return 0.0, -math.inf
-    log10det = logdet / math.log(10.0)
-    return float(sign * math.exp(logdet)) if logdet > -745 else 0.0, float(log10det)
-
-
-def pdet(G: np.ndarray) -> float:
-    """Determinant after symmetric diagonal scaling (0 when it underflows)."""
-    return scaled_determinant(G)[0]
-
-
-def scaled_determinant(G: np.ndarray) -> tuple[float, float]:
-    """(determinant, log10 |determinant|) of D^-1/2 G D^-1/2 with D = diag(G)."""
-    G = _square(G)
     d = np.diag(G)
     if np.any(d <= 0):
         raise ValueError("matrix has a non-positive diagonal entry")
-    s = 1.0 / np.sqrt(d)
-    return _determinant(G * np.outer(s, s))
+    sign, logdet = np.linalg.slogdet(G)
+    if sign == 0:
+        return (0.0, -math.inf), (0.0, -math.inf)
+    out = []
+    for log_scale in (float(np.log(norms).sum()), float(np.log(d).sum())):
+        log_value = float(logdet) - log_scale
+        value = float(sign * math.exp(log_value)) if log_value > -745 else 0.0
+        out.append((value, log_value / math.log(10.0)))
+    return tuple(out)
 
 
 def block_pattern(M: np.ndarray, block_size: int) -> np.ndarray:
@@ -103,38 +100,28 @@ def block_pattern(M: np.ndarray, block_size: int) -> np.ndarray:
     return block_rows.reshape(h, w, block_size).any(axis=2)
 
 
-def nnz(M: np.ndarray, block_size: int = 1) -> int:
-    """Count nonzero entries, or nonzero block_size x block_size blocks."""
-    if block_size == 1:
-        return int(np.count_nonzero(M))
-    return int(np.count_nonzero(block_pattern(M, block_size)))
-
-
 @dataclass(frozen=True)
 class ConditionReport:
-    """PL/PN/PDET, X(D), and the good-digit estimate for one basis run."""
+    """PL/PN/PDET and the good-digit estimate for one flexibility matrix."""
 
     pl: float
     pn: float
     pn_log10: float
     pdet: float
     pdet_log10: float
-    xd: int
     good_digits: float
     precision: int = 16
 
 
-def condition_report(G: np.ndarray, D: np.ndarray, precision: int = 16) -> ConditionReport:
+def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
     pl_value = pl(G)
-    pn_value, pn_log = row_normalized_determinant(G)
-    pdet_value, pdet_log = scaled_determinant(G)
+    (pn_value, pn_log), (pdet_value, pdet_log) = _determinants(G)
     return ConditionReport(
         pl=pl_value,
         pn=pn_value,
         pn_log10=pn_log,
         pdet=pdet_value,
         pdet_log10=pdet_log,
-        xd=nnz(D),
         good_digits=good_digits(pl_value, precision),
         precision=precision,
     )

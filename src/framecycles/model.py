@@ -121,12 +121,7 @@ class StructuralModel:
         return self.sections[m.section]
 
     def member_length(self, m: FrameMember) -> float:
-        ca = self._coords(m.a)
-        cb = self._coords(m.b)
-        return math.dist(ca, cb)
-
-    def _coords(self, node_id: int) -> tuple[float, ...]:
-        return self._node_map[node_id].coords
+        return math.dist(self._node_map[m.a].coords, self._node_map[m.b].coords)
 
 
 @dataclass
@@ -137,7 +132,7 @@ class WeightedGraph:
     members: tuple[Edge, ...]
     weights: dict[int, float]
     ground: int | None = None
-    b0: int = field(default=0)
+    b0: int = field(init=False)
 
     def __post_init__(self) -> None:
         node_set = set(self.nodes)

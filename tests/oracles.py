@@ -10,7 +10,8 @@ the eager cycle construction (two complete route trees and a lock-step
 search that rescans every label per tier), algorithm 5's masked graph copy
 (a new graph without the masked members), the dense force-method products
 (a 3M x 3M block-diagonal Fm and G = B1' Fm B1), the per-member,
-per-wrench B1 builder and the block-by-block sparsity raster.
+per-wrench B1 builder, the explicitly scaled copies of G behind PN and PDET
+and the block-by-block sparsity raster.
 """
 
 from __future__ import annotations
@@ -350,6 +351,18 @@ def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     A = rng.normal(size=(n, n))
     Q, _ = np.linalg.qr(A)
     return (Q * eigs) @ Q.T
+
+
+def reference_determinants(G: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    """PN and PDET as (determinant, log10 |determinant|), each from its own
+    explicitly scaled copy of G: the row-normalized matrix and D^-1/2 G D^-1/2."""
+    norms = np.linalg.norm(G, axis=1)
+    s = 1.0 / np.sqrt(np.diag(G))
+    out = []
+    for M in (G / norms[:, None], G * np.outer(s, s)):
+        sign, logdet = np.linalg.slogdet(M)
+        out.append((float(sign * np.exp(logdet)), float(logdet / np.log(10.0))))
+    return out[0], out[1]
 
 
 # --- planar frame stiffness method ----------------------------------------

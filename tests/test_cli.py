@@ -192,6 +192,16 @@ class TestRender:
         assert "choose --sparsity" in capsys.readouterr().err
         assert calls == []
 
+    def test_block_on_a_space_frame_is_rejected(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.basis_mod, "generate_basis", lambda *args: calls.append(args))
+        out = tmp_path / "x.pbm"
+        argv = ["render", "grid3d:1x1x1", "--algorithm", "5", "--block", "--sparsity", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --block requires a planar model\n"
+        assert not out.exists()
+        assert calls == []
+
 
 class TestErrors:
     def test_missing_file_is_reported(self, capsys):

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,18 +14,16 @@ from framecycles.metrics import (
     NO_PIVOTING,
     ROW_REORDER,
     ChoppedPivotBreakdown,
+    block_pattern,
     chop,
     chopped_gauss_solve,
     condition_report,
     eig_extremes,
     good_digits,
     ill_conditioned_demo,
-    nnz,
     pdet,
     pl,
     pn,
-    row_normalized_determinant,
-    scaled_determinant,
 )
 from framecycles.render import render_sparsity
 
@@ -92,6 +90,10 @@ class TestIndicators:
         with pytest.raises(ValueError, match="diagonal"):
             pdet(np.array([[0.0, 1.0], [1.0, 2.0]]))
 
+    def test_pn_rejects_nonpositive_diagonal(self):
+        with pytest.raises(ValueError, match="non-positive diagonal"):
+            pn(np.array([[1.0, 2.0], [2.0, -1.0]]))
+
     def test_pn_rejects_zero_row(self):
         with pytest.raises(ValueError, match="zero row"):
             pn(np.array([[0.0, 0.0], [1.0, 2.0]]))
@@ -100,7 +102,8 @@ class TestIndicators:
         # (1-d)I + dJ with d ~ 1: det = (1-d)^(n-1) * (1 + (n-1)d)
         n, d = 120, 0.9999999
         G = (1 - d) * np.eye(n) + d * np.ones((n, n))
-        value, log10 = scaled_determinant(G)
+        report = condition_report(G)
+        value, log10 = report.pdet, report.pdet_log10
         assert value == 0.0
         assert math.isfinite(log10)
         expected = (n - 1) * math.log10(1 - d) + math.log10(1 + (n - 1) * d)
@@ -109,35 +112,37 @@ class TestIndicators:
 
     def test_log10_matches_value_when_not_underflowed(self):
         G = np.array([[1.0, 1.0], [1.0, 2.0]])
-        value, log10 = row_normalized_determinant(G)
+        report = condition_report(G)
+        value, log10 = report.pn, report.pn_log10
         assert log10 == pytest.approx(math.log10(abs(value)), rel=1e-12)
 
 
 class TestNnz:
     def test_entry_count(self):
-        assert nnz(np.array([[1.0, 0.0], [2.0, 3.0]])) == 3
+        assert block_pattern(np.array([[1.0, 0.0], [2.0, 3.0]]), 1).sum() == 3
 
     def test_block_count(self):
         M = np.zeros((4, 4))
         M[0, 1] = 5.0  # one nonzero entry lights up a whole 2x2 block
-        assert nnz(M, block_size=2) == 1
+        assert block_pattern(M, 2).sum() == 1
 
     def test_block_size_must_divide(self):
         with pytest.raises(ValueError, match="divisible"):
-            nnz(np.zeros((3, 3)), block_size=2)
+            block_pattern(np.zeros((3, 3)), 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.data())
 def test_block_counts_match_the_block_by_block_raster(block_size, h, w, data):
-    """Sparse matrices with nonzeros anywhere inside a block: nnz and the
-    PBM raster agree with the reference that looks at one block at a time."""
+    """Sparse matrices with nonzeros anywhere inside a block: the block pattern
+    and the PBM raster agree with the reference that looks at one block at a
+    time."""
     M = np.zeros((h * block_size, w * block_size))
     cells = st.tuples(st.integers(0, M.shape[0] - 1), st.integers(0, M.shape[1] - 1))
     for i, j in data.draw(st.lists(cells, max_size=6)):
         M[i, j] = data.draw(st.sampled_from([1.0, -2.5, 1e-300]))
     raster = oracles.reference_sparsity_pbm(M, block_size)
-    assert nnz(M, block_size) == "".join(raster.splitlines()[2:]).count("1")
+    assert block_pattern(M, block_size).sum() == "".join(raster.splitlines()[2:]).count("1")
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "pattern.pbm")
         render_sparsity(M, path, block_size)
@@ -145,14 +150,42 @@ def test_block_counts_match_the_block_by_block_raster(block_size, h, w, data):
             assert fh.read() == raster
 
 
+@st.composite
+def scaled_spd(draw):
+    """SPD matrices with eigenvalue ratio up to 1e8, scaled symmetrically by 10^[-3, 3]."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigs = 10.0 ** rng.uniform(0.0, draw(st.floats(0.0, 8.0)), size=n)
+    s = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    G = s[:, None] * ((Q * eigs) @ Q.T) * s
+    G = (G + G.T) / 2
+    # Scaling can push the computed smallest eigenvalue below zero; such a
+    # matrix is not SPD in floating point, and PL rightly rejects it.
+    assume(np.linalg.eigvalsh(G)[0] > 0)
+    return G
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scaled_spd())
+def test_determinants_match_the_explicitly_scaled_copies(G):
+    """PN and PDET from one log-determinant of G agree with the slogdet of the
+    row-normalized copy and of the D^-1/2-scaled copy."""
+    (ref_pn, ref_pn_log), (ref_pdet, ref_pdet_log) = oracles.reference_determinants(G)
+    report = condition_report(G)
+    assert report.pn_log10 == pytest.approx(ref_pn_log, abs=1e-8)
+    assert report.pdet_log10 == pytest.approx(ref_pdet_log, abs=1e-8)
+    for value, ref in ((pn(G), ref_pn), (pdet(G), ref_pdet)):
+        if value != 0.0:
+            assert value == pytest.approx(ref, rel=1e-7)
+
+
 class TestConditionReport:
     def test_fields_are_consistent(self):
         G = np.diag([1.0, 100.0])
-        D = np.array([[4, 1], [1, 4]])
-        report = condition_report(G, D, precision=8)
+        report = condition_report(G, precision=8)
         assert report.pl == pytest.approx(2.0)
         assert report.good_digits == pytest.approx(6.0)
-        assert report.xd == 4
         assert report.pdet == pytest.approx(1.0)
         assert report.precision == 8
 

@@ -136,6 +136,10 @@ class TestWeightedGraph:
         g = WeightedGraph((1, 2, 3, 4), (Edge(1, 1, 2),), {1: 1.0})
         assert g.b0 == 3
 
+    def test_component_count_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            WeightedGraph((1, 2), (Edge(1, 1, 2),), {1: 1.0}, b0=5)
+
 
 class TestBuildGraph:
     def test_portal_frame_contracts_to_triangle(self):

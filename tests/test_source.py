@@ -5,8 +5,11 @@ import sys
 from pathlib import Path
 
 import framecycles
+from framecycles.cli import main
+from framecycles.frames import write_load_case
 
 PACKAGE = Path(framecycles.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_no_assert_statements():
@@ -40,3 +43,29 @@ def test_imports_only_stdlib_and_numpy():
                 if name.partition(".")[0] not in allowed
             ]
     assert found == []
+
+
+def test_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch):
+    """``bench/tracing.py`` wraps library functions by name at their call
+    sites; a rename there would break ``--trace 1`` without failing a test."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    loads = tmp_path / "loads.json"
+    write_load_case([(6, 1.0, 0.0, 0.0)], loads)
+    tracer = tracing.Tracer()
+    tracer.install()
+    patched = [(owner, attr) for owner, attr, _ in tracer._patches]
+    try:
+        assert main(["condition", "grid:2x2"]) == 0
+        assert main(["force", "grid:2x2", "--loads", str(loads)]) == 0
+        assert main(["render", "grid:2x2", "--block", "--sparsity", str(tmp_path / "g.pbm")]) == 0
+    finally:
+        tracer.uninstall()
+    assert {"metrics.condition", "force.g", "force.solve", "basis.cd"} <= set(tracer.total_s)
+    still_wrapped = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr in patched
+        if hasattr(getattr(owner, attr), "__wrapped__")
+    ]
+    assert still_wrapped == []
