@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ren.add_argument("--algorithm", default="1")
     ren.add_argument("--sparsity", default=None, help="output PBM path")
     ren.add_argument("--frame", default=None, help="output SVG path")
-    ren.add_argument("--block", action="store_true", help="3x3-block sparsity view")
+    ren.add_argument("--block", action="store_true", help="3x3-block pattern of G, which is D's")
 
     return parser
 
@@ -300,12 +300,12 @@ def _cmd_render(args) -> int:
     if args.block and analysis.model.ndim != 2:
         print("error: --block requires a planar model", file=sys.stderr)
         return 1
+    if args.frame and analysis.model.ndim != 2:
+        print("error: frame rendering is available for planar models only", file=sys.stderr)
+        return 1
     cycle_basis = analysis.basis(algorithm)
     if args.sparsity:
-        if args.block:
-            render.render_sparsity(analysis.g(cycle_basis), args.sparsity, block_size=3)
-        else:
-            render.render_sparsity(analysis.adjacency(cycle_basis).D, args.sparsity)
+        render.render_sparsity(analysis.adjacency(cycle_basis).D, args.sparsity)
         print(f"wrote {args.sparsity}")
     if args.frame:
         render.render_frame(analysis.model, cycle_basis, args.frame)

@@ -18,7 +18,8 @@ Fm is block diagonal, so it is kept as its (M, 3, 3) stack of member
 blocks and applied block by block.  G is the sum over members m of
 B1_m' F_m B1_m, where B1_m holds member m's rows restricted to the cycles
 through m; only cycle pairs that share a member get a block, which is the
-nonzero pattern of the cycle adjacency matrix D.
+nonzero pattern of the cycle adjacency matrix D.  So ``render`` draws this
+block pattern from D and builds no G.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 
 from framecycles.basis import CycleBasis
 from framecycles.cycles import CycleVector, build_srt
-from framecycles.metrics import block_pattern
 from framecycles.model import (
     ModelError,
     Section,
@@ -191,7 +191,10 @@ def assemble_g(B1: np.ndarray, Fm: np.ndarray) -> np.ndarray:
     if Fm.shape != (B1.shape[0] // 3, 3, 3):
         raise ValueError(f"Fm of shape {Fm.shape} does not match B1 of shape {B1.shape}")
     n = B1.shape[1]
-    through = block_pattern(B1, 3)  # (member, cycle): the cycle passes through it
+    # (member, cycle): the cycle passes through it.  Two single-axis
+    # reductions run much faster than one over axes (1, 3).
+    through = (B1 != 0).reshape(len(Fm), 3, n).any(axis=1)
+    through = through.reshape(len(Fm), n // 3, 3).any(axis=2)
     counts = through.sum(axis=1)
     G = np.zeros((n, n))
     flat = G.reshape(-1)

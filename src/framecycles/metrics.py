@@ -1,4 +1,4 @@
-"""Condition numbers, block sparsity patterns, and the chopped-arithmetic demo.
+"""Condition numbers and the chopped-arithmetic demo.
 
 Three conditioning indicators are reported per flexibility matrix: PL, the
 base-10 log of the extreme eigenvalue ratio; PN, the determinant of the
@@ -86,18 +86,6 @@ def _determinants(G: np.ndarray) -> tuple[tuple[float, float], ...]:
         value = float(sign * math.exp(log_value)) if log_value > -745 else 0.0
         out.append((value, log_value / math.log(10.0)))
     return tuple(out)
-
-
-def block_pattern(M: np.ndarray, block_size: int) -> np.ndarray:
-    """Boolean map of the block_size x block_size blocks holding a nonzero entry."""
-    M = np.atleast_2d(np.asarray(M))
-    rows, cols = M.shape
-    if rows % block_size or cols % block_size:
-        raise ValueError(f"shape {M.shape} is not divisible into {block_size}-blocks")
-    h, w = rows // block_size, cols // block_size
-    # Two single-axis reductions run much faster than one over axes (1, 3).
-    block_rows = (M != 0).reshape(h, block_size, cols).any(axis=1)
-    return block_rows.reshape(h, w, block_size).any(axis=2)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ class Section:
     def __post_init__(self) -> None:
         if self.A <= 0 or self.I <= 0 or self.E <= 0:
             raise ModelError(f"section properties must be positive, got {self}")
+        if not all(map(math.isfinite, (self.A, self.I, self.E))):
+            raise ModelError(f"section properties must be finite, got {self}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,8 @@ class StructuralModel:
                 raise ModelError(
                     f"node {n.id} has {len(n.coords)} coordinates, expected {self.ndim}"
                 )
+            if not all(map(math.isfinite, n.coords)):
+                raise ModelError(f"node {n.id} has a non-finite coordinate {n.coords}")
         node_ids = seen
         self._node_map = {n.id: n for n in self.nodes}
         member_ids: set[int] = set()
@@ -102,8 +106,11 @@ class StructuralModel:
             pairs.add(pair)
             if m.section not in self.sections:
                 raise ModelError(f"member {m.id} references missing section '{m.section}'")
-            if self.member_length(m) <= 0:
+            length = self.member_length(m)
+            if length <= 0:
                 raise ModelError(f"member {m.id} has zero length")
+            if not math.isfinite(length):
+                raise ModelError(f"member {m.id} is too long: its length overflows")
         if not self.supports:
             raise ModelError("model has no supports; structure is not grounded")
         for s in self.supports:
@@ -143,6 +150,8 @@ class WeightedGraph:
                 raise ModelError(f"graph member {e.id} references missing node")
             if self.weights.get(e.id, 0.0) <= 0:
                 raise ModelError(f"graph member {e.id} must have positive weight")
+            if not math.isfinite(self.weights[e.id]):
+                raise ModelError(f"graph member {e.id} must have a finite weight")
         self.nodes = tuple(sorted(node_set))
         self.b0 = _component_count(self.nodes, self.members)
         # node -> its incident (edge, other-end) pairs, by member id; never mutated

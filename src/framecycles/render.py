@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from framecycles.basis import CycleBasis
-from framecycles.metrics import block_pattern
 from framecycles.model import ModelError, StructuralModel
 
 _PALETTE = (
@@ -14,9 +13,9 @@ _PALETTE = (
 )
 
 
-def render_sparsity(matrix: np.ndarray, path, block_size: int = 1) -> None:
-    """Monochrome portable bitmap: one pixel per entry (or per block)."""
-    pattern = block_pattern(matrix, block_size)
+def render_sparsity(matrix: np.ndarray, path) -> None:
+    """Monochrome portable bitmap: one pixel per entry, black where it is nonzero."""
+    pattern = np.atleast_2d(np.asarray(matrix)) != 0
     h, w = pattern.shape
     lines = ["P1", f"{w} {h}"]
     lines.extend(" ".join(row) for row in np.where(pattern, "1", "0").tolist())

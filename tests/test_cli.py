@@ -61,6 +61,16 @@ class TestGenerate:
         assert rc == 0
         assert json.loads(out.read_text())["dimensionality"] == 3
 
+    @pytest.mark.parametrize("bay", ["nan", "inf"])
+    def test_nonfinite_bay_is_rejected_before_writing(self, tmp_path, capsys, bay):
+        out = tmp_path / "g.json"
+        argv = ["generate", "--stories", "1", "--spans", "1", "--bay", bay, "-o", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite coordinate" in captured.err
+        assert not out.exists()
+
 
 class TestCycles:
     def test_lists_every_basis_cycle(self, capsys):
@@ -200,6 +210,18 @@ class TestRender:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: --block requires a planar model\n"
         assert not out.exists()
+        assert calls == []
+
+    def test_frame_on_a_space_frame_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli.basis_mod, "generate_basis", lambda *args: calls.append(args))
+        pbm, svg = tmp_path / "x.pbm", tmp_path / "y.svg"
+        argv = ["render", "grid3d:1x1x1", "--sparsity", str(pbm), "--frame", str(svg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: frame rendering is available for planar models only\n"
+        assert not pbm.exists() and not svg.exists()
         assert calls == []
 
 

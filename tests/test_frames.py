@@ -281,6 +281,11 @@ class TestGenerateGrid:
         with pytest.raises(ModelError, match="pattern"):
             generate_grid(1, 1, pattern="striped")
 
+    def test_rejects_nonfinite_sizes(self):
+        for sizes in (dict(bay=math.inf), dict(bay=math.nan), dict(height=math.inf)):
+            with pytest.raises(ModelError, match="non-finite coordinate"):
+                generate_grid(1, 1, **sizes)
+
 
 class TestGenerateGrid3d:
     def test_counts(self):

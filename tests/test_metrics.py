@@ -14,7 +14,6 @@ from framecycles.metrics import (
     NO_PIVOTING,
     ROW_REORDER,
     ChoppedPivotBreakdown,
-    block_pattern,
     chop,
     chopped_gauss_solve,
     condition_report,
@@ -117,37 +116,32 @@ class TestIndicators:
         assert log10 == pytest.approx(math.log10(abs(value)), rel=1e-12)
 
 
+def _rendered(matrix):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "pattern.pbm")
+        render_sparsity(matrix, path)
+        with open(path) as fh:
+            return fh.read()
+
+
 class TestNnz:
     def test_entry_count(self):
-        assert block_pattern(np.array([[1.0, 0.0], [2.0, 3.0]]), 1).sum() == 3
-
-    def test_block_count(self):
-        M = np.zeros((4, 4))
-        M[0, 1] = 5.0  # one nonzero entry lights up a whole 2x2 block
-        assert block_pattern(M, 2).sum() == 1
-
-    def test_block_size_must_divide(self):
-        with pytest.raises(ValueError, match="divisible"):
-            block_pattern(np.zeros((3, 3)), 2)
+        raster = _rendered(np.array([[1.0, 0.0], [2.0, 3.0]]))
+        assert raster == "P1\n2 2\n1 0\n1 1\n"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.data())
-def test_block_counts_match_the_block_by_block_raster(block_size, h, w, data):
-    """Sparse matrices with nonzeros anywhere inside a block: the block pattern
-    and the PBM raster agree with the reference that looks at one block at a
-    time."""
-    M = np.zeros((h * block_size, w * block_size))
-    cells = st.tuples(st.integers(0, M.shape[0] - 1), st.integers(0, M.shape[1] - 1))
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_sparsity_raster_matches_the_entry_by_entry_reference(h, w, data):
+    """Sparse matrices, tiny nonzeros too: the PBM raster has one pixel per
+    entry and agrees with the reference that looks at one entry at a time."""
+    M = np.zeros((h, w))
+    cells = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
     for i, j in data.draw(st.lists(cells, max_size=6)):
         M[i, j] = data.draw(st.sampled_from([1.0, -2.5, 1e-300]))
-    raster = oracles.reference_sparsity_pbm(M, block_size)
-    assert block_pattern(M, block_size).sum() == "".join(raster.splitlines()[2:]).count("1")
-    with tempfile.TemporaryDirectory() as workdir:
-        path = os.path.join(workdir, "pattern.pbm")
-        render_sparsity(M, path, block_size)
-        with open(path) as fh:
-            assert fh.read() == raster
+    raster = _rendered(M)
+    assert raster == oracles.reference_sparsity_pbm(M)
+    assert "".join(raster.splitlines()[2:]).count("1") == np.count_nonzero(M)
 
 
 @st.composite

@@ -35,10 +35,17 @@ def simple_model(members, nodes=None, supports=(1,)):
 
 class TestSection:
     def test_rejects_nonpositive_properties(self):
-        for bad in (dict(A=0), dict(I=-1e-6), dict(E=0)):
+        for bad in (dict(A=0), dict(I=-1e-6), dict(E=0), dict(A=-math.inf)):
             props = dict(A=0.01, I=0.0002, E=2.1e7)
             props.update(bad)
-            with pytest.raises(ModelError):
+            with pytest.raises(ModelError, match="must be positive"):
+                Section(**props)
+
+    def test_rejects_nonfinite_properties(self):
+        for bad in (dict(A=math.nan), dict(I=math.inf), dict(E=math.nan)):
+            props = dict(A=0.01, I=0.0002, E=2.1e7)
+            props.update(bad)
+            with pytest.raises(ModelError, match="must be finite"):
                 Section(**props)
 
 
@@ -52,6 +59,12 @@ class TestModelValidation:
         nodes = [FrameNode(1, (0.0, 0.0, 0.0))]
         with pytest.raises(ModelError, match="coordinates"):
             StructuralModel(nodes, [], SECTIONS, [1])
+
+    def test_nonfinite_coordinate(self):
+        for bad in (math.nan, math.inf):
+            nodes = [FrameNode(1, (0.0, 0.0)), FrameNode(2, (bad, 0.0))]
+            with pytest.raises(ModelError, match="node 2 has a non-finite coordinate"):
+                StructuralModel(nodes, [FrameMember(1, 1, 2, "s")], SECTIONS, [1])
 
     def test_member_self_loop(self):
         with pytest.raises(ModelError, match="to itself"):
@@ -73,6 +86,11 @@ class TestModelValidation:
     def test_zero_length_member(self):
         nodes = [FrameNode(1, (0.0, 0.0)), FrameNode(2, (0.0, 0.0))]
         with pytest.raises(ModelError, match="zero length"):
+            StructuralModel(nodes, [FrameMember(1, 1, 2, "s")], SECTIONS, [1])
+
+    def test_length_that_overflows(self):
+        nodes = [FrameNode(1, (-1e308, 0.0)), FrameNode(2, (1e308, 0.0))]
+        with pytest.raises(ModelError, match="member 1 is too long"):
             StructuralModel(nodes, [FrameMember(1, 1, 2, "s")], SECTIONS, [1])
 
     def test_support_must_exist(self):
@@ -131,6 +149,11 @@ class TestWeightedGraph:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ModelError, match="positive weight"):
             WeightedGraph((1, 2), (Edge(1, 1, 2),), {1: 0.0})
+
+    def test_rejects_nonfinite_weight(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ModelError, match="finite weight"):
+                WeightedGraph((1, 2), (Edge(1, 1, 2),), {1: bad})
 
     def test_component_count(self):
         g = WeightedGraph((1, 2, 3, 4), (Edge(1, 1, 2),), {1: 1.0})

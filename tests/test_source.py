@@ -69,3 +69,47 @@ def test_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch):
         if hasattr(getattr(owner, attr), "__wrapped__")
     ]
     assert still_wrapped == []
+
+
+def test_render_builds_no_force_layer(tmp_path, monkeypatch):
+    """``render --block`` draws D's pattern, which is G's 3x3-block pattern,
+    so it builds no Fm, B1 or G and writes the same bytes as plain ``render``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    block, plain = tmp_path / "block.pbm", tmp_path / "plain.pbm"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["render", "grid:3x3:checker", "--block", "--sparsity", str(block)]) == 0
+    finally:
+        tracer.uninstall()
+    assert "render.sparsity" in tracer.total_s
+    assert {"force.fm", "force.b1", "force.g"} & set(tracer.total_s) == set()
+    assert main(["render", "grid:3x3:checker", "--sparsity", str(plain)]) == 0
+    assert block.read_bytes() == plain.read_bytes()
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The ``framecycles`` modules that the module at *path* imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+            if node.module == "framecycles":
+                modules = [f"framecycles.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {m.split(".")[1] for m in modules if m.startswith("framecycles.")}
+    return found
+
+
+def test_force_metrics_and_render_stay_separate_layers():
+    """The force method, the conditioning metrics and the renderings import
+    none of each other; only the CLI brings all three together."""
+    layers = {"force", "metrics", "render"}
+    imports = {path.stem: _package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: imports[name] & layers for name in layers} == {name: set() for name in layers}
+    assert [name for name, used in imports.items() if layers <= used] == ["cli"]
