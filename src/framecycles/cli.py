@@ -263,6 +263,7 @@ def _cmd_force(args) -> int:
 
 
 def _cmd_condition(args) -> int:
+    metrics.check_precision(args.precision)
     analysis = _analysis(args)
     if analysis.model.ndim != 2:
         print("error: condition report requires a planar model", file=sys.stderr)
@@ -280,6 +281,7 @@ def _cmd_condition(args) -> int:
 
 def _cmd_compare(args) -> int:
     algorithms = _parse_algorithms(args.algorithms)
+    metrics.check_precision(args.precision)
     analysis = _analysis(args)
     if analysis.model.ndim != 2:
         print("warning: 3D model, reporting combinatorial columns only", file=sys.stderr)

@@ -3,16 +3,20 @@
 Both route trees grow by one breadth-first tier loop over per-node
 candidate lists: the plain SRT over all incident members, which yields
 minimum-length cycles, and the weight-pruned SRTM over the members at
-least as heavy as their node's average, plus a pass that attaches nodes
-stranded by pruning.  Forbidden and masked members are left out of the
-lists, nowhere else.  All tie-breaking is by ascending member id then
-ascending node id, so every result is deterministic.
+least as heavy as their node's average, plus rounds that attach nodes
+stranded by pruning.  Both yield their tiers one at a time, so the search
+for a member's cycle stops growing them where the two trees meet; the
+SRTM's stranded nodes are attached tier by tier as well.  Forbidden and
+masked members are left out of the lists, nowhere else.  All tie-breaking
+is by ascending member id then ascending node id, so every result is
+deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import count
 
 from framecycles.model import DisjointSets, WeightedGraph, heavy_first
 
@@ -28,8 +32,9 @@ class NoCycleThroughMember(ValueError):
 class RouteTree:
     """Spanning tree of the reachable component with breadth-first tier labels.
 
-    An SRT grown lazily for ``min_cycle_on_member`` holds only the tiers
-    that the lock-step search reached.
+    A tree grown lazily for ``min_cycle_on_member`` holds only the tiers
+    that the lock-step search reached; an SRTM's also holds its whole main
+    phase (``_srtm_tiers``).
     """
 
     root: int
@@ -187,49 +192,85 @@ def build_srtm(
     Tier expansion as in the SRT, except that at each expanded node the
     incident members weighing strictly less than the average weight of that
     node's incident members are pruned from tree candidacy, and surviving
-    candidates are taken in descending weight order.  A final pass attaches
-    any node stranded by pruning through its maximum-weight available member
-    so the tree still spans the reachable component.  The forbidden member
-    and the masked ones never enter the tree or any average.
+    candidates are taken in descending weight order.  Nodes stranded by
+    pruning are then attached round by round through their maximum-weight
+    available member, so the tree still spans the reachable component.  The
+    forbidden member and the masked ones never enter the tree or any
+    average.  The tree is ``_srtm_tiers`` run to the end.
     """
     plain = _plain(graph, forbidden, mask)
-    return _srtm(graph, root, plain, _pruned(graph, plain, mask))
-
-
-def _srtm(graph: WeightedGraph, root: int, plain: Lists, pruned: Lists) -> RouteTree:
-    """The tier loop run to the end over *pruned*, then the fallback over *plain*."""
     tree = RouteTree(root, {}, {root: 0})
-    for _ in _grow(tree, pruned):
+    for _ in _srtm_tiers(graph, tree, plain, _pruned(graph, plain, mask)):
         pass
-    # Fallback: pruning can strand nodes that are reachable in the graph.
-    # Only a node attached in the previous round can have an unlabelled
-    # neighbour, so each round scans just those.
-    table, ends = plain
-    label, parent = tree.label, tree.parent
-    scan = list(label)
-    while scan:
-        attachable: dict[int, tuple[float, int, int]] = {}
-        for u in scan:
-            for e, v in ends[u] if u in ends else table[u]:
-                if v in label:
-                    continue
-                key = (-graph.weight(e.id), e.id, u)
-                if v not in attachable or key < attachable[v]:
-                    attachable[v] = key
-        scan = sorted(attachable)
-        for v in scan:
-            _, eid, u = attachable[v]
-            label[v] = label[u] + 1
-            parent[v] = (u, eid)
     return tree
 
 
-def _tiers(tree: RouteTree) -> Iterator[list[int]]:
-    """A complete tree's tiers below the root, in label order."""
-    tiers: list[list[int]] = [[] for _ in range(max(tree.label.values()) + 1)]
-    for node, tier in tree.label.items():
-        tiers[tier].append(node)
-    return iter(tiers[1:])
+def _srtm_tiers(
+    graph: WeightedGraph, tree: RouteTree, plain: Lists, pruned: Lists
+) -> Iterator[list[int]]:
+    """Add the SRTM's tiers to *tree* one at a time, yielding each new one.
+
+    The main phase, the tier loop over *pruned*, runs in full at the first
+    pull; call its node set L0.  A node it strands is attached in fallback
+    round r, its distance to L0 over *plain*, by its heaviest key
+    ``(-w, id, u)`` over its neighbours u in round r-1 (L0 for round 1):
+    when it is attached, all its labelled neighbours lie in that round.  Its
+    label is its parent's + 1, so tier j is main tier j and the stranded
+    nodes whose parent is in tier j-1, and those are among the unlabelled
+    neighbours of tier j-1.  A stranded node's parent is found once, when
+    it is first met: in round 1 by a look at its own list for L0, in a later
+    round from the rounds of one BFS out of L0, run when the first such
+    node is met.  So a tree pulled to tier k is exactly the top k tiers of
+    the whole SRTM, with the whole main phase below them.
+    """
+    main = [[tree.root], *_grow(tree, pruned)]
+    table, ends = plain
+    weights = graph.weights
+    label, parent = tree.label, tree.parent
+    rounds = dict.fromkeys(label, 0)  # fallback round: L0, then all after the BFS
+    found: dict[int, tuple[int, int]] = {}  # stranded node -> its parent
+
+    def fallback_rounds() -> None:
+        """Every stranded node's round: one BFS out of L0 over *plain*."""
+        frontier = list(rounds)
+        while frontier:
+            next_frontier = []
+            for x in frontier:
+                r = rounds[x] + 1
+                for _, y in ends[x] if x in ends else table[x]:
+                    if y not in rounds:
+                        rounds[y] = r
+                        next_frontier.append(y)
+            frontier = next_frontier
+
+    def attach(v: int) -> tuple[int, int]:
+        adjacent = ends[v] if v in ends else table[v]
+        keys = [(-weights[e.id], e.id, u) for e, u in adjacent if rounds.get(u) == 0]
+        if not keys:
+            if v not in rounds:
+                fallback_rounds()
+            before = rounds[v] - 1
+            keys = [(-weights[e.id], e.id, u) for e, u in adjacent if rounds.get(u) == before]
+        _, eid, u = min(keys)
+        return u, eid
+
+    tier = main[0]
+    for depth in count(1):
+        next_tier = list(main[depth]) if depth < len(main) else []
+        for u in tier:
+            for _, v in ends[u] if u in ends else table[u]:
+                if v in label:
+                    continue
+                if v not in found:
+                    found[v] = attach(v)
+                if found[v][0] == u:
+                    label[v] = depth
+                    parent[v] = found[v]
+                    next_tier.append(v)
+        if not next_tier:
+            return
+        yield next_tier
+        tier = next_tier
 
 
 def min_cycle_on_member(
@@ -242,23 +283,24 @@ def min_cycle_on_member(
 
     Two route trees of the given kind grow from the member's two ends with
     the member itself forbidden, expanding in lock-step tiers; the first
-    common node closes the cycle.  SRT trees grow only as far as that node;
-    SRTM trees are built whole, as the fallback can attach nodes below the
-    tier at which they meet.  With SRT trees the result has minimum length
-    among cycles through the member; SRTM trades length for weight.  With a
-    *mask*, the cycle is the one on the graph without the masked members.
+    common node closes the cycle.  Both kinds grow only as far as that
+    node: an SRTM runs its main phase in full first and attaches only the
+    stranded nodes of the tiers reached (``_srtm_tiers``), so the cycle is
+    the one two whole trees would give.  With SRT trees the result has
+    minimum length among cycles through the member; SRTM trades length for
+    weight.  With a *mask*, the cycle is the one on the graph without the
+    masked members.
     """
     if tree_kind not in (SRT, SRTM):
         raise ValueError(f"unknown tree kind '{tree_kind}'")
     m = graph.member(member_id)
     plain = _plain(graph, member_id, mask)
+    tree_a, tree_b = RouteTree(m.a, {}, {m.a: 0}), RouteTree(m.b, {}, {m.b: 0})
     if tree_kind == SRT:
-        tree_a, tree_b = RouteTree(m.a, {}, {m.a: 0}), RouteTree(m.b, {}, {m.b: 0})
         tiers_a, tiers_b = _grow(tree_a, plain), _grow(tree_b, plain)
     else:
         pruned = _pruned(graph, plain, mask)
-        tree_a, tree_b = (_srtm(graph, end, plain, pruned) for end in (m.a, m.b))
-        tiers_a, tiers_b = _tiers(tree_a), _tiers(tree_b)
+        tiers_a, tiers_b = (_srtm_tiers(graph, t, plain, pruned) for t in (tree_a, tree_b))
     meet = _first_common_node(tree_a.root, tiers_a, tree_b.root, tiers_b)
     if meet is None:
         raise NoCycleThroughMember(f"no cycle through member {member_id}")

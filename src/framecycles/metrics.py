@@ -101,7 +101,14 @@ class ConditionReport:
     precision: int = 16
 
 
+def check_precision(precision: int) -> None:
+    """Reject a machine that carries fewer than one digit."""
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+
+
 def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
+    check_precision(precision)
     pl_value = pl(G)
     (pn_value, pn_log), (pdet_value, pdet_log) = _determinants(G)
     return ConditionReport(

@@ -150,6 +150,27 @@ def _reference_srt(graph: WeightedGraph, root: int, forbidden: int):
 
 def _reference_srtm(graph: WeightedGraph, root: int, forbidden: int):
     """Complete weight-pruned route tree, averages recomputed at every node."""
+    label, parent = _reference_srtm_main(graph, root, forbidden)
+    while True:  # attach stranded nodes, rescanning the whole tree each round
+        attachable: dict[int, tuple[float, int, int]] = {}
+        for u in label:
+            for e, v in graph.adjacency[u]:
+                if e.id == forbidden or v in label:
+                    continue
+                key = (-graph.weight(e.id), e.id, u)
+                if v not in attachable or key < attachable[v]:
+                    attachable[v] = key
+        if not attachable:
+            break
+        for v in sorted(attachable):
+            _, eid, u = attachable[v]
+            label[v] = label[u] + 1
+            parent[v] = (u, eid)
+    return label, parent
+
+
+def _reference_srtm_main(graph: WeightedGraph, root: int, forbidden: int):
+    """The weight-pruned tree's main phase, before any stranded node is attached."""
     label = {root: 0}
     parent: dict[int, tuple[int, int]] = {}
     frontier = [root]
@@ -171,21 +192,6 @@ def _reference_srtm(graph: WeightedGraph, root: int, forbidden: int):
                 parent[v] = (u, e.id)
                 next_frontier.append(v)
         frontier = next_frontier
-    while True:  # attach stranded nodes, rescanning the whole tree each round
-        attachable: dict[int, tuple[float, int, int]] = {}
-        for u in label:
-            for e, v in graph.adjacency[u]:
-                if e.id == forbidden or v in label:
-                    continue
-                key = (-graph.weight(e.id), e.id, u)
-                if v not in attachable or key < attachable[v]:
-                    attachable[v] = key
-        if not attachable:
-            break
-        for v in sorted(attachable):
-            _, eid, u = attachable[v]
-            label[v] = label[u] + 1
-            parent[v] = (u, eid)
     return label, parent
 
 

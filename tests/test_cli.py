@@ -117,6 +117,21 @@ class TestCondition:
         assert "planar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["condition", "compare"])
+@pytest.mark.parametrize("model", ["grid:3x3", "grid3d:1x1x1"])
+@pytest.mark.parametrize("precision", ["0", "-5"])
+def test_precision_below_one_is_rejected_before_the_basis_is_built(
+    monkeypatch, capsys, command, model, precision
+):
+    calls = []
+    monkeypatch.setattr(cli.basis_mod, "generate_basis", lambda *args: calls.append(args))
+    assert main([command, model, "--precision", precision]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: precision must be >= 1, got {precision}\n"
+    assert calls == []
+
+
 class TestCompare:
     def test_table_and_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "out.csv"

@@ -1,5 +1,6 @@
 """Route trees, minimal cycles, and GF(2) independence machinery."""
 
+import itertools
 import random
 
 import pytest
@@ -14,13 +15,17 @@ from framecycles.cycles import (
     CycleVector,
     MemberMask,
     NoCycleThroughMember,
+    RouteTree,
     UnionSubgraph,
+    _plain,
+    _pruned,
+    _srtm_tiers,
     admissible_expansion,
     build_srt,
     build_srtm,
     min_cycle_on_member,
 )
-from framecycles.frames import generate_grid
+from framecycles.frames import generate_grid, generate_grid3d
 from framecycles.model import Edge, WeightedGraph, build_graph, cycle_rank
 
 
@@ -298,3 +303,82 @@ def test_masked_trees_match_the_masked_copy(seed, tied, data):
             ):
                 tree = build(g, end, forbidden=mid, mask=mask)
                 assert (tree.label, tree.parent) == reference(view, end, mid)
+
+
+#: Weights four orders of magnitude apart: pruning strands whole chains of
+#: nodes, so the fallback attaches some in its second round or later.
+CONTRAST_WEIGHTS = (0.01, 1.0, 100.0)
+
+
+def test_srtm_tiers_pulled_so_far_are_the_top_of_the_whole_tree():
+    """After any k tiers taken from ``_srtm_tiers``, the labels and parents
+    up to tier k are the reference tree's on a copy of the graph without the
+    masked members; nodes the tree holds below tier k (the main phase) agree
+    too.  Some examples attach a node in fallback round 2 or later."""
+    late_rounds = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def check(seed, data):
+        g = oracles.random_connected_graph(random.Random(seed), 40)
+        draw_weight = st.sampled_from(CONTRAST_WEIGHTS)
+        g = WeightedGraph(g.nodes, g.members, {mid: data.draw(draw_weight) for mid in g.member_ids()})
+        forbidden = data.draw(st.sampled_from(g.member_ids()))
+        others = [mid for mid in g.member_ids() if mid != forbidden]
+        mask = MemberMask(g)
+        for mid in data.draw(st.lists(st.sampled_from(others), unique=True, max_size=6)):
+            mask.add(mid)
+        e = g.member(forbidden)
+        root = data.draw(st.sampled_from((e.a, e.b)))
+        view = oracles.masked_graph(g, mask.members, keep=forbidden)
+        label, parent = oracles._reference_srtm(view, root, forbidden)
+        main, _ = oracles._reference_srtm_main(view, root, forbidden)
+        late_rounds.append(any(v not in main and u not in main for v, (u, _) in parent.items()))
+
+        tree = RouteTree(root, {}, {root: 0})
+        plain = _plain(g, forbidden, mask)
+        tiers = _srtm_tiers(g, tree, plain, _pruned(g, plain, mask))
+        k = data.draw(st.integers(0, max(label.values()) + 1))
+        pulled = list(itertools.islice(tiers, k))
+        assert [sorted(tier) for tier in pulled] == [
+            sorted(n for n, lbl in label.items() if lbl == j) for j in range(1, len(pulled) + 1)
+        ]
+        top = {n for n, lbl in label.items() if lbl <= k}
+        assert {n for n, lbl in tree.label.items() if lbl <= k} == top
+        assert {n: label[n] for n in tree.label} == tree.label
+        assert {n: parent[n] for n in tree.parent} == tree.parent
+        assert top - {root} <= set(tree.parent)
+
+    check()
+    assert any(late_rounds)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        generate_grid(8, 8, pattern="weak-columns"),
+        generate_grid(8, 8, pattern="checker"),
+        generate_grid3d(3, 3, 3, pattern="checker"),
+    ],
+    ids=["grid:8x8:weak-columns", "grid:8x8:checker", "grid3d:3x3x3:checker"],
+)
+def test_srtm_cycles_on_high_contrast_grids_match_the_reference(model):
+    """Every member's SRTM cycle on grids whose fallback runs many rounds is
+    the one from two whole reference trees, down to the weight's last bit.
+    A two-member tail, one light and one heavy, adds two bridges, which
+    raise in both."""
+    grid = build_graph(model)
+    top, last = max(grid.nodes), max(grid.member_ids())
+    tail = (Edge(last + 1, top, top + 1), Edge(last + 2, top + 1, top + 2))
+    light, heavy = min(grid.weights.values()) / 100, max(grid.weights.values()) * 100
+    weights = {**grid.weights, last + 1: light, last + 2: heavy}
+    g = WeightedGraph((*grid.nodes, top + 1, top + 2), grid.members + tail, weights)
+    for mid in g.member_ids():
+        expected = oracles.reference_min_cycle(g, mid, SRTM)
+        if expected is None:
+            with pytest.raises(NoCycleThroughMember):
+                min_cycle_on_member(g, mid, SRTM)
+            continue
+        cycle = min_cycle_on_member(g, mid, SRTM)
+        assert cycle.members == expected[0]
+        assert repr(cycle.weight) == repr(expected[1])

@@ -205,6 +205,12 @@ class TestChop:
             chop(1.0, 0)
 
 
+@pytest.mark.parametrize("precision", [0, -5])
+def test_condition_report_rejects_precision_below_one(precision):
+    with pytest.raises(ValueError, match=f"precision must be >= 1, got {precision}"):
+        condition_report(np.eye(3), precision)
+
+
 class TestChoppedGaussSolve:
     def test_exact_mode_recovers_solution(self):
         A, b, x = ill_conditioned_demo()
