@@ -227,16 +227,16 @@ def _srtm_tiers(
     table, ends = plain
     weights = graph.weights
     label, parent = tree.label, tree.parent
-    rounds = dict.fromkeys(label, 0)  # fallback round: L0, then all after the BFS
+    rounds = dict.fromkeys(label, 0)  # fallback round: 0 in L0; the rest after the BFS
     found: dict[int, tuple[int, int]] = {}  # stranded node -> its parent
 
     def fallback_rounds() -> None:
         """Every stranded node's round: one BFS out of L0 over *plain*."""
-        frontier = list(rounds)
+        frontier, r = list(rounds), 0
         while frontier:
             next_frontier = []
+            r += 1
             for x in frontier:
-                r = rounds[x] + 1
                 for _, y in ends[x] if x in ends else table[x]:
                     if y not in rounds:
                         rounds[y] = r
@@ -256,7 +256,7 @@ def _srtm_tiers(
 
     tier = main[0]
     for depth in count(1):
-        next_tier = list(main[depth]) if depth < len(main) else []
+        next_tier = main[depth] if depth < len(main) else []
         for u in tier:
             for _, v in ends[u] if u in ends else table[u]:
                 if v in label:
