@@ -21,7 +21,14 @@ from framecycles import basis as basis_mod
 from framecycles import force, frames, metrics, render
 from framecycles.basis import AlgorithmSpec, CycleBasis, adjacency_matrix, incidence_matrix
 from framecycles.force import assemble_g, build_b1, unassembled_flexibility
-from framecycles.model import ModelError, StructuralModel, build_graph, classify_members, cycle_rank
+from framecycles.model import (
+    ModelError,
+    StructuralModel,
+    build_graph,
+    check_alpha,
+    classify_members,
+    cycle_rank,
+)
 
 ALGORITHM_IDS = (1, 2, 3, 4, 5)
 BASELINE = "baseline"
@@ -218,6 +225,7 @@ def _one_algorithm(raw: str):
 
 
 def _analysis(args) -> Analysis:
+    check_alpha(args.alpha)
     model = load_or_generate(args.model)
     return Analysis(model, args.weight_variant, args.alpha, args.alg5_ordering)
 

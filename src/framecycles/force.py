@@ -168,12 +168,20 @@ def build_b1(model: StructuralModel, basis: CycleBasis) -> np.ndarray:
 
 
 def unassembled_flexibility(model: StructuralModel) -> np.ndarray:
-    """Fm as its (M, 3, 3) stack of cantilever blocks, in member-id order."""
+    """Fm as its (M, 3, 3) stack of cantilever blocks, in member-id order.
+
+    A block that overflows, say L/EA for a subnormal EA, is a ModelError.
+    """
     if model.ndim != 2:
         raise UnsupportedModel("numerical force method unsupported for 3D")
     members = sorted(model.members, key=lambda m: m.id)
     blocks = [member_flexibility(model.member_section(m), model.member_length(m)) for m in members]
-    return np.array(blocks, dtype=float).reshape(-1, 3, 3)
+    Fm = np.array(blocks, dtype=float).reshape(-1, 3, 3)
+    finite = np.isfinite(Fm).all(axis=(1, 2))
+    if not finite.all():
+        m = members[int(np.argmin(finite))]
+        raise ModelError(f"member {m.id}: flexibility is not finite (section '{m.section}')")
+    return Fm
 
 
 def _apply_flexibility(Fm: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -17,75 +17,30 @@ import numpy as np
 _SYMMETRY_TOL = 1e-12
 
 
-def _square(G: np.ndarray) -> np.ndarray:
+def eig_extremes(G: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues (min, max) of a symmetric positive definite matrix.
+
+    This is the one check of G: it must be a non-empty square matrix of
+    finite numbers, symmetric, with a positive diagonal and positive
+    eigenvalues; anything else is a ValueError.
+    """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
-    return G
-
-
-def _check_symmetric(G: np.ndarray) -> np.ndarray:
-    G = _square(G)
-    scale = float(np.max(np.abs(G))) or 1.0
+    if G.size == 0:
+        raise ValueError("G is empty: the frame has no cycles (b1 = 0)")
+    if not np.isfinite(G).all():
+        raise ValueError("matrix has a non-finite entry")
+    scale = float(np.max(np.abs(G)))
     if float(np.max(np.abs(G - G.T))) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
-    return G
-
-
-def eig_extremes(G: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues (min, max) of a symmetric positive definite matrix."""
-    G = _check_symmetric(G)
+    if np.any(np.diag(G) <= 0):
+        raise ValueError("not positive definite: matrix has a non-positive diagonal entry")
     eigvals = np.linalg.eigvalsh(G)
     lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
     if lam_min <= 0:
         raise ValueError("not positive definite")
     return lam_min, lam_max
-
-
-def pl(G: np.ndarray) -> float:
-    """log10 of the extreme eigenvalue ratio."""
-    lam_min, lam_max = eig_extremes(G)
-    return math.log10(lam_max / lam_min)
-
-
-def good_digits(pl_value: float, p: int = 16) -> float:
-    """Digits trustworthy in a solution on a machine carrying p digits: g = p - PL."""
-    return p - pl_value
-
-
-def pn(G: np.ndarray) -> float:
-    """Determinant of the row-normalized matrix (0 when it underflows)."""
-    return _determinants(G)[0][0]
-
-
-def pdet(G: np.ndarray) -> float:
-    """Determinant of D^-1/2 G D^-1/2 with D = diag(G) (0 when it underflows)."""
-    return _determinants(G)[1][0]
-
-
-def _determinants(G: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """PN and PDET of G, each as (determinant, log10 |determinant|).
-
-    Both scalings are diagonal, so each determinant is det G over the product
-    of its scale factors: the row norms for PN, the diagonal for PDET.  One
-    log-determinant of G serves both; a determinant that underflows is 0.
-    """
-    G = _square(G)
-    norms = np.linalg.norm(G, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("matrix has a zero row")
-    d = np.diag(G)
-    if np.any(d <= 0):
-        raise ValueError("matrix has a non-positive diagonal entry")
-    sign, logdet = np.linalg.slogdet(G)
-    if sign == 0:
-        return (0.0, -math.inf), (0.0, -math.inf)
-    out = []
-    for log_scale in (float(np.log(norms).sum()), float(np.log(d).sum())):
-        log_value = float(logdet) - log_scale
-        value = float(sign * math.exp(log_value)) if log_value > -745 else 0.0
-        out.append((value, log_value / math.log(10.0)))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -108,16 +63,31 @@ def check_precision(precision: int) -> None:
 
 
 def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
+    """PL, PN, PDET and the good digits p - PL of G on a machine carrying p digits.
+
+    PN and PDET scale G diagonally, so each determinant is det G over the
+    product of its scale factors: the row norms for PN, the diagonal for
+    PDET.  One log-determinant of G serves both; a determinant that
+    underflows is 0.
+    """
     check_precision(precision)
-    pl_value = pl(G)
-    (pn_value, pn_log), (pdet_value, pdet_log) = _determinants(G)
+    G = np.asarray(G, dtype=float)
+    lam_min, lam_max = eig_extremes(G)
+    pl = math.log10(lam_max / lam_min)
+    sign, logdet = np.linalg.slogdet(G)
+    values = []
+    for scales in (np.linalg.norm(G, axis=1), np.diag(G)):
+        log_value = float(logdet) - float(np.log(scales).sum())
+        value = float(sign * math.exp(log_value)) if log_value > -745 else 0.0
+        values += [value, log_value / math.log(10.0)]
+    pn, pn_log10, pdet, pdet_log10 = values
     return ConditionReport(
-        pl=pl_value,
-        pn=pn_value,
-        pn_log10=pn_log,
-        pdet=pdet_value,
-        pdet_log10=pdet_log,
-        good_digits=good_digits(pl_value, precision),
+        pl=pl,
+        pn=pn,
+        pn_log10=pn_log10,
+        pdet=pdet,
+        pdet_log10=pdet_log10,
+        good_digits=precision - pl,
         precision=precision,
     )
 

@@ -317,6 +317,12 @@ class AdmissibilityPartition:
     mean_weight: float
 
 
+def check_alpha(alpha: int) -> None:
+    """Reject an admissibility divisor below 1."""
+    if alpha < 1:
+        raise ModelError(f"alpha must be a positive integer, got {alpha}")
+
+
 def classify_members(graph: WeightedGraph, alpha: int = 2) -> AdmissibilityPartition:
     """Partition members by weight against the (1/alpha)-scaled mean weight.
 
@@ -325,8 +331,7 @@ def classify_members(graph: WeightedGraph, alpha: int = 2) -> AdmissibilityParti
     """
     if not graph.members:
         raise ModelError("graph has no members")
-    if alpha < 1:
-        raise ModelError(f"alpha must be a positive integer, got {alpha}")
+    check_alpha(alpha)
     mean = sum(graph.weights.values()) / len(graph.members)
     threshold = mean / alpha
     admissible = frozenset(e.id for e in graph.members if graph.weight(e.id) >= threshold)

@@ -323,3 +323,78 @@ class TestErrors:
     def test_zero_grid_size_reaches_the_generator(self, capsys):
         assert main(["cycles", "grid:0x1"]) == 1
         assert capsys.readouterr().err == "error: stories and spans must be >= 1\n"
+
+    @pytest.mark.parametrize("alpha", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("cycles", []),
+            ("force", ["--loads", "loads.json"]),
+            ("condition", []),
+            ("compare", ["--algorithms", "1,2,3,4"]),
+            ("render", ["--sparsity", "x.pbm", "--frame", "x.svg"]),
+        ],
+    )
+    def test_alpha_below_one_is_rejected_before_the_model_is_loaded(
+        self, tmp_path, monkeypatch, capsys, command, options, alpha
+    ):
+        write_load_case([(4, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
+        monkeypatch.chdir(tmp_path)
+        loaded = []
+        monkeypatch.setattr(cli, "load_or_generate", loaded.append)
+        assert main([command, "grid:2x2", "--alpha", alpha, *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: alpha must be a positive integer, got {alpha}\n"
+        assert captured.out == ""
+        assert loaded == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loads.json"]
+
+    @pytest.mark.parametrize("command", ["force", "condition", "compare"])
+    def test_member_flexibility_that_overflows_is_reported(self, tmp_path, capsys, command):
+        # E*A is subnormal, so the beam's L/EA is inf.
+        path = tmp_path / "frame.json"
+        assert main(["generate", "--stories", "1", "--spans", "1", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["sections"]["weak"] = {"A": 1e-300, "E": 1e-10, "I": 1.0}
+        doc["members"][2]["section"] = "weak"
+        path.write_text(json.dumps(doc))
+        write_load_case([(4, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
+        options = {"force": ["--loads", str(tmp_path / "loads.json")]}
+        capsys.readouterr()
+        assert main([command, str(path), *options.get(command, [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: member 3: flexibility is not finite (section 'weak')\n"
+        assert captured.out == ""
+
+
+class TestStaticallyDeterminateFrame:
+    """A cantilever column: b1 = 0, so there is no cycle and G is empty."""
+
+    @pytest.fixture
+    def frame(self, tmp_path):
+        path = tmp_path / "cantilever.json"
+        doc = {
+            "format_version": 1,
+            "dimensionality": 2,
+            "nodes": [{"id": 1, "coords": [0.0, 0.0]}, {"id": 2, "coords": [0.0, 3.0]}],
+            "members": [{"id": 1, "a": 1, "b": 2, "section": "s"}],
+            "sections": {"s": {"A": 0.0097, "I": 0.0001961, "E": 21000000.0}},
+            "supports": [{"node": 1, "kind": "fixed"}],
+        }
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["condition", "compare"])
+    def test_conditioning_says_g_is_empty(self, frame, capsys, command):
+        assert main([command, frame]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: G is empty: the frame has no cycles (b1 = 0)\n"
+        assert captured.out == ""
+
+    def test_force_prints_the_determinate_solution(self, frame, tmp_path, capsys):
+        loads = tmp_path / "loads.json"
+        write_load_case([(2, 10.0, 0.0, 0.0)], loads)
+        assert main(["force", frame, "--loads", str(loads)]) == 0
+        assert capsys.readouterr().out == (
+            "member  N  V  M\n1  0  10  -30\ncompatibility residual = 0\n"
+        )

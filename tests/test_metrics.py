@@ -18,11 +18,7 @@ from framecycles.metrics import (
     chopped_gauss_solve,
     condition_report,
     eig_extremes,
-    good_digits,
     ill_conditioned_demo,
-    pdet,
-    pl,
-    pn,
 )
 from framecycles.render import render_sparsity
 
@@ -58,44 +54,48 @@ class TestEigExtremes:
 
 class TestIndicators:
     def test_pl_of_scaled_identity(self):
-        assert pl(7.3 * np.eye(4)) == pytest.approx(0.0, abs=1e-12)
+        assert condition_report(7.3 * np.eye(4)).pl == pytest.approx(0.0, abs=1e-12)
 
     def test_pl_of_known_ratio(self):
-        assert pl(np.diag([1.0, 1000.0])) == pytest.approx(3.0)
+        assert condition_report(np.diag([1.0, 1000.0])).pl == pytest.approx(3.0)
 
     def test_good_digits(self):
-        assert good_digits(3.452154, p=8) == pytest.approx(4.547846)
-        assert good_digits(2.0) == pytest.approx(14.0)
+        G = np.diag([1.0, 10.0**3.452154])
+        assert condition_report(G, 8).good_digits == pytest.approx(4.547846)
+        assert condition_report(np.diag([1.0, 100.0])).good_digits == pytest.approx(14.0)
 
     def test_pn_identity(self):
-        assert pn(np.eye(5)) == pytest.approx(1.0)
+        assert condition_report(np.eye(5)).pn == pytest.approx(1.0)
 
     def test_pn_hand_value(self):
         # rows [1,1]/sqrt(2) and [1,2]/sqrt(5): det = 1/sqrt(10)
-        assert pn(np.array([[1.0, 1.0], [1.0, 2.0]])) == pytest.approx(
+        assert condition_report(np.array([[1.0, 1.0], [1.0, 2.0]])).pn == pytest.approx(
             1 / math.sqrt(10), abs=1e-12
         )
 
     def test_pdet_of_diagonal_is_one(self):
-        assert pdet(np.diag([3.0, 17.0, 0.25])) == pytest.approx(1.0)
+        assert condition_report(np.diag([3.0, 17.0, 0.25])).pdet == pytest.approx(1.0)
 
     def test_pdet_invariant_under_diagonal_scaling(self):
         rng = np.random.default_rng(3)
         G = oracles.random_spd(rng, 4)
         s = np.array([1.0, 10.0, 100.0, 0.01])
-        assert pdet(G * np.outer(s, s)) == pytest.approx(pdet(G), rel=1e-10)
+        assert condition_report(G * np.outer(s, s)).pdet == pytest.approx(
+            condition_report(G).pdet, rel=1e-10
+        )
 
     def test_pdet_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
-            pdet(np.array([[0.0, 1.0], [1.0, 2.0]]))
+            condition_report(np.array([[0.0, 1.0], [1.0, 2.0]]))
 
     def test_pn_rejects_nonpositive_diagonal(self):
         with pytest.raises(ValueError, match="non-positive diagonal"):
-            pn(np.array([[1.0, 2.0], [2.0, -1.0]]))
+            condition_report(np.array([[1.0, 2.0], [2.0, -1.0]]))
 
     def test_pn_rejects_zero_row(self):
-        with pytest.raises(ValueError, match="zero row"):
-            pn(np.array([[0.0, 0.0], [1.0, 2.0]]))
+        # A zero row has a zero diagonal entry, which the diagonal check rejects.
+        with pytest.raises(ValueError, match="non-positive diagonal"):
+            condition_report(np.array([[0.0, 0.0], [0.0, 2.0]]))
 
     def test_underflow_clamps_to_zero_with_finite_log(self):
         # (1-d)I + dJ with d ~ 1: det = (1-d)^(n-1) * (1 + (n-1)d)
@@ -107,7 +107,7 @@ class TestIndicators:
         assert math.isfinite(log10)
         expected = (n - 1) * math.log10(1 - d) + math.log10(1 + (n - 1) * d)
         assert log10 == pytest.approx(expected, rel=1e-6)
-        assert pn(G) == 0.0
+        assert report.pn == 0.0
 
     def test_log10_matches_value_when_not_underflowed(self):
         G = np.array([[1.0, 1.0], [1.0, 2.0]])
@@ -169,7 +169,7 @@ def test_determinants_match_the_explicitly_scaled_copies(G):
     report = condition_report(G)
     assert report.pn_log10 == pytest.approx(ref_pn_log, abs=1e-8)
     assert report.pdet_log10 == pytest.approx(ref_pdet_log, abs=1e-8)
-    for value, ref in ((pn(G), ref_pn), (pdet(G), ref_pdet)):
+    for value, ref in ((report.pn, ref_pn), (report.pdet, ref_pdet)):
         if value != 0.0:
             assert value == pytest.approx(ref, rel=1e-7)
 
@@ -203,6 +203,19 @@ class TestChop:
     def test_rejects_nonpositive_digit_budget(self):
         with pytest.raises(ValueError, match="digit budget"):
             chop(1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_condition_report_rejects_a_non_finite_entry(bad):
+    G = np.eye(3)
+    G[1, 2] = G[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        condition_report(G)
+
+
+def test_condition_report_rejects_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"G is empty.*b1 = 0"):
+        condition_report(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("precision", [0, -5])
