@@ -15,15 +15,18 @@ through the ground node: the wrench then enters and leaves via support
 reactions, which keeps every free node in equilibrium.
 
 Fm is block diagonal, so it is kept as its (M, 3, 3) stack of member
-blocks and applied block by block.  G is the sum over members m of
-B1_m' F_m B1_m, where B1_m holds member m's rows restricted to the cycles
-through m; only cycle pairs that share a member get a block, which is the
-nonzero pattern of the cycle adjacency matrix D.  So ``render`` draws this
-block pattern from D and builds no G.
+blocks and applied block by block.  B1 is kept as its nonzero (member,
+cycle) 3x3 blocks, one per member of each cycle, and is applied block by
+block too; no dense 3M x 3b1 array is built.  G is the sum over members m
+of B1_m' F_m B1_m, where B1_m holds member m's blocks on the cycles through
+m; only cycle pairs that share a member get a block, which is the nonzero
+pattern of the cycle adjacency matrix D.  So ``render`` draws this block
+pattern from D and builds no G.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +55,14 @@ def member_flexibility(section: Section, length: float) -> np.ndarray:
         raise ModelError(f"member length must be positive, got {length}")
     EA = section.E * section.A
     EI = section.E * section.I
+    try:
+        cube = length**3
+    except OverflowError:  # a Python float power raises where numpy gives inf
+        cube = math.inf
     return np.array(
         [
             [length / EA, 0.0, 0.0],
-            [0.0, length**3 / (3.0 * EI), length**2 / (2.0 * EI)],
+            [0.0, cube / (3.0 * EI), length**2 / (2.0 * EI)],
             [0.0, length**2 / (2.0 * EI), length / EI],
         ]
     )
@@ -146,8 +153,46 @@ def _order_cycle_walk(graph: WeightedGraph, cycle: CycleVector) -> list[tuple[in
     return walk
 
 
-def build_b1(model: StructuralModel, basis: CycleBasis) -> np.ndarray:
-    """Self-stress matrix: three unit bi-action columns per basis cycle."""
+@dataclass(frozen=True)
+class B1Blocks:
+    """The self-stress matrix B1 as its nonzero 3x3 blocks, sorted by (member row, cycle).
+
+    Block k fills rows 3 rows[k] .. 3 rows[k] + 2 and columns 3 cycles[k] ..
+    3 cycles[k] + 2 of the 3M x 3b1 matrix: member rows[k]'s stored
+    (N, V, section moment at a), one column per unit wrench of cycle
+    cycles[k].  A simple cycle passes a member once, so each (member, cycle)
+    pair has at most one block.
+    """
+
+    rows: np.ndarray  # (K,) member rows, ascending
+    cycles: np.ndarray  # (K,) cycles, ascending within a member
+    blocks: np.ndarray  # (K, 3, 3): stored component x unit wrench
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.cycles.nbytes + self.blocks.nbytes
+
+    def matvec(self, q: np.ndarray) -> np.ndarray:
+        """B1 q, block by block."""
+        parts = np.einsum("kaw,kw->ka", self.blocks, q.reshape(-1, 3)[self.cycles])
+        return _sum_triples(self.rows, parts, self.shape[0] // 3)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """B1' x, block by block."""
+        parts = np.einsum("kaw,ka->kw", self.blocks, x.reshape(-1, 3)[self.rows])
+        return _sum_triples(self.cycles, parts, self.shape[1] // 3)
+
+
+def _sum_triples(index: np.ndarray, parts: np.ndarray, n: int) -> np.ndarray:
+    """Length-3n vector whose triple i sums the rows of *parts* where index == i."""
+    out = np.zeros((n, 3))
+    np.add.at(out, index, parts)
+    return out.ravel()
+
+
+def build_b1(model: StructuralModel, basis: CycleBasis) -> B1Blocks:
+    """Self-stress matrix: three unit bi-action columns per basis cycle, as blocks."""
     geo = _geometry(model)
     graph = basis.graph
     rows, signs, cycle_of = [], [], []
@@ -162,9 +207,9 @@ def build_b1(model: StructuralModel, basis: CycleBasis) -> np.ndarray:
     # Per step: the generator's axial, shear and zero force, through its "a" end.
     forces = np.stack((geo.ex[cut], geo.ey[cut], np.zeros((len(cut), 2))), axis=1)
     blocks = _carry(geo, rows, np.array(signs), geo.ra[cut], forces, _CUT_COUPLES)
-    B1 = np.zeros((3 * len(geo.row), 3 * len(basis.cycles)))
-    B1[(3 * rows)[:, None, None] + _XYZ[:, None], (3 * cycle_of)[:, None, None] + _XYZ] = blocks
-    return B1
+    order = np.lexsort((cycle_of, rows))
+    shape = (3 * len(geo.row), 3 * len(basis.cycles))
+    return B1Blocks(rows[order], cycle_of[order], blocks[order], shape)
 
 
 def unassembled_flexibility(model: StructuralModel) -> np.ndarray:
@@ -189,28 +234,25 @@ def _apply_flexibility(Fm: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("mab,mb->ma", Fm, r.reshape(len(Fm), 3)).ravel()
 
 
-def assemble_g(B1: np.ndarray, Fm: np.ndarray) -> np.ndarray:
+def assemble_g(B1: B1Blocks, Fm: np.ndarray) -> np.ndarray:
     """G = B1' Fm B1 from member blocks, symmetrized; positive definiteness is verified.
 
-    Member m adds B1_m' F_m B1_m on the cycles through it, which are the
-    nonzero 3x3 blocks of its rows in B1.  Members through the same number
-    of cycles are summed as one batch.
+    Member m adds B1_m' F_m B1_m on the cycles through it, which are its
+    run of blocks in B1.  Members through the same number of cycles are
+    summed as one batch.
     """
     if Fm.shape != (B1.shape[0] // 3, 3, 3):
         raise ValueError(f"Fm of shape {Fm.shape} does not match B1 of shape {B1.shape}")
     n = B1.shape[1]
-    # (member, cycle): the cycle passes through it.  Two single-axis
-    # reductions run much faster than one over axes (1, 3).
-    through = (B1 != 0).reshape(len(Fm), 3, n).any(axis=1)
-    through = through.reshape(len(Fm), n // 3, 3).any(axis=2)
-    counts = through.sum(axis=1)
+    counts = np.bincount(B1.rows, minlength=len(Fm))
+    starts = np.cumsum(counts) - counts
     G = np.zeros((n, n))
     flat = G.reshape(-1)
     for k in np.unique(counts[counts > 0]):
         members = np.flatnonzero(counts == k)
-        cycles = np.nonzero(through[members])[1].reshape(len(members), k)
-        cols = (3 * cycles[:, :, None] + _XYZ).reshape(len(members), 3 * k)
-        Bm = B1[(3 * members)[:, None, None] + _XYZ[:, None], cols[:, None, :]]
+        runs = starts[members][:, None] + np.arange(k)
+        cols = (3 * B1.cycles[runs][:, :, None] + _XYZ).reshape(len(members), 3 * k)
+        Bm = B1.blocks[runs].transpose(0, 2, 1, 3).reshape(len(members), 3, 3 * k)
         # Two members of a batch can share a cycle pair: add.at sums repeats.
         targets = n * cols[:, :, None] + cols[:, None, :]
         np.add.at(flat, targets.ravel(), (Bm.transpose(0, 2, 1) @ (Fm[members] @ Bm)).ravel())
@@ -304,12 +346,11 @@ def solve_force_method(
     wrenches = np.array(wrenches, dtype=float).reshape(-1, 1, 3)
     points = np.array(points, dtype=float).reshape(-1, 2)
     blocks = _carry(geo, rows, np.array(signs), points, wrenches[..., :2], wrenches[..., 2])
-    r0 = np.zeros(3 * len(member_order))
-    # Loads on one branch of the tree share its members: add.at sums repeats.
-    np.add.at(r0, (3 * rows)[:, None] + _XYZ, blocks[:, :, 0])
-    rhs = B1.T @ _apply_flexibility(Fm, r0)
+    # Loads on one branch of the tree share its members, whose forces add up.
+    r0 = _sum_triples(rows, blocks[:, :, 0], len(member_order))
+    rhs = B1.rmatvec(_apply_flexibility(Fm, r0))
     q = -np.linalg.solve(G, rhs)
-    r = r0 + B1 @ q
-    incompat = B1.T @ _apply_flexibility(Fm, r)
+    r = r0 + B1.matvec(q)
+    incompat = B1.rmatvec(_apply_flexibility(Fm, r))
     scale = float(np.linalg.norm(rhs)) or 1.0
     return ForceSolution(member_order, q, r, float(np.linalg.norm(incompat)) / scale)

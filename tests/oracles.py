@@ -9,8 +9,8 @@ constructions, kept as references for the faster ones that replaced them:
 the eager cycle construction (two complete route trees and a lock-step
 search that rescans every label per tier), algorithm 5's masked graph copy
 (a new graph without the masked members), the dense force-method products
-(a 3M x 3M block-diagonal Fm and G = B1' Fm B1), the per-member,
-per-wrench B1 builder, the explicitly scaled copies of G behind PN and PDET
+(a 3M x 3M block-diagonal Fm, B1 scattered from its blocks and
+G = B1' Fm B1), the per-member, per-wrench B1 builder, the explicitly scaled copies of G behind PN and PDET
 and the block-by-block sparsity raster.
 """
 
@@ -446,6 +446,14 @@ def dense_flexibility(model) -> np.ndarray:
         block = member_flexibility(model.member_section(m), model.member_length(m))
         Fm[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = block
     return Fm
+
+
+def dense_b1(B1) -> np.ndarray:
+    """The 3M x 3b1 matrix of a ``force.B1Blocks``, scattered one block at a time."""
+    dense = np.zeros(B1.shape)
+    for row, cycle, block in zip(B1.rows, B1.cycles, B1.blocks):
+        dense[3 * row : 3 * row + 3, 3 * cycle : 3 * cycle + 3] = block
+    return dense
 
 
 def dense_g(B1: np.ndarray, Fm_dense: np.ndarray) -> np.ndarray:

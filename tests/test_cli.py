@@ -366,6 +366,24 @@ class TestErrors:
         assert captured.err == "error: member 3: flexibility is not finite (section 'weak')\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["cycles", "condition", "force"])
+    def test_member_whose_length_cubed_overflows_is_reported(self, tmp_path, capsys, command):
+        # Lengths of 3e103 m: L**3 overflows a float in the member weight.
+        path = tmp_path / "frame.json"
+        assert main(["generate", "--stories", "1", "--spans", "1", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        for node in doc["nodes"]:
+            node["coords"] = [1e103 * c for c in node["coords"]]
+        path.write_text(json.dumps(doc))
+        write_load_case([(4, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
+        options = {"force": ["--loads", str(tmp_path / "loads.json")]}
+        capsys.readouterr()
+        assert main([command, str(path), *options.get(command, [])]) == 1
+        captured = capsys.readouterr()
+        first = doc["members"][0]["id"]
+        assert captured.err == f"error: member {first} is too long: its length cubed overflows\n"
+        assert captured.out == ""
+
 
 class TestStaticallyDeterminateFrame:
     """A cantilever column: b1 = 0, so there is no cycle and G is empty."""

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ class TestMemberFlexibility:
         with pytest.raises(ModelError):
             member_flexibility(HEAVY_SECTION, 0.0)
 
+    def test_length_cubed_that_overflows_is_reported(self):
+        """L**3 overflows a float for L = 3e103: the block reads inf, and Fm
+        names the member rather than letting OverflowError out."""
+        assert member_flexibility(HEAVY_SECTION, 3e103)[1, 1] == np.inf
+        model = generate_grid(1, 1, bay=3e103, height=3e103)
+        first = min(m.id for m in model.members)
+        with pytest.raises(ModelError, match=f"member {first}: flexibility is not finite"):
+            unassembled_flexibility(model)
+
     def test_fm_is_block_diagonal(self):
         """One cantilever block per member in id order; assembled, they are
         the diagonal blocks of an otherwise zero 3M x 3M matrix."""
@@ -73,7 +83,7 @@ class TestB1:
     @pytest.mark.parametrize("stories,spans", [(1, 1), (2, 2), (3, 3)])
     def test_columns_are_self_equilibrating(self, stories, spans):
         model = generate_grid(stories, spans)
-        B1 = build_b1(model, basis_for(model))
+        B1 = oracles.dense_b1(build_b1(model, basis_for(model)))
         for j in range(B1.shape[1]):
             assert nodal_equilibrium_residual(model, B1[:, j]) < 1e-12
 
@@ -89,6 +99,22 @@ class TestB1:
         basis = generate_basis(graph, AlgorithmSpec.for_id(1))
         with pytest.raises(UnsupportedModel):
             build_b1(model, basis)
+
+    def test_solve_holds_no_dense_b1(self):
+        """The solve's peak traced memory on the 15x15 checker grid with ten
+        loaded nodes stays below a dense 3M x 3b1 B1 plus one G."""
+        model = generate_grid(15, 15, pattern="checker")
+        basis = Analysis(model).basis("baseline")
+        free = sorted(n.id for n in model.nodes if n.id not in set(model.supports))
+        loads = [(free[37 * i % len(free)], 10.0 * (i + 1), -5.0 * i, 2.0) for i in range(10)]
+        tracemalloc.start()
+        try:
+            solve_force_method(model, basis, loads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m, n = 3 * len(model.members), 3 * len(basis)
+        assert peak < 8 * (m * n + n * n)
 
 
 class TestB0:
@@ -224,11 +250,12 @@ def test_block_structured_force_layer_matches_dense_references(model):
     analysis = Analysis(model)
     for algorithm in (1, 2, 3, 4, 5, "baseline"):
         basis = analysis.basis(algorithm)
-        B1 = build_b1(model, basis)
+        blocks = build_b1(model, basis)
+        B1 = oracles.dense_b1(blocks)
         reference_b1 = oracles.reference_b1(model, basis)
         assert np.all(np.abs(B1 - reference_b1) <= 1e-14 * np.max(np.abs(reference_b1), axis=0))
 
-        G = assemble_g(B1, Fm)
+        G = assemble_g(blocks, Fm)
         dense = oracles.dense_g(reference_b1, dense_fm)
         assert np.max(np.abs(G - dense)) <= 1e-12 * np.max(np.abs(dense))
         D = adjacency_matrix(incidence_matrix(basis)).D
@@ -238,6 +265,32 @@ def test_block_structured_force_layer_matches_dense_references(model):
 
         assert _rendered(D) == pattern
         assert _rendered(G) == oracles.reference_sparsity_pbm(G)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(planar_grids(), st.integers(0, 2**32 - 1))
+def test_b1_blocks_act_as_the_dense_reference(model, seed):
+    """B1 q, B1' x and the scattered blocks agree with the one-wrench-at-a-time
+    reference B1 for every algorithm; the blocks are sorted by (member row,
+    cycle), one per pair, and nbytes counts their three arrays."""
+    rng = np.random.default_rng(seed)
+    analysis = Analysis(model)
+    for algorithm in (1, 2, 3, 4, 5, "baseline"):
+        basis = analysis.basis(algorithm)
+        B1 = build_b1(model, basis)
+        reference = oracles.reference_b1(model, basis)
+        assert B1.shape == reference.shape
+        dense = oracles.dense_b1(B1)
+        assert np.all(np.abs(dense - reference) <= 1e-14 * np.max(np.abs(reference), axis=0))
+        assert np.all(np.diff(B1.rows * B1.shape[1] + B1.cycles) > 0)
+        assert B1.nbytes == B1.rows.nbytes + B1.cycles.nbytes + B1.blocks.nbytes
+
+        q = rng.standard_normal(B1.shape[1])
+        x = rng.standard_normal(B1.shape[0])
+        bound_q = 1e-13 * (np.abs(reference) @ np.abs(q))
+        bound_x = 1e-13 * (np.abs(reference).T @ np.abs(x))
+        assert np.all(np.abs(B1.matvec(q) - reference @ q) <= bound_q)
+        assert np.all(np.abs(B1.rmatvec(x) - reference.T @ x) <= bound_x)
 
 
 @st.composite
