@@ -21,7 +21,8 @@ block too; no dense 3M x 3b1 array is built.  G is the sum over members m
 of B1_m' F_m B1_m, where B1_m holds member m's blocks on the cycles through
 m; only cycle pairs that share a member get a block, which is the nonzero
 pattern of the cycle adjacency matrix D.  So ``render`` draws this block
-pattern from D and builds no G.
+pattern from D and builds no G.  ``assemble_g`` factors nothing; the solve
+tests G with a Cholesky factorisation and raises RankDeficientBasis.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def _apply_flexibility(Fm: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def assemble_g(B1: B1Blocks, Fm: np.ndarray) -> np.ndarray:
-    """G = B1' Fm B1 from member blocks, symmetrized; positive definiteness is verified.
+    """G = B1' Fm B1 from member blocks, symmetrized and not factored.
 
     Member m adds B1_m' F_m B1_m on the cycles through it, which are its
     run of blocks in B1.  Members through the same number of cycles are
@@ -258,11 +259,15 @@ def assemble_g(B1: B1Blocks, Fm: np.ndarray) -> np.ndarray:
         np.add.at(flat, targets.ravel(), (Bm.transpose(0, 2, 1) @ (Fm[members] @ Bm)).ravel())
     G += G.T
     G *= 0.5
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientBasis("rank-deficient statical basis") from exc
     return G
+
+
+def _check_load_node(node: int, supported: set[int], free: dict[int, object]) -> None:
+    """A nodal load must act on one of the *free* nodes, not on a *supported* one."""
+    if node in supported:
+        raise ModelError(f"load on supported node {node} is rejected")
+    if node not in free:
+        raise ModelError(f"load on unknown node {node}")
 
 
 @dataclass
@@ -300,9 +305,9 @@ def nodal_equilibrium_residual(
             residual[m.a] += np.array([-f_a[0], -f_a[1], -m_a])
         if m.b in residual:
             residual[m.b] += np.array([-f_b[0], -f_b[1], -m_b])
-    if loads:
-        for (node, dof), value in loads.items():
-            residual[node][dof] += value
+    for (node, dof), value in (loads or {}).items():
+        _check_load_node(node, supported, residual)
+        residual[node][dof] += value
     worst = max((float(np.max(np.abs(v))) for v in residual.values()), default=0.0)
     scale = float(np.max(np.abs(column))) or 1.0
     return worst / scale
@@ -322,18 +327,19 @@ def solve_force_method(
     Fm = unassembled_flexibility(model)
     B1 = build_b1(model, basis)
     G = assemble_g(B1, Fm)
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficientBasis("rank-deficient statical basis") from exc
     graph = basis.graph
     if graph.ground is None:
         raise ModelError("particular solution requires a grounded graph")
     geo = _geometry(model)
     tree = build_srt(graph, graph.ground)
-    supported = set(model.supports)
+    supported = {graph.ground, *model.supports}
     rows, signs, points, wrenches = [], [], [], []
     for node, fx, fy, mz in load_case:
-        if node == graph.ground or node in supported:
-            raise ModelError(f"load on supported node {node} is rejected")
-        if node not in tree.parent:
-            raise ModelError(f"load on unknown node {node}")
+        _check_load_node(node, supported, tree.parent)
         current = node
         for mid in tree.path_members(node):
             e = graph.member(mid)
@@ -345,9 +351,12 @@ def solve_force_method(
     rows = np.array(rows, dtype=int)
     wrenches = np.array(wrenches, dtype=float).reshape(-1, 1, 3)
     points = np.array(points, dtype=float).reshape(-1, 2)
-    blocks = _carry(geo, rows, np.array(signs), points, wrenches[..., :2], wrenches[..., 2])
-    # Loads on one branch of the tree share its members, whose forces add up.
-    r0 = _sum_triples(rows, blocks[:, :, 0], len(member_order))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        blocks = _carry(geo, rows, np.array(signs), points, wrenches[..., :2], wrenches[..., 2])
+        # Loads on one branch of the tree share its members, whose forces add up.
+        r0 = _sum_triples(rows, blocks[:, :, 0], len(member_order))
+    if not np.isfinite(r0).all():
+        raise ModelError("the loads overflow: their particular member forces are not finite")
     rhs = B1.rmatvec(_apply_flexibility(Fm, r0))
     q = -np.linalg.solve(G, rhs)
     r = r0 + B1.matvec(q)

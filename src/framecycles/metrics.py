@@ -3,13 +3,16 @@
 Three conditioning indicators are reported per flexibility matrix: PL, the
 base-10 log of the extreme eigenvalue ratio; PN, the determinant of the
 row-normalized matrix; and PDET, the determinant after symmetric diagonal
-scaling.  PN and PDET underflow quickly for large matrices, so their
-base-10 log-determinants are carried alongside the clamped values.
+scaling.  Both determinants come from log det G, read off the Cholesky
+factor that is also G's positive-definiteness test.  They underflow quickly
+for large matrices, so their base-10 logs are carried alongside the clamped
+values.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +23,8 @@ _SYMMETRY_TOL = 1e-12
 def eig_extremes(G: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues (min, max) of a symmetric positive definite matrix.
 
-    This is the one check of G: it must be a non-empty square matrix of
-    finite numbers, symmetric, with a positive diagonal and positive
+    It checks G before any other use: it must be a non-empty square matrix
+    of finite numbers, symmetric, with a positive diagonal and positive
     eigenvalues; anything else is a ValueError.
     """
     G = np.asarray(G, dtype=float)
@@ -57,9 +60,11 @@ class ConditionReport:
 
 
 def check_precision(precision: int) -> None:
-    """Reject a machine that carries fewer than one digit."""
+    """Reject a machine that carries fewer than one digit, or more than a float holds."""
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
+    if precision > sys.float_info.max:
+        raise ValueError(f"precision must be at most {sys.float_info.max:g}")
 
 
 def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
@@ -67,29 +72,24 @@ def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
 
     PN and PDET scale G diagonally, so each determinant is det G over the
     product of its scale factors: the row norms for PN, the diagonal for
-    PDET.  One log-determinant of G serves both; a determinant that
-    underflows is 0.
+    PDET.  One log-determinant of G, 2 sum log diag L from G = L L', serves
+    both; a determinant that underflows is 0.
     """
     check_precision(precision)
     G = np.asarray(G, dtype=float)
     lam_min, lam_max = eig_extremes(G)
     pl = math.log10(lam_max / lam_min)
-    sign, logdet = np.linalg.slogdet(G)
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("not positive definite") from exc
+    logdet = 2.0 * float(np.log(np.diag(L)).sum())
     values = []
     for scales in (np.linalg.norm(G, axis=1), np.diag(G)):
-        log_value = float(logdet) - float(np.log(scales).sum())
-        value = float(sign * math.exp(log_value)) if log_value > -745 else 0.0
+        log_value = logdet - float(np.log(scales).sum())
+        value = math.exp(log_value) if log_value > -745 else 0.0
         values += [value, log_value / math.log(10.0)]
-    pn, pn_log10, pdet, pdet_log10 = values
-    return ConditionReport(
-        pl=pl,
-        pn=pn,
-        pn_log10=pn_log10,
-        pdet=pdet,
-        pdet_log10=pdet_log10,
-        good_digits=precision - pl,
-        precision=precision,
-    )
+    return ConditionReport(pl, *values, good_digits=precision - pl, precision=precision)
 
 
 # --- chopped decimal arithmetic -------------------------------------------

@@ -10,6 +10,7 @@ and every member carries a stiffness-derived weight.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -321,9 +322,11 @@ class AdmissibilityPartition:
 
 
 def check_alpha(alpha: int) -> None:
-    """Reject an admissibility divisor below 1."""
+    """Reject an admissibility divisor below 1 or too large to divide a float."""
     if alpha < 1:
         raise ModelError(f"alpha must be a positive integer, got {alpha}")
+    if alpha > sys.float_info.max:
+        raise ModelError(f"alpha must be at most {sys.float_info.max:g}")
 
 
 def classify_members(graph: WeightedGraph, alpha: int = 2) -> AdmissibilityPartition:

@@ -1,7 +1,9 @@
 """Command-line interface behavior, exercised through main(argv)."""
 
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from framecycles import cli
@@ -383,6 +385,72 @@ class TestErrors:
         first = doc["members"][0]["id"]
         assert captured.err == f"error: member {first} is too long: its length cubed overflows\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cycles", "grid:2x2", "--algorithm", "5", "--alpha", "1" + "0" * 400],
+            ["condition", "grid:2x2", "--precision", str(10**400)],
+            ["compare", "grid:2x2", "--algorithms", "1", "--precision", str(10**400)],
+        ],
+        ids=["cycles-alpha", "condition-precision", "compare-precision"],
+    )
+    def test_option_too_large_for_a_float_is_reported(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "must be at most 1.79769e+308" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_loads_whose_forces_overflow_are_reported(self, tmp_path, capsys, count):
+        # One fx = 1e308 overflows its moment; two overflow their sum.
+        loads = tmp_path / "loads.json"
+        write_load_case([(3, 1e308, 0.0, 0.0)] * count, loads)
+        assert main(["force", "grid:1x1", "--loads", str(loads)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the loads overflow: their particular member forces are not finite\n"
+        )
+        assert captured.out == ""
+
+
+#: numpy.linalg functions that factor or decompose a matrix.
+_FACTORISATIONS = "cholesky det eig eigh eigvals eigvalsh inv lstsq pinv qr slogdet solve svd"
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["condition", "grid:4x4:checker"], {"cholesky": 1, "eigvalsh": 1}),
+        (
+            ["compare", "grid:4x4:checker", "--algorithms", "1,3,baseline"],
+            {"cholesky": 3, "eigvalsh": 3},
+        ),
+        (["force", "grid:4x4:checker", "--loads", "loads.json"], {"cholesky": 1, "solve": 1}),
+        (["render", "grid:4x4:checker", "--block", "--sparsity", "g.pbm"], {}),
+    ],
+    ids=["condition", "compare", "force", "render-block"],
+)
+def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, capsys, argv, expected):
+    """G is factored only by the consumer that uses the factorisation:
+    condition_report's Cholesky gives log det and is its SPD test, and
+    the force solve's Cholesky is its SPD test; nothing runs slogdet."""
+    write_load_case([(6, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
+    monkeypatch.chdir(tmp_path)
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in _FACTORISATIONS.split():
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    assert main(argv) == 0
+    assert dict(calls) == expected
 
 
 class TestStaticallyDeterminateFrame:

@@ -29,6 +29,7 @@ from framecycles.force import (
 )
 from framecycles.cli import Analysis
 from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid, generate_grid3d
+from framecycles.metrics import condition_report
 from framecycles.model import FrameNode, ModelError, StructuralModel, build_graph
 from framecycles.render import render_sparsity
 
@@ -162,11 +163,15 @@ class TestAssembleG:
                 assert (np.max(np.abs(block)) > 0) == (D[i, j] != 0)
 
     def test_dependent_basis_rejected(self):
+        """assemble_g factors nothing; each consumer's own factorisation rejects G."""
         model = generate_grid(1, 1)
         basis = basis_for(model)
         doubled = CycleBasis(basis.cycles * 2, basis.graph, basis.algorithm)
         with pytest.raises(RankDeficientBasis):
-            assemble_g(build_b1(model, doubled), unassembled_flexibility(model))
+            solve_force_method(model, doubled, [(3, 1.0, 0.0, 0.0)])
+        G = assemble_g(build_b1(model, doubled), unassembled_flexibility(model))
+        with pytest.raises(ValueError, match="not positive definite"):
+            condition_report(G)
 
 
 class TestSolve:
@@ -206,6 +211,17 @@ class TestSolve:
         assert not np.any(solution.q)
         assert not np.any(solution.r)
         assert solution.compatibility_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "node,message",
+        [(1, "load on supported node 1 is rejected"), (99, "load on unknown node 99")],
+    )
+    def test_equilibrium_residual_rejects_what_the_solve_rejects(self, node, message):
+        model = generate_grid(1, 1)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            solve_force_method(model, basis_for(model), [(node, 1.0, 0.0, 0.0)])
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            nodal_equilibrium_residual(model, np.zeros(3 * len(model.members)), {(node, 0): 1.0})
 
     def test_3d_equilibrium_residual_rejected(self):
         model = generate_grid3d(1, 1, 1)

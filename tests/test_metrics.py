@@ -224,6 +224,11 @@ def test_condition_report_rejects_precision_below_one(precision):
         condition_report(np.eye(3), precision)
 
 
+def test_condition_report_rejects_precision_beyond_a_float():
+    with pytest.raises(ValueError, match=r"precision must be at most 1\.79769e\+308"):
+        condition_report(np.eye(3), 10**400)
+
+
 class TestChoppedGaussSolve:
     def test_exact_mode_recovers_solution(self):
         A, b, x = ill_conditioned_demo()

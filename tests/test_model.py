@@ -230,3 +230,8 @@ class TestClassifyMembers:
         g = build_graph(generate_grid(1, 1))
         with pytest.raises(ModelError, match="alpha"):
             classify_members(g, alpha=0)
+
+    def test_alpha_beyond_a_float_is_rejected(self):
+        g = build_graph(generate_grid(1, 1))
+        with pytest.raises(ModelError, match=r"alpha must be at most 1\.79769e\+308"):
+            classify_members(g, alpha=10**400)
