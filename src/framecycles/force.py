@@ -307,6 +307,8 @@ def nodal_equilibrium_residual(
             residual[m.b] += np.array([-f_b[0], -f_b[1], -m_b])
     for (node, dof), value in (loads or {}).items():
         _check_load_node(node, supported, residual)
+        if dof not in (0, 1, 2):
+            raise ModelError(f"load on node {node}: dof must be 0, 1 or 2, got {dof!r}")
         residual[node][dof] += value
     worst = max((float(np.max(np.abs(v))) for v in residual.values()), default=0.0)
     scale = float(np.max(np.abs(column))) or 1.0
@@ -361,5 +363,8 @@ def solve_force_method(
     q = -np.linalg.solve(G, rhs)
     r = r0 + B1.matvec(q)
     incompat = B1.rmatvec(_apply_flexibility(Fm, r))
-    scale = float(np.linalg.norm(rhs)) or 1.0
-    return ForceSolution(member_order, q, r, float(np.linalg.norm(incompat)) / scale)
+    # Divide both by rhs's largest entry first: a norm squares them, and huge
+    # finite entries would square to inf.
+    unit = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
+    scale = float(np.linalg.norm(rhs / unit)) or 1.0
+    return ForceSolution(member_order, q, r, float(np.linalg.norm(incompat / unit)) / scale)

@@ -145,18 +145,6 @@ def parse_load_case(path) -> list[tuple[int, float, float, float]]:
     return loads
 
 
-def write_load_case(loads: list[tuple[int, float, float, float]], path) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "loads": [
-            {"node": n, "fx": fx, "fy": fy, "mz": mz} for n, fx, fy, mz in loads
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _section_for(pattern: str, is_beam: bool, story: int, index: int) -> str:
     if pattern == "homogeneous":
         return "heavy"

@@ -46,9 +46,10 @@ import sys
 import tempfile
 
 import oracles
+from oracles import write_load_case
 from framecycles.basis import AlgorithmSpec, baseline_tree_basis, generate_basis
 from framecycles.cli import main as cli_main
-from framecycles.frames import PATTERNS, generate_grid, generate_grid3d, write_load_case
+from framecycles.frames import PATTERNS, generate_grid, generate_grid3d
 from framecycles.model import build_graph, classify_members
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")

@@ -12,15 +12,23 @@ search that rescans every label per tier), algorithm 5's masked graph copy
 (a 3M x 3M block-diagonal Fm, B1 scattered from its blocks and
 G = B1' Fm B1), the per-member, per-wrench B1 builder, the explicitly scaled copies of G behind PN and PDET
 and the block-by-block sparsity raster.
+
+Two test fixtures that are not part of the method live here too: the
+chopped-arithmetic Gaussian elimination with its ill-conditioned 3x3 demo
+system (the small-pivot illustration of acceptance criterion 9), and
+``write_load_case``, which writes the load files the package only reads.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from collections import defaultdict, deque
 
 import numpy as np
 
+from framecycles.frames import FORMAT_VERSION
 from framecycles.model import Edge, WeightedGraph
 
 
@@ -532,3 +540,124 @@ def reference_sparsity_pbm(matrix: np.ndarray, block_size: int = 1) -> str:
             bits.append("1" if np.any(block != 0) else "0")
         lines.append(" ".join(bits))
     return "\n".join(lines) + "\n"
+
+
+# --- chopped decimal arithmetic -------------------------------------------
+
+
+def chop(value: float, digits: int) -> float:
+    """Round to *digits* significant decimal digits, half away from zero."""
+    if digits < 1:
+        raise ValueError(f"digit budget must be >= 1, got {digits}")
+    if value == 0 or not math.isfinite(value):
+        return value
+    exponent = math.floor(math.log10(abs(value)))
+    scale = 10.0 ** (digits - 1 - exponent)
+    return math.copysign(math.floor(abs(value) * scale + 0.5), value) / scale
+
+
+class ChoppedPivotBreakdown(ZeroDivisionError):
+    """A pivot chopped to exactly zero during elimination."""
+
+
+NO_PIVOTING = "none"
+ROW_REORDER = "row-reorder"
+
+#: The ill-conditioned 3x3 demo system, first circulated variant.
+DEMO_VARIANT_A = (
+    [[-0.002, 4.0, 4.0], [-2.0, 2.906, -5.38], [3.0, -4.301, -3.112]],
+    [7.998, -4.481, -4.143],
+)
+#: Second variant (already row-reordered; several entries differ).
+DEMO_VARIANT_B = (
+    [[3.0, -4.301, -3.112], [-0.0002, 4.0, 4.0], [-2.0, 2.406, -5.386]],
+    [-4.413, 7.998, -4.481],
+)
+
+
+def ill_conditioned_demo() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Consistent (A, b, x) for the demo: b is built so x = (-1, 1, 1) exactly.
+
+    The two circulated variants contradict each other (and neither right-hand
+    side is consistent with the stated solution), so the shipped system takes
+    the destabilizing small leading pivot together with the first variant's
+    remaining entries and derives b from the exact solution.  Eliminating
+    without pivoting at a 4-digit budget then loses the solution completely,
+    while row reordering recovers it.
+    """
+    A = np.array(DEMO_VARIANT_A[0])
+    A[0, 0] = DEMO_VARIANT_B[0][1][0]
+    x = np.array([-1.0, 1.0, 1.0])
+    return A, A @ x, x
+
+
+def chopped_gauss_solve(
+    A: np.ndarray,
+    b: np.ndarray,
+    digits: int | None = None,
+    pivoting: str = NO_PIVOTING,
+) -> np.ndarray:
+    """Gaussian elimination with every intermediate chopped to *digits*.
+
+    digits=None disables chopping (full-precision elimination).  Row
+    reordering pre-sorts the rows so the largest leading coefficients land
+    on the diagonal before elimination starts.
+    """
+    M = [list(map(float, row)) for row in np.asarray(A, dtype=float)]
+    rhs = [float(v) for v in np.asarray(b, dtype=float)]
+    n = len(M)
+    if any(len(row) != n for row in M) or len(rhs) != n:
+        raise ValueError("system must be square with a matching right-hand side")
+
+    if digits is None:
+        rnd = lambda x: x
+    else:
+        rnd = lambda x: chop(x, digits)
+    M = [[rnd(v) for v in row] for row in M]
+    rhs = [rnd(v) for v in rhs]
+
+    if pivoting == ROW_REORDER:
+        order: list[int] = []
+        remaining = list(range(n))
+        for col in range(n):
+            best = max(remaining, key=lambda r: (abs(M[r][col]), -r))
+            order.append(best)
+            remaining.remove(best)
+        M = [M[r] for r in order]
+        rhs = [rhs[r] for r in order]
+    elif pivoting != NO_PIVOTING:
+        raise ValueError(f"unknown pivoting mode '{pivoting}'")
+
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            raise ChoppedPivotBreakdown("chopped pivot breakdown")
+        for i in range(k + 1, n):
+            factor = rnd(M[i][k] / M[k][k])
+            for j in range(k, n):
+                M[i][j] = rnd(M[i][j] - rnd(factor * M[k][j]))
+            rhs[i] = rnd(rhs[i] - rnd(factor * rhs[k]))
+
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        if M[i][i] == 0:
+            raise ChoppedPivotBreakdown("chopped pivot breakdown")
+        acc = rhs[i]
+        for j in range(i + 1, n):
+            acc = rnd(acc - rnd(M[i][j] * x[j]))
+        x[i] = rnd(acc / M[i][i])
+    return np.array(x)
+
+
+# --- load files ------------------------------------------------------------
+
+
+def write_load_case(loads: list[tuple[int, float, float, float]], path) -> None:
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "loads": [
+            {"node": n, "fx": fx, "fy": fy, "mz": mz} for n, fx, fy, mz in loads
+        ],
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")

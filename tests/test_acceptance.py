@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import NO_PIVOTING, ROW_REORDER, chopped_gauss_solve, ill_conditioned_demo
 from framecycles.basis import (
     AlgorithmSpec,
     adjacency_matrix,
@@ -42,14 +43,7 @@ from framecycles.force import (
     unassembled_flexibility,
 )
 from framecycles.frames import generate_grid, generate_grid3d
-from framecycles.metrics import (
-    NO_PIVOTING,
-    ROW_REORDER,
-    chopped_gauss_solve,
-    condition_report,
-    eig_extremes,
-    ill_conditioned_demo,
-)
+from framecycles.metrics import condition_report, eig_extremes
 from framecycles.model import build_graph, classify_members, cycle_rank
 
 

@@ -1,14 +1,16 @@
 """Command-line interface behavior, exercised through main(argv)."""
 
 import json
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from oracles import write_load_case
 from framecycles import cli
 from framecycles.cli import Analysis, load_or_generate, main
-from framecycles.frames import write_load_case
 from framecycles.model import ModelError, build_graph
 
 
@@ -413,6 +415,20 @@ class TestErrors:
             "error: the loads overflow: their particular member forces are not finite\n"
         )
         assert captured.out == ""
+
+    def test_loads_whose_residual_norms_would_overflow_give_a_finite_residual(
+        self, tmp_path, capsys
+    ):
+        # The forces are finite, but squaring them inside a plain norm overflows.
+        loads = tmp_path / "loads.json"
+        write_load_case([(3, 5e307, 0.0, 0.0)], loads)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["force", "grid:1x1", "--loads", str(loads)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        name, _, value = last.partition(" = ")
+        assert name == "compatibility residual"
+        assert math.isfinite(float(value)) and float(value) < 1e-10
 
 
 #: numpy.linalg functions that factor or decompose a matrix.

@@ -223,6 +223,12 @@ class TestSolve:
         with pytest.raises(ModelError, match=f"^{message}$"):
             nodal_equilibrium_residual(model, np.zeros(3 * len(model.members)), {(node, 0): 1.0})
 
+    @pytest.mark.parametrize("dof", [3, -1, 1.5])
+    def test_equilibrium_residual_rejects_a_dof_other_than_0_1_2(self, dof):
+        model = generate_grid(1, 1)
+        with pytest.raises(ModelError, match=f"^load on node 3: dof must be 0, 1 or 2, got {dof}$"):
+            nodal_equilibrium_residual(model, np.zeros(3 * len(model.members)), {(3, dof): 1.0})
+
     def test_3d_equilibrium_residual_rejected(self):
         model = generate_grid3d(1, 1, 1)
         with pytest.raises(UnsupportedModel, match="unsupported for 3D"):

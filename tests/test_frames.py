@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import write_load_case
 from framecycles.frames import (
     FORMAT_VERSION,
     HEAVY_SECTION,
@@ -16,7 +17,6 @@ from framecycles.frames import (
     generate_grid3d,
     parse_load_case,
     parse_model,
-    write_load_case,
     write_model,
 )
 from framecycles.model import ModelError

@@ -10,16 +10,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from framecycles.metrics import (
+from oracles import (
     NO_PIVOTING,
     ROW_REORDER,
     ChoppedPivotBreakdown,
     chop,
     chopped_gauss_solve,
-    condition_report,
-    eig_extremes,
     ill_conditioned_demo,
 )
+from framecycles.metrics import condition_report, eig_extremes
 from framecycles.render import render_sparsity
 
 

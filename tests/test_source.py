@@ -4,9 +4,9 @@ import ast
 import sys
 from pathlib import Path
 
+from oracles import write_load_case
 import framecycles
 from framecycles.cli import main
-from framecycles.frames import write_load_case
 
 PACKAGE = Path(framecycles.__file__).parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -113,3 +113,50 @@ def test_force_metrics_and_render_stay_separate_layers():
     imports = {path.stem: _package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: imports[name] & layers for name in layers} == {name: set() for name in layers}
     assert [name for name, used in imports.items() if layers <= used] == ["cli"]
+
+
+def _names_used(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Every name that *tree* reads or imports, and with *strings* every
+    string constant too (``bench/tracing.py`` patches functions by name)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _public_names(stmt: ast.stmt) -> list[str]:
+    """The public names that a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """A public name that only the tests use is test code shipped in the package.
+
+    Each one must be used in the package beyond its own definition, exported
+    by ``framecycles.__all__`` or named by the benchmark.
+    """
+    modules = {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+    bench = [ast.parse(path.read_text(), str(path)) for path in BENCH.glob("*.py")]
+    allowed = set(framecycles.__all__).union(*(_names_used(tree, strings=True) for tree in bench))
+    unused = []
+    for name, tree in modules.items():
+        others = (_names_used(other) for other in modules.values() if other is not tree)
+        elsewhere = allowed.union(*others)
+        for stmt in tree.body:
+            used = elsewhere.union(*(_names_used(other) for other in tree.body if other is not stmt))
+            unused += [f"{name}: {public}" for public in _public_names(stmt) if public not in used]
+    assert unused == []
