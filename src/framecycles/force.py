@@ -21,8 +21,10 @@ block too; no dense 3M x 3b1 array is built.  G is the sum over members m
 of B1_m' F_m B1_m, where B1_m holds member m's blocks on the cycles through
 m; only cycle pairs that share a member get a block, which is the nonzero
 pattern of the cycle adjacency matrix D.  So ``render`` draws this block
-pattern from D and builds no G.  ``assemble_g`` factors nothing; the solve
-tests G with a Cholesky factorisation and raises RankDeficientBasis.
+pattern from D and builds no G.  ``assemble_g`` factors nothing.  The solve
+checks the loads and carries them to ground first, then builds B1 and G and
+factors G once: a failed Cholesky raises RankDeficientBasis, and the
+redundants come from that factor by blocked substitution, with no LU of G.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from framecycles.basis import CycleBasis
+from framecycles.cholesky import cholesky, cholesky_solve
 from framecycles.cycles import CycleVector, build_srt
 from framecycles.model import (
     ModelError,
@@ -327,12 +330,6 @@ def solve_force_method(
     """
     member_order = sorted(m.id for m in model.members)
     Fm = unassembled_flexibility(model)
-    B1 = build_b1(model, basis)
-    G = assemble_g(B1, Fm)
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficientBasis("rank-deficient statical basis") from exc
     graph = basis.graph
     if graph.ground is None:
         raise ModelError("particular solution requires a grounded graph")
@@ -359,8 +356,14 @@ def solve_force_method(
         r0 = _sum_triples(rows, blocks[:, :, 0], len(member_order))
     if not np.isfinite(r0).all():
         raise ModelError("the loads overflow: their particular member forces are not finite")
+    B1 = build_b1(model, basis)
+    G = assemble_g(B1, Fm)
+    try:
+        L = cholesky(G)
+    except ValueError as exc:
+        raise RankDeficientBasis("rank-deficient statical basis") from exc
     rhs = B1.rmatvec(_apply_flexibility(Fm, r0))
-    q = -np.linalg.solve(G, rhs)
+    q = -cholesky_solve(L, rhs)
     r = r0 + B1.matvec(q)
     incompat = B1.rmatvec(_apply_flexibility(Fm, r))
     # Divide both by rhs's largest entry first: a norm squares them, and huge

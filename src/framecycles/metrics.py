@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from framecycles.cholesky import cholesky
+
 _SYMMETRY_TOL = 1e-12
 
 
@@ -79,10 +81,7 @@ def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
     G = np.asarray(G, dtype=float)
     lam_min, lam_max = eig_extremes(G)
     pl = math.log10(lam_max / lam_min)
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("not positive definite") from exc
+    L = cholesky(G)
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     values = []
     for scales in (np.linalg.norm(G, axis=1), np.diag(G)):

@@ -367,6 +367,14 @@ def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     return (Q * eigs) @ Q.T
 
 
+def reference_log_det(G: np.ndarray) -> float:
+    """log det G of a matrix with a positive determinant, from numpy's LU-based slogdet."""
+    sign, logdet = np.linalg.slogdet(G)
+    if sign <= 0:
+        raise ValueError(f"determinant has sign {sign}")
+    return float(logdet)
+
+
 def reference_determinants(G: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
     """PN and PDET as (determinant, log10 |determinant|), each from its own
     explicitly scaled copy of G: the row-normalized matrix and D^-1/2 G D^-1/2."""

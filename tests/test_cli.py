@@ -11,7 +11,8 @@ import pytest
 from oracles import write_load_case
 from framecycles import cli
 from framecycles.cli import Analysis, load_or_generate, main
-from framecycles.model import ModelError, build_graph
+from framecycles.cholesky import _BLOCK
+from framecycles.model import ModelError, build_graph, cycle_rank
 
 
 class TestLoadOrGenerate:
@@ -436,37 +437,40 @@ _FACTORISATIONS = "cholesky det eig eigh eigvals eigvalsh inv lstsq pinv qr slog
 
 
 @pytest.mark.parametrize(
-    "argv,expected",
+    "argv,factored,others",
     [
-        (["condition", "grid:4x4:checker"], {"cholesky": 1, "eigvalsh": 1}),
-        (
-            ["compare", "grid:4x4:checker", "--algorithms", "1,3,baseline"],
-            {"cholesky": 3, "eigvalsh": 3},
-        ),
-        (["force", "grid:4x4:checker", "--loads", "loads.json"], {"cholesky": 1, "solve": 1}),
-        (["render", "grid:4x4:checker", "--block", "--sparsity", "g.pbm"], {}),
+        (["condition", "grid:4x4:checker"], 1, {"eigvalsh": 1}),
+        (["compare", "grid:4x4:checker", "--algorithms", "1,3,baseline"], 3, {"eigvalsh": 3}),
+        (["force", "grid:4x4:checker", "--loads", "loads.json"], 1, {}),
+        (["render", "grid:4x4:checker", "--block", "--sparsity", "g.pbm"], 0, {}),
     ],
     ids=["condition", "compare", "force", "render-block"],
 )
-def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, capsys, argv, expected):
-    """G is factored only by the consumer that uses the factorisation:
-    condition_report's Cholesky gives log det and is its SPD test, and
-    the force solve's Cholesky is its SPD test; nothing runs slogdet."""
+def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, argv, factored, others):
+    """Each G is factored once, by the consumer that uses the factor:
+    condition_report's Cholesky gives log det and is its SPD test, and the
+    force solve's Cholesky is its SPD test and the factor it solves with.
+    Nothing runs slogdet or an LU solve; the solve inverts only diagonal
+    blocks of the factor, of at most _BLOCK rows."""
     write_load_case([(6, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
     monkeypatch.chdir(tmp_path)
-    calls = Counter()
+    calls = []
 
-    def counted(name, function):
+    def recorded(name, function):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.append((name, np.shape(args[0])))
             return function(*args, **kwargs)
 
         return wrapper
 
     for name in _FACTORISATIONS.split():
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
     assert main(argv) == 0
-    assert dict(calls) == expected
+    n = 3 * cycle_rank(build_graph(load_or_generate("grid:4x4:checker")))
+    assert [shape for name, shape in calls if name == "cholesky"] == [(n, n)] * factored
+    blocks = [shape for name, shape in calls if name == "inv"]
+    assert all(len(shape) == 2 and shape[0] == shape[1] <= _BLOCK for shape in blocks)
+    assert Counter(name for name, _ in calls if name not in ("cholesky", "inv")) == others
 
 
 class TestStaticallyDeterminateFrame:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from framecycles import force
 from framecycles.basis import (
     AlgorithmSpec,
     CycleBasis,
@@ -141,6 +142,22 @@ class TestB0:
         model = generate_grid(2, 2)
         with pytest.raises(ModelError, match="unknown node 99"):
             solve_force_method(model, basis_for(model), [(99, 1.0, 0.0, 0.0)])
+
+    @pytest.mark.parametrize(
+        "node,message",
+        [(1, "load on supported node 1 is rejected"), (99, "load on unknown node 99")],
+    )
+    def test_loads_are_checked_before_g_is_built(self, monkeypatch, node, message):
+        """A bad load node costs no B1, no G and no factorisation."""
+
+        def too_early(*args):
+            raise AssertionError("the force layer was built before the loads were checked")
+
+        monkeypatch.setattr(force, "build_b1", too_early)
+        monkeypatch.setattr(force, "assemble_g", too_early)
+        model = generate_grid(2, 2)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            solve_force_method(model, basis_for(model), [(node, 1.0, 0.0, 0.0)])
 
     def test_loads_on_one_node_add_up(self):
         model = generate_grid(2, 2, pattern="checker")

@@ -45,6 +45,25 @@ def test_imports_only_stdlib_and_numpy():
     assert found == []
 
 
+def test_g_gets_no_lu_solve_or_slogdet():
+    """G is factored once per use, by Cholesky, and solved with that factor:
+    neither ``numpy.linalg.solve`` nor ``slogdet`` (both an LU of G) runs."""
+    banned = {"solve", "slogdet"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith("linalg"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno}: {name}" for name in names if name in banned
+            ]
+    assert found == []
+
+
 def test_bench_tracer_finds_every_name_it_patches(tmp_path, monkeypatch):
     """``bench/tracing.py`` wraps library functions by name at their call
     sites; a rename there would break ``--trace 1`` without failing a test."""
