@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from framecycles.basis import CycleBasis
-from framecycles.cholesky import cholesky, cholesky_solve
+from framecycles.cholesky import cholesky
 from framecycles.cycles import CycleVector, build_srt
 from framecycles.model import (
     ModelError,
@@ -359,11 +359,11 @@ def solve_force_method(
     B1 = build_b1(model, basis)
     G = assemble_g(B1, Fm)
     try:
-        L = cholesky(G)
+        factor = cholesky(G)
     except ValueError as exc:
         raise RankDeficientBasis("rank-deficient statical basis") from exc
     rhs = B1.rmatvec(_apply_flexibility(Fm, r0))
-    q = -cholesky_solve(L, rhs)
+    q = -factor.solve(rhs)
     r = r0 + B1.matvec(q)
     incompat = B1.rmatvec(_apply_flexibility(Fm, r))
     # Divide both by rhs's largest entry first: a norm squares them, and huge

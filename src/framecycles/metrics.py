@@ -3,10 +3,28 @@
 Three conditioning indicators are reported per flexibility matrix: PL, the
 base-10 log of the extreme eigenvalue ratio; PN, the determinant of the
 row-normalized matrix; and PDET, the determinant after symmetric diagonal
-scaling.  Both determinants come from log det G, read off the Cholesky
-factor that is also G's positive-definiteness test.  They underflow quickly
-for large matrices, so their base-10 logs are carried alongside the clamped
-values.
+scaling.  G is factored once, G = L L'; that Cholesky factor is G's
+positive-definiteness test, gives log det G for both determinants, and
+applies G^-1 for the smallest eigenvalue.  The determinants underflow
+quickly for large matrices, so their base-10 logs are carried alongside
+the clamped values.
+
+PL needs only the two extreme eigenvalues, so no eigendecomposition of G
+is made.  Each comes from a Lanczos run (Lanczos 1950) with full
+reorthogonalisation: lambda_max from products with G, and lambda_min as
+1 / lambda_max(G^-1), where each step applies G^-1 as one blocked forward
+and backward sweep through L.  Both runs start from one fixed vector,
+v_k = frac(k^2 phi) - 1/2 for k = 1..n with phi = (sqrt 5 - 1) / 2: it is
+deterministic and needs no random generator, and unlike the vector of
+ones it changes when the cycles are renumbered, so the symmetry of a frame
+cannot make it orthogonal to an extreme eigenvector.  Every 5 steps the
+largest Ritz value theta of the Lanczos tridiagonal T is tested, and a run
+stops once its residual estimate beta_k |s_k| is at most n eps theta, or
+at step n, where T is similar to the operator.  The Ritz value then lies
+within its residual of an eigenvalue, and the extreme Ritz values converge
+to the extreme eigenvalues first (Paige 1972), so each extreme is within
+about n eps lambda_max of the exact one: the accuracy that a full
+symmetric eigensolver guarantees.
 """
 
 from __future__ import annotations
@@ -14,38 +32,96 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from framecycles.cholesky import cholesky
+from framecycles.cholesky import Cholesky, cholesky
 
 _SYMMETRY_TOL = 1e-12
+#: Rows per block of the symmetry check.
+_ROWS = 64
+#: Lanczos steps between two convergence tests.
+_CHECK_EVERY = 5
+#: The fractional parts of k^2 times this make the Lanczos start vector.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def eig_extremes(G: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues (min, max) of a symmetric positive definite matrix.
-
-    It checks G before any other use: it must be a non-empty square matrix
-    of finite numbers, symmetric, with a positive diagonal and positive
-    eigenvalues; anything else is a ValueError.
-    """
+def _checked(G: np.ndarray) -> np.ndarray:
+    """G as floats, if it is a non-empty square matrix of finite numbers,
+    symmetric, with a positive diagonal; anything else is a ValueError."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
     if G.size == 0:
         raise ValueError("G is empty: the frame has no cycles (b1 = 0)")
-    if not np.isfinite(G).all():
+    scale = float(np.max(np.abs(G)))  # NaN or inf if an entry is
+    if not math.isfinite(scale):
         raise ValueError("matrix has a non-finite entry")
-    scale = float(np.max(np.abs(G)))
-    if float(np.max(np.abs(G - G.T))) > _SYMMETRY_TOL * scale:
+    # Each block of rows against the same block of columns, up to the block's
+    # end: G - G' in one go makes a transposed copy of G, 8 times slower at
+    # n = 675.
+    asymmetry = max(
+        float(np.max(np.abs(G[s : s + _ROWS, : s + _ROWS] - G[: s + _ROWS, s : s + _ROWS].T)))
+        for s in range(0, len(G), _ROWS)
+    )
+    if asymmetry > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
     if np.any(np.diag(G) <= 0):
         raise ValueError("not positive definite: matrix has a non-positive diagonal entry")
-    eigvals = np.linalg.eigvalsh(G)
-    lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
-    if lam_min <= 0:
-        raise ValueError("not positive definite")
-    return lam_min, lam_max
+    return G
+
+
+def eig_extremes(G: np.ndarray, factor: Cholesky | None = None) -> tuple[float, float]:
+    """Extreme eigenvalues (min, max) of a symmetric positive definite matrix.
+
+    Without *factor* it checks G before any other use: it must be a
+    non-empty square matrix of finite numbers, symmetric, with a positive
+    diagonal, and its Cholesky factor must exist; anything else is a
+    ValueError.  A caller that has made those checks passes the factor.
+    """
+    if factor is None:
+        G = _checked(G)
+        factor = cholesky(G)
+    n = len(G)
+    return 1.0 / _largest_eigenvalue(factor.sweep, n), _largest_eigenvalue(G.__matmul__, n)
+
+
+def _largest_eigenvalue(apply: Callable[[np.ndarray], np.ndarray], n: int) -> float:
+    """The largest eigenvalue of the symmetric positive definite operator
+    *apply* on R^n, by Lanczos with full reorthogonalisation.
+
+    The Krylov basis grows by doubling, so it holds about as many vectors
+    as the run takes steps, never an n x n array up front.
+    """
+    tol = n * np.finfo(float).eps
+    v = (np.arange(1, n + 1) ** 2 * _GOLDEN) % 1.0 - 0.5
+    v /= math.sqrt(v @ v)
+    basis = np.empty((min(n, 16), n))
+    alpha, beta = [], []
+    for k in range(n):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, n - k), n))])
+        basis[k] = v
+        w = apply(v)
+        alpha.append(float(v @ w))
+        w -= alpha[-1] * v
+        if k:
+            w -= beta[-1] * basis[k - 1]
+        # One classical Gram-Schmidt pass against the whole basis keeps it
+        # orthonormal to rounding.
+        w -= (basis[: k + 1] @ w) @ basis[: k + 1]
+        b = math.sqrt(w @ w)
+        # A b near 0 means the Krylov space is invariant: T then holds its
+        # eigenvalues, and the test below passes.
+        if (k + 1) % _CHECK_EVERY == 0 or k + 1 == n or b <= tol * max(alpha):
+            T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            theta, S = np.linalg.eigh(T)
+            if k + 1 == n or b * abs(S[-1, -1]) <= tol * theta[-1]:
+                return float(theta[-1])
+        beta.append(b)
+        v = w / b
+    raise ValueError("an operator on R^0 has no eigenvalues")
 
 
 @dataclass(frozen=True)
@@ -78,11 +154,11 @@ def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
     both; a determinant that underflows is 0.
     """
     check_precision(precision)
-    G = np.asarray(G, dtype=float)
-    lam_min, lam_max = eig_extremes(G)
+    G = _checked(G)
+    factor = cholesky(G)
+    lam_min, lam_max = eig_extremes(G, factor)
     pl = math.log10(lam_max / lam_min)
-    L = cholesky(G)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
+    logdet = factor.log_det()
     values = []
     for scales in (np.linalg.norm(G, axis=1), np.diag(G)):
         log_value = logdet - float(np.log(scales).sum())

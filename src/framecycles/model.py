@@ -306,6 +306,8 @@ def build_graph(model: StructuralModel, variant: str = SUM) -> WeightedGraph:
             weights[m.id] = weigh(model.member_section(m), model.member_length(m), variant)
         except OverflowError:  # length**3 on a Python float raises rather than giving inf
             raise ModelError(f"member {m.id} is too long: its length cubed overflows") from None
+        except ZeroDivisionError:  # a length below about 1.4e-108 cubes to 0
+            raise ModelError(f"member {m.id} is too short: its length cubed underflows") from None
     graph = WeightedGraph(tuple(sorted(nodes)), tuple(edges), weights, ground=GROUND)
     if graph.b0 != 1:
         raise ModelError("disconnected structure: some nodes cannot reach the ground")

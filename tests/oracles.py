@@ -360,7 +360,7 @@ def charpoly_extreme_eigs(M: np.ndarray) -> tuple[float, float]:
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random SPD matrix with well-separated eigenvalues in [0.1, 10]."""
     eigs = np.sort(rng.uniform(0.1, 10.0, size=n))
-    while np.min(np.diff(eigs)) < 1e-3:
+    while n > 1 and np.min(np.diff(eigs)) < 1e-3:
         eigs = np.sort(rng.uniform(0.1, 10.0, size=n))
     A = rng.normal(size=(n, n))
     Q, _ = np.linalg.qr(A)

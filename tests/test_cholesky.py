@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from framecycles.cholesky import _BLOCK, cholesky, cholesky_solve
+from framecycles.cholesky import _BLOCK, cholesky
 from framecycles.cli import Analysis
 from test_force import planar_grids
 
@@ -31,15 +31,15 @@ def scaled_spd_systems(draw):
 
 
 def check_solve_and_log_det(G, b):
-    """Normwise backward error of the solve, and log det G from the factor."""
+    """Normwise backward error of the refined solve and of the single sweep
+    that applies G^-1 for the smallest eigenvalue, and log det G from the factor."""
     n = len(b)
-    L = cholesky(G)
-    x = cholesky_solve(L, b)
-    assert x.shape == (n,)
-    residual = np.linalg.norm(G @ x - b, np.inf)
-    assert residual <= 100 * n * EPS * np.linalg.norm(G, np.inf) * np.linalg.norm(x, np.inf)
-    log_det = 2.0 * float(np.log(np.diag(L)).sum())
-    assert log_det == pytest.approx(oracles.reference_log_det(G), rel=1e-10, abs=1e-10)
+    factor = cholesky(G)
+    for x in (factor.solve(b), factor.sweep(b)):
+        assert x.shape == (n,)
+        residual = np.linalg.norm(G @ x - b, np.inf)
+        assert residual <= 100 * n * EPS * np.linalg.norm(G, np.inf) * np.linalg.norm(x, np.inf)
+    assert factor.log_det() == pytest.approx(oracles.reference_log_det(G), rel=1e-10, abs=1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -56,10 +56,24 @@ def test_solve_is_backward_stable_on_flexibility_matrices(model, algorithm, seed
     check_solve_and_log_det(G, np.random.default_rng(seed).standard_normal(len(G)))
 
 
+def test_block_inverses_are_made_once_per_factor(monkeypatch):
+    G = oracles.random_spd(np.random.default_rng(0), 2 * _BLOCK + 1)
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    factor = cholesky(G)
+    assert calls == [(_BLOCK, _BLOCK), (_BLOCK, _BLOCK), (1, 1)]
+    factor.solve(np.ones(len(G)))
+    factor.sweep(np.ones(len(G)))
+    assert len(calls) == 3
+
+
 def test_solve_leaves_b_alone():
     G = oracles.random_spd(np.random.default_rng(0), 2 * _BLOCK + 1)
     b = np.arange(len(G), dtype=float)
-    cholesky_solve(cholesky(G), b)
+    factor = cholesky(G)
+    factor.solve(b)
+    factor.sweep(b)
     assert np.array_equal(b, np.arange(len(G)))
 
 

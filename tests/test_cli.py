@@ -3,7 +3,6 @@
 import json
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -389,6 +388,24 @@ class TestErrors:
         assert captured.err == f"error: member {first} is too long: its length cubed overflows\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["cycles", "condition", "force"])
+    def test_member_whose_length_cubed_underflows_is_reported(self, tmp_path, capsys, command):
+        # Node 4 sits 1e-320 m above support 1: the column's L**3 is 0.
+        path = tmp_path / "frame.json"
+        assert main(["generate", "--stories", "2", "--spans", "2", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        (node,) = [n for n in doc["nodes"] if n["id"] == 4]
+        node["coords"] = [0.0, 1e-320]
+        path.write_text(json.dumps(doc))
+        write_load_case([(5, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
+        options = {"force": ["--loads", str(tmp_path / "loads.json")]}
+        capsys.readouterr()
+        assert main([command, str(path), *options.get(command, [])]) == 1
+        captured = capsys.readouterr()
+        (column,) = [m["id"] for m in doc["members"] if {m["a"], m["b"]} == {1, 4}]
+        assert captured.err == f"error: member {column} is too short: its length cubed underflows\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -432,33 +449,35 @@ class TestErrors:
         assert math.isfinite(float(value)) and float(value) < 1e-10
 
 
-#: numpy.linalg functions that factor or decompose a matrix.
+#: numpy.linalg functions that factor, invert or decompose a matrix.
 _FACTORISATIONS = "cholesky det eig eigh eigvals eigvalsh inv lstsq pinv qr slogdet solve svd"
 
 
 @pytest.mark.parametrize(
     "argv,factored,others",
     [
-        (["condition", "grid:4x4:checker"], 1, {"eigvalsh": 1}),
-        (["compare", "grid:4x4:checker", "--algorithms", "1,3,baseline"], 3, {"eigvalsh": 3}),
-        (["force", "grid:4x4:checker", "--loads", "loads.json"], 1, {}),
-        (["render", "grid:4x4:checker", "--block", "--sparsity", "g.pbm"], 0, {}),
+        (["condition", "grid:6x6:checker"], 1, {"inv", "eigh"}),
+        (["compare", "grid:6x6:checker", "--algorithms", "1,3,baseline"], 3, {"inv", "eigh"}),
+        (["force", "grid:6x6:checker", "--loads", "loads.json"], 1, {"inv"}),
+        (["render", "grid:6x6:checker", "--block", "--sparsity", "g.pbm"], 0, set()),
     ],
     ids=["condition", "compare", "force", "render-block"],
 )
 def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, argv, factored, others):
     """Each G is factored once, by the consumer that uses the factor:
-    condition_report's Cholesky gives log det and is its SPD test, and the
-    force solve's Cholesky is its SPD test and the factor it solves with.
-    Nothing runs slogdet or an LU solve; the solve inverts only diagonal
-    blocks of the factor, of at most _BLOCK rows."""
-    write_load_case([(6, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
+    condition_report's Cholesky is its SPD test, gives log det and applies
+    G^-1 for the smallest eigenvalue, and the force solve's Cholesky is its
+    SPD test and the factor it solves with.  Nothing runs slogdet, an LU
+    solve or an eigendecomposition of G: every other call acts on a matrix
+    strictly smaller than G, inv on diagonal blocks of the factor, of at
+    most _BLOCK rows, and eigh on the symmetric tridiagonal of a Lanczos run."""
+    write_load_case([(10, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
     monkeypatch.chdir(tmp_path)
     calls = []
 
     def recorded(name, function):
         def wrapper(*args, **kwargs):
-            calls.append((name, np.shape(args[0])))
+            calls.append((name, np.array(args[0], dtype=float)))
             return function(*args, **kwargs)
 
         return wrapper
@@ -466,11 +485,15 @@ def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, argv, factor
     for name in _FACTORISATIONS.split():
         monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
     assert main(argv) == 0
-    n = 3 * cycle_rank(build_graph(load_or_generate("grid:4x4:checker")))
-    assert [shape for name, shape in calls if name == "cholesky"] == [(n, n)] * factored
-    blocks = [shape for name, shape in calls if name == "inv"]
-    assert all(len(shape) == 2 and shape[0] == shape[1] <= _BLOCK for shape in blocks)
-    assert Counter(name for name, _ in calls if name not in ("cholesky", "inv")) == others
+    n = 3 * cycle_rank(build_graph(load_or_generate("grid:6x6:checker")))
+    assert [a.shape for name, a in calls if name == "cholesky"] == [(n, n)] * factored
+    smaller = [(name, a) for name, a in calls if name != "cholesky"]
+    assert {name for name, _ in smaller} == others
+    assert all(a.ndim == 2 and a.shape[0] == a.shape[1] < n for _, a in smaller)
+    assert all(len(a) <= _BLOCK for name, a in smaller if name == "inv")
+    tridiagonal = [a for name, a in smaller if name == "eigh"]
+    assert all(np.array_equal(a, np.tril(np.triu(a, -1), 1)) for a in tridiagonal)
+    assert all(np.array_equal(a, a.T) for a in tridiagonal)
 
 
 class TestStaticallyDeterminateFrame:

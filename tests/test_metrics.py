@@ -2,7 +2,10 @@
 
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +21,23 @@ from oracles import (
     chopped_gauss_solve,
     ill_conditioned_demo,
 )
+from framecycles.cholesky import cholesky
+from framecycles.cli import Analysis, load_or_generate
 from framecycles.metrics import condition_report, eig_extremes
 from framecycles.render import render_sparsity
+from test_force import planar_grids
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_random_spd_oracle_takes_every_size(n):
+    M = oracles.random_spd(np.random.default_rng(n), n)
+    assert M.shape == (n, n)
+    assert np.allclose(M, M.T)
+    eigs = np.linalg.eigvalsh(M)
+    assert np.all((eigs > 0.1 - 1e-12) & (eigs < 10.0 + 1e-12))
+    assert np.all(np.diff(eigs) >= 1e-3 - 1e-12)
 
 
 class TestEigExtremes:
@@ -41,6 +59,14 @@ class TestEigExtremes:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             eig_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("i,j", [(1, 0), (0, 1), (70, 3), (3, 70), (130, 129), (149, 64), (64, 149)])
+    def test_rejects_one_asymmetric_pair_anywhere(self, i, j):
+        # n = 150 spans three blocks of the blocked symmetry check.
+        G = oracles.random_spd(np.random.default_rng(7), 150)
+        G[i, j] += 1e-9 * np.max(np.abs(G))
+        with pytest.raises(ValueError, match="symmetric"):
+            eig_extremes(G)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
@@ -171,6 +197,111 @@ def test_determinants_match_the_explicitly_scaled_copies(G):
     for value, ref in ((report.pn, ref_pn), (report.pdet, ref_pdet)):
         if value != 0.0:
             assert value == pytest.approx(ref, rel=1e-7)
+
+
+def check_extremes_against_eigvalsh(G):
+    """Both extremes lie within 10 n eps lambda_max of eigvalsh's, which is
+    the accuracy that eigvalsh itself guarantees."""
+    reference = np.linalg.eigvalsh(G)
+    lo, hi = eig_extremes(G)
+    bound = 10 * len(G) * EPS * reference[-1]
+    assert abs(lo - reference[0]) <= bound
+    assert abs(hi - reference[-1]) <= bound
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scaled_spd())
+def test_extremes_match_eigvalsh_on_scaled_spd_matrices(G):
+    check_extremes_against_eigvalsh(G)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(planar_grids())
+def test_extremes_match_eigvalsh_on_flexibility_matrices(model):
+    analysis = Analysis(model)
+    for algorithm in (1, 2, 3, 4, 5, "baseline"):
+        check_extremes_against_eigvalsh(analysis.g(analysis.basis(algorithm)))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        np.array([[2.5]]),
+        oracles.random_spd(np.random.default_rng(1), 2),
+        oracles.random_spd(np.random.default_rng(2), 3),
+        7.3 * np.eye(5),
+        np.diag([3.0, 1.0, 2.0, 1.0, 3.0]),
+        np.diag(np.arange(40.0, 0.0, -1.0)),
+        np.diag(10.0 ** np.linspace(-6.0, 6.0, 30)),
+    ],
+    ids=["1x1", "2x2", "3x3", "scaled-identity", "diagonal-repeated", "diagonal-40", "diagonal-1e12"],
+)
+def test_extremes_where_lanczos_terminates_exactly(G):
+    """At most n steps, or fewer where the Krylov space is invariant: there
+    T carries every distinct eigenvalue that the start vector touches."""
+    check_extremes_against_eigvalsh(G)
+
+
+def _spread_with_clusters(n, gap):
+    """Diagonal: n - 4 eigenvalues spread over [0.1, 0.5], and the two
+    extreme pairs each split by a relative gap."""
+    return np.diag(np.r_[0.01, 0.01 * (1 + gap), np.linspace(0.1, 0.5, n - 4), 1 - gap, 1.0])
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        # The top eigenvector e1 - e2 is orthogonal to the vector of ones.
+        np.eye(6) + 2.0 * np.outer([1.0, -1.0, 0, 0, 0, 0], [1.0, -1.0, 0, 0, 0, 0]),
+        # Close extreme pairs, which the runs must resolve: until they do,
+        # the top Ritz value sits between the two.
+        _spread_with_clusters(200, 1e-4),
+    ],
+    ids=["top-eigenvector-orthogonal-to-ones", "clustered-extremes"],
+)
+def test_extremes_that_a_poor_start_or_an_early_stop_would_miss(G):
+    check_extremes_against_eigvalsh(G)
+
+
+def test_extremes_of_a_scaled_identity_are_that_scale():
+    lo, hi = eig_extremes(7.3 * np.eye(5))
+    assert lo == pytest.approx(7.3, rel=4 * EPS)
+    assert hi == pytest.approx(7.3, rel=4 * EPS)
+
+
+def test_extremes_are_deterministic_and_leave_the_global_rng_alone():
+    G = oracles.random_spd(np.random.default_rng(5), 40)
+    np.random.seed(123)
+    expected = np.random.random()
+    np.random.seed(123)
+    first = eig_extremes(G)
+    assert np.random.random() == expected
+    assert eig_extremes(G) == first
+
+
+def test_condition_loads_no_random_generator():
+    """numpy.random adds about 6 MB of resident memory to the process; the
+    Lanczos start vector is a formula, so a report never imports it."""
+    code = (
+        "import sys; from framecycles.cli import main; "
+        "assert main(['condition', 'grid:3x3:checker']) == 0; "
+        "sys.exit('numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+
+
+def test_lanczos_holds_no_n_by_n_basis():
+    analysis = Analysis(load_or_generate("grid:15x15:checker"))
+    G = analysis.g(analysis.basis("baseline"))
+    factor = cholesky(G)
+    tracemalloc.start()
+    try:
+        eig_extremes(G, factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < G.nbytes / 4
 
 
 class TestConditionReport:

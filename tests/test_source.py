@@ -47,8 +47,10 @@ def test_imports_only_stdlib_and_numpy():
 
 def test_g_gets_no_lu_solve_or_slogdet():
     """G is factored once per use, by Cholesky, and solved with that factor:
-    neither ``numpy.linalg.solve`` nor ``slogdet`` (both an LU of G) runs."""
-    banned = {"solve", "slogdet"}
+    neither ``numpy.linalg.solve`` nor ``slogdet`` (both an LU of G) runs,
+    and no eigensolver that takes the whole of G does either (PL comes from
+    Lanczos runs, whose tridiagonal alone goes to ``eigh``)."""
+    banned = {"solve", "slogdet", "eigvalsh", "eigvals", "eig"}
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
