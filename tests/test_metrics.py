@@ -263,12 +263,6 @@ def test_extremes_that_a_poor_start_or_an_early_stop_would_miss(G):
     check_extremes_against_eigvalsh(G)
 
 
-def test_extremes_of_a_scaled_identity_are_that_scale():
-    lo, hi = eig_extremes(7.3 * np.eye(5))
-    assert lo == pytest.approx(7.3, rel=4 * EPS)
-    assert hi == pytest.approx(7.3, rel=4 * EPS)
-
-
 def test_extremes_are_deterministic_and_leave_the_global_rng_alone():
     G = oracles.random_spd(np.random.default_rng(5), 40)
     np.random.seed(123)
