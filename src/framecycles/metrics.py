@@ -17,7 +17,9 @@ and backward sweep through L.  Both runs start from one fixed vector,
 v_k = frac(k^2 phi) - 1/2 for k = 1..n with phi = (sqrt 5 - 1) / 2: it is
 deterministic and needs no random generator, and unlike the vector of
 ones it changes when the cycles are renumbered, so the symmetry of a frame
-cannot make it orthogonal to an extreme eigenvector.  Every 5 steps the
+cannot make it orthogonal to an extreme eigenvector.  Each run scales its
+operator by a power of two near 1 / max|G|, which is exact and keeps its
+products and norms inside the range of a float.  Every 5 steps the
 largest Ritz value theta of the Lanczos tridiagonal T is tested, and a run
 stops once its residual estimate beta_k |s_k| is at most n eps theta, or
 at step n, where T is similar to the operator.  The Ritz value then lies
@@ -83,8 +85,15 @@ def eig_extremes(G: np.ndarray, factor: Cholesky | None = None) -> tuple[float, 
     if factor is None:
         G = _checked(G)
         factor = cholesky(G)
+    # Both runs see their operator times a power of two near 1 / max|G| (an
+    # SPD matrix has its largest entry on the diagonal).  That is exact, so
+    # the runs are those on G itself, but no product or norm in them can
+    # overflow or underflow, however large or small G's entries are.
+    exponent = max(math.frexp(float(np.max(np.diag(G))))[1] - 1, -1021)
+    up, down = math.ldexp(1.0, exponent), math.ldexp(1.0, -exponent)
     n = len(G)
-    return 1.0 / _largest_eigenvalue(factor.sweep, n), _largest_eigenvalue(G.__matmul__, n)
+    lam_min = up / _largest_eigenvalue(lambda v: factor.sweep(v) * up, n)
+    return lam_min, up * _largest_eigenvalue(lambda v: (G @ v) * down, n)
 
 
 def _largest_eigenvalue(apply: Callable[[np.ndarray], np.ndarray], n: int) -> float:

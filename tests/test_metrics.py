@@ -263,6 +263,17 @@ def test_extremes_that_a_poor_start_or_an_early_stop_would_miss(G):
     check_extremes_against_eigvalsh(G)
 
 
+@pytest.mark.parametrize("power", [-900, -600, 600, 900])
+def test_extremes_scale_with_g_however_large_or_small(power):
+    """G times 2^power has its extremes times 2^power: neither run may
+    overflow or underflow (2^600 G squares to beyond the largest float)."""
+    G = oracles.random_spd(np.random.default_rng(11), 100)
+    lo, hi = eig_extremes(G)
+    scaled_lo, scaled_hi = eig_extremes(G * 2.0**power)
+    assert scaled_lo == pytest.approx(lo * 2.0**power, rel=1e-12)
+    assert scaled_hi == pytest.approx(hi * 2.0**power, rel=1e-12)
+
+
 def test_extremes_are_deterministic_and_leave_the_global_rng_alone():
     G = oracles.random_spd(np.random.default_rng(5), 40)
     np.random.seed(123)
