@@ -141,13 +141,14 @@ def _pruned(graph: WeightedGraph, plain: Lists, mask: MemberMask | None) -> List
 def _grow(tree: RouteTree, lists: Lists) -> Iterator[list[int]]:
     """Add the tree's breadth-first tiers one at a time, yielding each new one.
 
+    Tier 0 is every node the tree already labels: the root of a fresh tree.
     Each node of a tier takes its unlabelled candidates in list order; tier
     k+1 depends only on tiers 0..k (each expanded in ascending node id), so
     a tree grown part way is exactly the top of the full tree.
     """
     table, ends = lists
     label, parent = tree.label, tree.parent
-    frontier = [tree.root]
+    frontier = list(label)
     while True:
         next_frontier = []
         for u in sorted(frontier):
@@ -219,36 +220,26 @@ def _srtm_tiers(
     nodes whose parent is in tier j-1, and those are among the unlabelled
     neighbours of tier j-1.  A stranded node's parent is found once, when
     it is first met: in round 1 by a look at its own list for L0, in a later
-    round from the rounds of one BFS out of L0, run when the first such
-    node is met.  So a tree pulled to tier k is exactly the top k tiers of
+    round from the rounds of a ``_grow`` out of L0 over *plain*, pulled until
+    it has one.  So a tree pulled to tier k is exactly the top k tiers of
     the whole SRTM, with the whole main phase below them.
     """
     main = [[tree.root], *_grow(tree, pruned)]
     table, ends = plain
     weights = graph.weights
     label, parent = tree.label, tree.parent
-    rounds = dict.fromkeys(label, 0)  # fallback round: 0 in L0; the rest after the BFS
+    rounds = dict.fromkeys(label, 0)  # fallback round: 0 in L0, the rest as pulled
+    fallback = _grow(RouteTree(tree.root, {}, rounds), plain)
     found: dict[int, tuple[int, int]] = {}  # stranded node -> its parent
-
-    def fallback_rounds() -> None:
-        """Every stranded node's round: one BFS out of L0 over *plain*."""
-        frontier, r = list(rounds), 0
-        while frontier:
-            next_frontier = []
-            r += 1
-            for x in frontier:
-                for _, y in ends[x] if x in ends else table[x]:
-                    if y not in rounds:
-                        rounds[y] = r
-                        next_frontier.append(y)
-            frontier = next_frontier
 
     def attach(v: int) -> tuple[int, int]:
         adjacent = ends[v] if v in ends else table[v]
         keys = [(-weights[e.id], e.id, u) for e, u in adjacent if rounds.get(u) == 0]
         if not keys:
-            if v not in rounds:
-                fallback_rounds()
+            # _grow yields only whole rounds, and v, met over *plain*, is
+            # reachable from L0: the pull ends with rounds 0..rounds[v] whole.
+            while v not in rounds:
+                next(fallback)
             before = rounds[v] - 1
             keys = [(-weights[e.id], e.id, u) for e, u in adjacent if rounds.get(u) == before]
         _, eid, u = min(keys)

@@ -17,9 +17,9 @@ and backward sweep through L.  Both runs start from one fixed vector,
 v_k = frac(k^2 phi) - 1/2 for k = 1..n with phi = (sqrt 5 - 1) / 2: it is
 deterministic and needs no random generator, and unlike the vector of
 ones it changes when the cycles are renumbered, so the symmetry of a frame
-cannot make it orthogonal to an extreme eigenvector.  Each run scales its
-operator by a power of two near 1 / max|G|, which is exact and keeps its
-products and norms inside the range of a float.  Every 5 steps the
+cannot make it orthogonal to an extreme eigenvector.  Each run, and PN's
+row norms, scale G by a power of two near 1 / max|G|, which is exact and
+keeps products and norms inside the range of a float.  Every 5 steps the
 largest Ritz value theta of the Lanczos tridiagonal T is tested, and a run
 stops once its residual estimate beta_k |s_k| is at most n eps theta, or
 at step n, where T is similar to the operator.  The Ritz value then lies
@@ -41,7 +41,7 @@ import numpy as np
 from framecycles.cholesky import Cholesky, cholesky
 
 _SYMMETRY_TOL = 1e-12
-#: Rows per block of the symmetry check.
+#: Rows per block of the symmetry check and of PN's row norms.
 _ROWS = 64
 #: Lanczos steps between two convergence tests.
 _CHECK_EVERY = 5
@@ -74,6 +74,11 @@ def _checked(G: np.ndarray) -> np.ndarray:
     return G
 
 
+def _exponent(G: np.ndarray) -> int:
+    """e with 2^e near max|G|, the largest diagonal entry of an SPD G."""
+    return max(math.frexp(float(np.max(np.diag(G))))[1] - 1, -1021)
+
+
 def eig_extremes(G: np.ndarray, factor: Cholesky | None = None) -> tuple[float, float]:
     """Extreme eigenvalues (min, max) of a symmetric positive definite matrix.
 
@@ -85,11 +90,9 @@ def eig_extremes(G: np.ndarray, factor: Cholesky | None = None) -> tuple[float, 
     if factor is None:
         G = _checked(G)
         factor = cholesky(G)
-    # Both runs see their operator times a power of two near 1 / max|G| (an
-    # SPD matrix has its largest entry on the diagonal).  That is exact, so
-    # the runs are those on G itself, but no product or norm in them can
-    # overflow or underflow, however large or small G's entries are.
-    exponent = max(math.frexp(float(np.max(np.diag(G))))[1] - 1, -1021)
+    # Both runs see their operator times 2^-e: exactly the runs on G, but no
+    # product or norm in them over- or underflows, however large or small G is.
+    exponent = _exponent(G)
     up, down = math.ldexp(1.0, exponent), math.ldexp(1.0, -exponent)
     n = len(G)
     lam_min = up / _largest_eigenvalue(lambda v: factor.sweep(v) * up, n)
@@ -168,8 +171,12 @@ def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
     lam_min, lam_max = eig_extremes(G, factor)
     pl = math.log10(lam_max / lam_min)
     logdet = factor.log_det()
+    # Row norms of G 2^-e, whose squares cannot overflow or underflow, then
+    # times 2^e; one block of rows at a time, so no second n x n array.
+    down = math.ldexp(1.0, -_exponent(G))
+    rows = [np.linalg.norm(G[s : s + _ROWS] * down, axis=1) for s in range(0, len(G), _ROWS)]
     values = []
-    for scales in (np.linalg.norm(G, axis=1), np.diag(G)):
+    for scales in (np.concatenate(rows) / down, np.diag(G)):
         log_value = logdet - float(np.log(scales).sum())
         value = math.exp(log_value) if log_value > -745 else 0.0
         values += [value, log_value / math.log(10.0)]

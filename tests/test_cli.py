@@ -406,6 +406,26 @@ class TestErrors:
         assert captured.err == f"error: member {column} is too short: its length cubed underflows\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("height", [1e-105, 5e-102])
+    @pytest.mark.parametrize("command", ["cycles", "condition", "force"])
+    def test_member_whose_weight_overflows_is_reported(self, tmp_path, capsys, command, height):
+        # The column's L**3 is a tiny nonzero float, and 12EI/L**3 is inf.
+        path = tmp_path / "frame.json"
+        assert main(["generate", "--stories", "2", "--spans", "2", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        (node,) = [n for n in doc["nodes"] if n["id"] == 4]
+        node["coords"] = [0.0, height]
+        path.write_text(json.dumps(doc))
+        write_load_case([(5, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
+        options = {"force": ["--loads", str(tmp_path / "loads.json")]}
+        capsys.readouterr()
+        assert main([command, str(path), *options.get(command, [])]) == 1
+        captured = capsys.readouterr()
+        (column,) = [m["id"] for m in doc["members"] if {m["a"], m["b"]} == {1, 4}]
+        expected = f"error: member {column} is too short for its section: its weight overflows\n"
+        assert captured.err == expected
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from framecycles.cycles import (
     NoCycleThroughMember,
     RouteTree,
     UnionSubgraph,
+    _grow,
     _plain,
     _pruned,
     _srtm_tiers,
@@ -303,6 +305,32 @@ def test_masked_trees_match_the_masked_copy(seed, tied, data):
             ):
                 tree = build(g, end, forbidden=mid, mask=mask)
                 assert (tree.label, tree.parent) == reference(view, end, mid)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_grow_from_a_node_set_labels_each_node_with_its_distance_to_it(seed, data):
+    """A tree whose labels hold a node set S at 0 grows to the nodes reachable
+    from S without the forbidden member, each labelled with its breadth-first
+    distance to S (networkx's multi-source search); tier k is the nodes at
+    distance k, and each parent is a neighbour one tier up."""
+    g = oracles.random_connected_graph(random.Random(seed), 30)
+    forbidden = data.draw(st.sampled_from(g.member_ids()))
+    sources = data.draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True))
+    tree = RouteTree(sources[0], {}, dict.fromkeys(sources, 0))
+    tiers = list(_grow(tree, _plain(g, forbidden, None)))
+    view = nx.Graph()
+    view.add_nodes_from(g.nodes)
+    view.add_edges_from((e.a, e.b) for e in g.members if e.id != forbidden)
+    distance = nx.multi_source_dijkstra_path_length(view, set(sources))
+    assert tree.label == distance
+    assert [sorted(tier) for tier in tiers] == [
+        sorted(n for n, d in distance.items() if d == k) for k in range(1, len(tiers) + 1)
+    ]
+    for v, (u, via) in tree.parent.items():
+        e = g.member(via)
+        assert via != forbidden and {e.a, e.b} == {u, v}
+        assert tree.label[u] == tree.label[v] - 1
 
 
 #: Weights four orders of magnitude apart: pruning strands whole chains of

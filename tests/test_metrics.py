@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,21 @@ def test_extremes_scale_with_g_however_large_or_small(power):
     scaled_lo, scaled_hi = eig_extremes(G * 2.0**power)
     assert scaled_lo == pytest.approx(lo * 2.0**power, rel=1e-12)
     assert scaled_hi == pytest.approx(hi * 2.0**power, rel=1e-12)
+
+
+@pytest.mark.parametrize("power", [-900, -600, 600, 900])
+def test_report_scales_with_g_however_large_or_small(power):
+    """G times 2^power has G's PL and the same PN and PDET: no row norm's
+    squares may overflow or underflow (2^600 G squares to beyond the
+    largest float), and no step may warn."""
+    G = oracles.random_spd(np.random.default_rng(11), 100)
+    report = condition_report(G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = condition_report(G * 2.0**power)
+    assert scaled.pl == report.pl
+    assert scaled.pn_log10 == pytest.approx(report.pn_log10, abs=1e-10)
+    assert scaled.pdet_log10 == pytest.approx(report.pdet_log10, abs=1e-10)
 
 
 def test_extremes_are_deterministic_and_leave_the_global_rng_alone():
