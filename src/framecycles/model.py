@@ -309,7 +309,7 @@ def build_graph(model: StructuralModel, variant: str = SUM) -> WeightedGraph:
         except ZeroDivisionError:  # a length below about 1.4e-108 cubes to 0
             raise ModelError(f"member {m.id} is too short: its length cubed underflows") from None
         if not math.isfinite(weights[m.id]):  # 12EI/L^3 is inf below about 6e-102 m
-            raise ModelError(f"member {m.id} is too short for its section: its weight overflows")
+            raise ModelError(f"member {m.id} is too short or too stiff: its weight overflows")
     graph = WeightedGraph(tuple(sorted(nodes)), tuple(edges), weights, ground=GROUND)
     if graph.b0 != 1:
         raise ModelError("disconnected structure: some nodes cannot reach the ground")

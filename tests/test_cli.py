@@ -388,28 +388,11 @@ class TestErrors:
         assert captured.err == f"error: member {first} is too long: its length cubed overflows\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["cycles", "condition", "force"])
-    def test_member_whose_length_cubed_underflows_is_reported(self, tmp_path, capsys, command):
-        # Node 4 sits 1e-320 m above support 1: the column's L**3 is 0.
-        path = tmp_path / "frame.json"
-        assert main(["generate", "--stories", "2", "--spans", "2", "-o", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        (node,) = [n for n in doc["nodes"] if n["id"] == 4]
-        node["coords"] = [0.0, 1e-320]
-        path.write_text(json.dumps(doc))
-        write_load_case([(5, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
-        options = {"force": ["--loads", str(tmp_path / "loads.json")]}
-        capsys.readouterr()
-        assert main([command, str(path), *options.get(command, [])]) == 1
-        captured = capsys.readouterr()
-        (column,) = [m["id"] for m in doc["members"] if {m["a"], m["b"]} == {1, 4}]
-        assert captured.err == f"error: member {column} is too short: its length cubed underflows\n"
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("height", [1e-105, 5e-102])
-    @pytest.mark.parametrize("command", ["cycles", "condition", "force"])
-    def test_member_whose_weight_overflows_is_reported(self, tmp_path, capsys, command, height):
-        # The column's L**3 is a tiny nonzero float, and 12EI/L**3 is inf.
+    @staticmethod
+    def run_with_short_column(tmp_path, capsys, command, height):
+        """Run *command* on a 2-story 2-span frame with node 4 *height* m
+        above support 1; the exit code must be 1.  Gives the captured output
+        and the column's member id."""
         path = tmp_path / "frame.json"
         assert main(["generate", "--stories", "2", "--spans", "2", "-o", str(path)]) == 0
         doc = json.loads(path.read_text())
@@ -420,9 +403,22 @@ class TestErrors:
         options = {"force": ["--loads", str(tmp_path / "loads.json")]}
         capsys.readouterr()
         assert main([command, str(path), *options.get(command, [])]) == 1
-        captured = capsys.readouterr()
         (column,) = [m["id"] for m in doc["members"] if {m["a"], m["b"]} == {1, 4}]
-        expected = f"error: member {column} is too short for its section: its weight overflows\n"
+        return capsys.readouterr(), column
+
+    @pytest.mark.parametrize("command", ["cycles", "condition", "force"])
+    def test_member_whose_length_cubed_underflows_is_reported(self, tmp_path, capsys, command):
+        # Node 4 sits 1e-320 m above support 1: the column's L**3 is 0.
+        captured, column = self.run_with_short_column(tmp_path, capsys, command, 1e-320)
+        assert captured.err == f"error: member {column} is too short: its length cubed underflows\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("height", [1e-105, 5e-102])
+    @pytest.mark.parametrize("command", ["cycles", "condition", "force"])
+    def test_member_whose_weight_overflows_is_reported(self, tmp_path, capsys, command, height):
+        # The column's L**3 is a tiny nonzero float, and 12EI/L**3 is inf.
+        captured, column = self.run_with_short_column(tmp_path, capsys, command, height)
+        expected = f"error: member {column} is too short or too stiff: its weight overflows\n"
         assert captured.err == expected
         assert captured.out == ""
 
