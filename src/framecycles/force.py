@@ -124,6 +124,8 @@ def _carry(
 #: Couples of the three unit bi-actions at a cycle cut: axial, shear, moment.
 _CUT_COUPLES = np.array([0.0, 0.0, 1.0])
 _XYZ = np.arange(3)
+#: Rows per block in the symmetrisation of G.
+_ROWS = 64
 
 
 def _order_cycle_walk(graph: WeightedGraph, cycle: CycleVector) -> list[tuple[int, int, int]]:
@@ -260,8 +262,15 @@ def assemble_g(B1: B1Blocks, Fm: np.ndarray) -> np.ndarray:
         # Two members of a batch can share a cycle pair: add.at sums repeats.
         targets = n * cols[:, :, None] + cols[:, None, :]
         np.add.at(flat, targets.ravel(), (Bm.transpose(0, 2, 1) @ (Fm[members] @ Bm)).ravel())
-    G += G.T
-    G *= 0.5
+    # (G + G') / 2 by pairs of blocks: G += G.T would make a transposed n x n
+    # copy of G for the overlapping add.  Addition commutes, so both
+    # triangles get the same bits.
+    for a in range(0, n, _ROWS):
+        for b in range(a, n, _ROWS):
+            upper, lower = np.s_[a : a + _ROWS, b : b + _ROWS], np.s_[b : b + _ROWS, a : a + _ROWS]
+            S = (G[upper] + G[lower].T) * 0.5
+            G[upper] = S
+            G[lower] = S.T
     return G
 
 

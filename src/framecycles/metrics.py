@@ -51,7 +51,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _checked(G: np.ndarray) -> np.ndarray:
     """G as floats, if it is a non-empty square matrix of finite numbers,
-    symmetric, with a positive diagonal; anything else is a ValueError."""
+    symmetric, with a positive diagonal, whose largest entry is a normal
+    float; anything else is a ValueError."""
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
@@ -71,6 +72,10 @@ def _checked(G: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is not symmetric")
     if np.any(np.diag(G) <= 0):
         raise ValueError("not positive definite: matrix has a non-positive diagonal entry")
+    # Below the smallest normal float no power of two brings G's products
+    # and norms back into range: a sweep through its factor overflows.
+    if scale < np.finfo(float).tiny:
+        raise ValueError(f"matrix entries are subnormal: the largest is {scale:g}")
     return G
 
 
@@ -84,8 +89,9 @@ def eig_extremes(G: np.ndarray, factor: Cholesky | None = None) -> tuple[float, 
 
     Without *factor* it checks G before any other use: it must be a
     non-empty square matrix of finite numbers, symmetric, with a positive
-    diagonal, and its Cholesky factor must exist; anything else is a
-    ValueError.  A caller that has made those checks passes the factor.
+    diagonal and a normal largest entry, and its Cholesky factor must
+    exist; anything else is a ValueError.  A caller that has made those
+    checks passes the factor.
     """
     if factor is None:
         G = _checked(G)

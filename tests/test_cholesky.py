@@ -1,5 +1,7 @@
-"""The Cholesky factor of G and the blocked solve with it, which the force
-method and the conditioning report share."""
+"""The Cholesky factor of G along its band and the blocked solve with it,
+which the force method and the conditioning report share."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from framecycles.cholesky import _BLOCK, cholesky
-from framecycles.cli import Analysis
+from framecycles.cli import Analysis, load_or_generate
 from test_force import planar_grids
 
 EPS = np.finfo(float).eps
@@ -54,6 +56,88 @@ def test_solve_is_backward_stable_on_flexibility_matrices(model, algorithm, seed
     analysis = Analysis(model)
     G = analysis.g(analysis.basis(algorithm))
     check_solve_and_log_det(G, np.random.default_rng(seed).standard_normal(len(G)))
+
+
+@st.composite
+def permuted_band_systems(draw):
+    """One or two SPD blocks on the diagonal, each of a random half-bandwidth
+    and scaled symmetrically by 10^[-4, 4], under a random symmetric
+    permutation, and a right-hand side.  No block's size is a multiple of
+    3 or of _BLOCK."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.sampled_from([1, 2, 5, 67, 131, 200]), min_size=1, max_size=2))
+    G = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for n in sizes:
+        w = draw(st.integers(0, n - 1))
+        A = np.triu(np.tril(rng.standard_normal((n, n)), w), -w)
+        A = A + A.T
+        A += np.diag(np.abs(A).sum(axis=1) + 1.0)
+        s = 10.0 ** rng.uniform(-4.0, 4.0, size=n)
+        G[start : start + n, start : start + n] = s[:, None] * A * s
+        start += n
+    p = rng.permutation(len(G))
+    return G[np.ix_(p, p)], rng.standard_normal(len(G))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(permuted_band_systems())
+def test_solve_is_backward_stable_on_permuted_band_matrices(system):
+    G, b = system
+    check_solve_and_log_det(G, b)
+    perm = cholesky(G).perm
+    assert np.array_equal(np.sort(perm), np.arange(len(G)))
+    assert np.array_equal(cholesky(G).perm, perm)
+
+
+@pytest.fixture(scope="module")
+def checker_15x15():
+    """G of the 15x15 checker grid (n = 675) for algorithms 1 and 3 and the baseline."""
+    analysis = Analysis(load_or_generate("grid:15x15:checker"))
+    return {algorithm: analysis.g(analysis.basis(algorithm)) for algorithm in (1, 3, "baseline")}
+
+
+@pytest.mark.parametrize("algorithm", [1, 3, "baseline"])
+def test_order_is_a_deterministic_permutation_of_row_triples(checker_15x15, algorithm):
+    """Each cycle's three redundants stay together, in their own order."""
+    G = checker_15x15[algorithm]
+    perm = cholesky(G).perm
+    assert np.array_equal(np.sort(perm), np.arange(len(G)))
+    assert np.array_equal(perm.reshape(-1, 3), perm[::3, None] + np.arange(3))
+    assert np.all(perm[::3] % 3 == 0)
+    assert np.array_equal(cholesky(G.copy()).perm, perm)
+
+
+@pytest.mark.parametrize("algorithm,bandwidth", [(1, 47), (3, 47), ("baseline", 89)])
+def test_half_bandwidths_on_the_15x15_checker_grid(checker_15x15, algorithm, bandwidth):
+    """Reverse Cuthill-McKee narrows G's band to 15 cycles for algorithm 1
+    and to 29 for the baseline, 3 rows per cycle plus the rest of a triple.
+    Algorithm 3's greedy order is as narrow already, and is kept."""
+    G = checker_15x15[algorithm]
+    factor = cholesky(G)
+    assert factor.bandwidth == bandwidth
+    assert np.array_equal(factor.perm, np.arange(len(G))) == (algorithm == 3)
+
+
+def test_a_dense_matrix_keeps_its_order_and_its_full_band():
+    G = oracles.random_spd(np.random.default_rng(0), 2 * _BLOCK + 1)
+    factor = cholesky(G)
+    assert np.array_equal(factor.perm, np.arange(len(G)))
+    assert factor.bandwidth == len(G) - 1
+
+
+def test_factor_keeps_less_than_a_quarter_of_g(checker_15x15):
+    """The factor of the baseline's G keeps a reference to G, its panels
+    along the band and the diagonal blocks' inverses, and no n x n L."""
+    G = checker_15x15["baseline"]
+    tracemalloc.start()
+    try:
+        factor = cholesky(G)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert factor.G is G
+    assert kept < G.nbytes / 4
 
 
 def test_block_inverses_are_made_once_per_factor(monkeypatch):

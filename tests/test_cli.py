@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import write_load_case
-from framecycles import cli
+from framecycles import cli, force, metrics
 from framecycles.cli import Analysis, load_or_generate, main
 from framecycles.cholesky import _BLOCK
 from framecycles.model import ModelError, build_graph, cycle_rank
@@ -472,9 +472,13 @@ _FACTORISATIONS = "cholesky det eig eigh eigvals eigvalsh inv lstsq pinv qr slog
 @pytest.mark.parametrize(
     "argv,factored,others",
     [
-        (["condition", "grid:6x6:checker"], 1, {"inv", "eigh"}),
-        (["compare", "grid:6x6:checker", "--algorithms", "1,3,baseline"], 3, {"inv", "eigh"}),
-        (["force", "grid:6x6:checker", "--loads", "loads.json"], 1, {"inv"}),
+        (["condition", "grid:6x6:checker"], 1, {"cholesky", "inv", "eigh"}),
+        (
+            ["compare", "grid:6x6:checker", "--algorithms", "1,3,baseline"],
+            3,
+            {"cholesky", "inv", "eigh"},
+        ),
+        (["force", "grid:6x6:checker", "--loads", "loads.json"], 1, {"cholesky", "inv"}),
         (["render", "grid:6x6:checker", "--block", "--sparsity", "g.pbm"], 0, set()),
     ],
     ids=["condition", "compare", "force", "render-block"],
@@ -483,10 +487,11 @@ def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, argv, factor
     """Each G is factored once, by the consumer that uses the factor:
     condition_report's Cholesky is its SPD test, gives log det and applies
     G^-1 for the smallest eigenvalue, and the force solve's Cholesky is its
-    SPD test and the factor it solves with.  Nothing runs slogdet, an LU
-    solve or an eigendecomposition of G: every other call acts on a matrix
-    strictly smaller than G, inv on diagonal blocks of the factor, of at
-    most _BLOCK rows, and eigh on the symmetric tridiagonal of a Lanczos run."""
+    SPD test and the factor it solves with.  The factor works along G's
+    band, so no LAPACK call sees G: nothing runs slogdet, an LU solve or an
+    eigendecomposition of it, every call acts on a square matrix strictly
+    smaller than G, cholesky and inv on diagonal blocks of at most _BLOCK
+    rows, and eigh on the symmetric tridiagonal of a Lanczos run."""
     write_load_case([(10, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
     monkeypatch.chdir(tmp_path)
     calls = []
@@ -500,14 +505,16 @@ def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, argv, factor
 
     for name in _FACTORISATIONS.split():
         monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    for consumer in (force, metrics):
+        monkeypatch.setattr(consumer, "cholesky", recorded("factor", consumer.cholesky))
     assert main(argv) == 0
     n = 3 * cycle_rank(build_graph(load_or_generate("grid:6x6:checker")))
-    assert [a.shape for name, a in calls if name == "cholesky"] == [(n, n)] * factored
-    smaller = [(name, a) for name, a in calls if name != "cholesky"]
-    assert {name for name, _ in smaller} == others
-    assert all(a.ndim == 2 and a.shape[0] == a.shape[1] < n for _, a in smaller)
-    assert all(len(a) <= _BLOCK for name, a in smaller if name == "inv")
-    tridiagonal = [a for name, a in smaller if name == "eigh"]
+    assert [a.shape for name, a in calls if name == "factor"] == [(n, n)] * factored
+    lapack = [(name, a) for name, a in calls if name != "factor"]
+    assert {name for name, _ in lapack} == others
+    assert all(a.ndim == 2 and a.shape[0] == a.shape[1] < n for _, a in lapack)
+    assert all(len(a) <= _BLOCK for name, a in lapack if name in ("cholesky", "inv"))
+    tridiagonal = [a for name, a in lapack if name == "eigh"]
     assert all(np.array_equal(a, np.tril(np.triu(a, -1), 1)) for a in tridiagonal)
     assert all(np.array_equal(a, a.T) for a in tridiagonal)
 

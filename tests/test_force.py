@@ -179,6 +179,16 @@ class TestAssembleG:
                 block = G[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
                 assert (np.max(np.abs(block)) > 0) == (D[i, j] != 0)
 
+    @pytest.mark.parametrize("algorithm", [2, "baseline"])
+    def test_exactly_symmetric_across_blocks(self, algorithm):
+        """G is symmetrised by pairs of 64-row blocks; with more than two
+        blocks, each pair off the diagonal gets the same bits both ways."""
+        model = generate_grid(8, 8, pattern="checker")
+        basis = Analysis(model).basis(algorithm)
+        G = assemble_g(build_b1(model, basis), unassembled_flexibility(model))
+        assert len(G) > 2 * 64
+        assert np.array_equal(G, G.T)
+
     def test_dependent_basis_rejected(self):
         """assemble_g factors nothing; each consumer's own factorisation rejects G."""
         model = generate_grid(1, 1)

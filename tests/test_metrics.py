@@ -290,6 +290,17 @@ def test_report_scales_with_g_however_large_or_small(power):
     assert scaled.pdet_log10 == pytest.approx(report.pdet_log10, abs=1e-10)
 
 
+@pytest.mark.parametrize("check", [condition_report, eig_extremes])
+def test_a_subnormal_g_is_a_value_error(check):
+    """No power of two brings a G below the smallest normal float back into
+    range: it is rejected before a sweep through its factor could overflow."""
+    G = oracles.random_spd(np.random.default_rng(11), 100) * 2.0**-1030
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^matrix entries are subnormal: the largest is "):
+            check(G)
+
+
 def test_extremes_are_deterministic_and_leave_the_global_rng_alone():
     G = oracles.random_spd(np.random.default_rng(5), 40)
     np.random.seed(123)
