@@ -10,9 +10,11 @@ the "b" end are implied by member equilibrium.
 Self-equilibrating stress systems come from cycles: cut the cycle's
 generator member at its "a" end, apply the three unit bi-actions there
 (axial pair, shear pair, moment pair), and carry the resulting wrench
-around the closed cycle path by rigid-body transfer.  Cycles may close
-through the ground node: the wrench then enters and leaves via support
-reactions, which keeps every free node in equilibrium.
+around the closed cycle path by rigid-body transfer, in the order of one walk
+over an endpoint table (member id to end nodes); a member set that is not one
+simple cycle is an UnsupportedModel.  Cycles may close through the ground
+node: the wrench then enters and leaves via support reactions, which keeps
+every free node in equilibrium.
 
 Fm is block diagonal, so it is kept as its (M, 3, 3) stack of member
 blocks and applied block by block.  B1 is kept as its nonzero (member,
@@ -41,7 +43,6 @@ from framecycles.model import (
     ModelError,
     Section,
     StructuralModel,
-    WeightedGraph,
 )
 
 
@@ -128,35 +129,33 @@ _XYZ = np.arange(3)
 _ROWS = 64
 
 
-def _order_cycle_walk(graph: WeightedGraph, cycle: CycleVector) -> list[tuple[int, int, int]]:
-    """Orient a simple cycle as (member id, from-node, to-node) steps.
+def _oriented(ends: dict[int, tuple[int, int]], cycle: CycleVector) -> list[tuple[int, float]]:
+    """(member id, sign) steps around one simple cycle, from its generator's "a" end.
 
-    The walk starts through the generator from its "a" side.  Only simple
-    cycles (every touched node of degree 2) are supported.
+    *ends* maps member ids to their (a, b) nodes; a step from a to b has sign +1.
     """
-    degree: dict[int, list[int]] = {}
+    at: dict[int, list[int]] = {}
     for mid in cycle.members:
-        e = graph.member(mid)
-        degree.setdefault(e.a, []).append(mid)
-        degree.setdefault(e.b, []).append(mid)
-    for node, mids in degree.items():
+        for node in ends[mid]:
+            at.setdefault(node, []).append(mid)
+    for node, mids in at.items():
         if len(mids) != 2:
             raise UnsupportedModel(
                 f"cycle on generator {cycle.generator} is not a simple cycle "
                 f"(node {node} has degree {len(mids)})"
             )
-    gen = graph.member(cycle.generator)
-    walk = [(gen.id, gen.a, gen.b)]
-    used = {gen.id}
-    current = gen.b
-    while current != gen.a:
-        nxt = next(mid for mid in degree[current] if mid not in used)
-        e = graph.member(nxt)
-        other = e.b if e.a == current else e.a
-        walk.append((nxt, current, other))
-        used.add(nxt)
-        current = other
-    return walk
+    mid, (start, node) = cycle.generator, ends[cycle.generator]
+    steps = [(mid, 1.0)]
+    while node != start:  # at a node of degree 2, the next member is the other one
+        first, second = at[node]
+        mid = second if first == mid else first
+        a, b = ends[mid]
+        steps.append((mid, 1.0 if node == a else -1.0))
+        node = b if node == a else a
+    if len(steps) != len(cycle.members):
+        closes = f"its walk closes after {len(steps)} of {len(cycle.members)} members"
+        raise UnsupportedModel(f"cycle on generator {cycle.generator} is not one cycle ({closes})")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -200,12 +199,12 @@ def _sum_triples(index: np.ndarray, parts: np.ndarray, n: int) -> np.ndarray:
 def build_b1(model: StructuralModel, basis: CycleBasis) -> B1Blocks:
     """Self-stress matrix: three unit bi-action columns per basis cycle, as blocks."""
     geo = _geometry(model)
-    graph = basis.graph
+    ends = {e.id: (e.a, e.b) for e in basis.graph.members}
     rows, signs, cycle_of = [], [], []
     for j, cycle in enumerate(basis.cycles):
-        for mid, u, _v in _order_cycle_walk(graph, cycle):
+        for mid, sign in _oriented(ends, cycle):
             rows.append(geo.row[mid])
-            signs.append(1.0 if u == graph.member(mid).a else -1.0)
+            signs.append(sign)
             cycle_of.append(j)
     rows = np.array(rows, dtype=int)
     cycle_of = np.array(cycle_of, dtype=int)

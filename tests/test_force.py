@@ -1,6 +1,7 @@
 """Force-method matrices and solutions for planar frames."""
 
 import os
+import random
 import tempfile
 import tracemalloc
 
@@ -15,6 +16,7 @@ from framecycles.basis import (
     AlgorithmSpec,
     CycleBasis,
     adjacency_matrix,
+    baseline_tree_basis,
     generate_basis,
     incidence_matrix,
 )
@@ -29,9 +31,10 @@ from framecycles.force import (
     unassembled_flexibility,
 )
 from framecycles.cli import Analysis
+from framecycles.cycles import CycleVector
 from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid, generate_grid3d
 from framecycles.metrics import condition_report
-from framecycles.model import FrameNode, ModelError, StructuralModel, build_graph
+from framecycles.model import FrameNode, ModelError, StructuralModel, build_graph, classify_members
 from framecycles.render import render_sparsity
 
 
@@ -100,6 +103,26 @@ class TestB1:
         graph = build_graph(model)
         basis = generate_basis(graph, AlgorithmSpec.for_id(1))
         with pytest.raises(UnsupportedModel):
+            build_b1(model, basis)
+
+    @pytest.mark.parametrize(
+        "members,message",
+        [
+            # Two loops that meet at the ground: node -1 joins four members.
+            ({1, 2, 3, 4, 5, 7}, r"not a simple cycle \(node -1 has degree 4\)"),
+            # Two disjoint loops, every node of degree 2: the walk from member 1
+            # closes after the three members of its own loop.
+            ({1, 2, 5, 7, 10, 11, 14}, r"not one cycle \(its walk closes after 3 of 7 members\)"),
+        ],
+        ids=["loops-meeting-at-ground", "disjoint-loops"],
+    )
+    def test_member_set_that_is_not_one_cycle_is_rejected(self, members, message):
+        """On grid:2x3 (ground -1; members 1-4 from it, 5-7 and 12-14 the
+        floors, 8-11 the upper columns), neither set is one simple cycle."""
+        model = generate_grid(2, 3)
+        graph = build_graph(model)
+        basis = CycleBasis([CycleVector.from_members(graph, frozenset(members), 1)], graph)
+        with pytest.raises(UnsupportedModel, match="cycle on generator 1 is " + message):
             build_b1(model, basis)
 
     def test_solve_holds_no_dense_b1(self):
@@ -368,3 +391,31 @@ def test_force_method_matches_stiffness_method_for_every_basis(case):
             got = solution.r[3 * i : 3 * i + 3]
             assert np.allclose(got, expected[mid], rtol=1e-6, atol=1e-6 * scale)
         assert nodal_equilibrium_residual(model, solution.r, applied) < 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_each_cycle_is_walked_once_around_from_its_generator(seed):
+    """On random graphs, every cycle of every algorithm's basis is walked
+    member by member: each member once, the generator first and from its "a"
+    end, and the signed incidence sum of the steps is zero at every node.
+    The steps are the oracle walk's, sign for sign."""
+    graph = oracles.random_connected_graph(random.Random(seed), 24)
+    ends = {e.id: (e.a, e.b) for e in graph.members}
+    partition = classify_members(graph)
+    bases = [baseline_tree_basis(graph)]
+    for algorithm_id in (1, 2, 3, 4, 5):
+        spec = AlgorithmSpec.for_id(algorithm_id)
+        bases.append(generate_basis(graph, spec, partition if spec.na_avoidance else None))
+    for basis in bases:
+        for cycle in basis.cycles:
+            steps = force._oriented(ends, cycle)
+            assert steps[0] == (cycle.generator, 1.0)
+            assert sorted(mid for mid, _ in steps) == sorted(cycle.members)
+            incidence = dict.fromkeys(graph.nodes, 0.0)
+            for mid, sign in steps:
+                a, b = ends[mid]
+                incidence[a] -= sign
+                incidence[b] += sign
+            assert set(incidence.values()) == {0.0}
+            assert steps == oracles._cycle_walk(graph, cycle)
