@@ -6,19 +6,24 @@ minimum-length cycles, and the weight-pruned SRTM over the members at
 least as heavy as their node's average, plus rounds that attach nodes
 stranded by pruning.  Both yield their tiers one at a time, so the search
 for a member's cycle stops growing them where the two trees meet; the
-SRTM's stranded nodes are attached tier by tier as well.  Forbidden and
-masked members are left out of the lists, nowhere else.  All tie-breaking
-is by ascending member id then ascending node id, so every result is
-deterministic.
+SRTM's main phase and its stranded nodes are grown tier by tier as well.
+An SRTM needs its main phase's node set L0 before its first tier.  Where
+a certificate shows it, L0 is the closure of the root's strong component
+in the graph's survivor digraph, made once per component and graph and
+shared by every tree rooted there; elsewhere it is one search, and the
+two trees of a member share it when their L0 are equal.  Forbidden and
+masked members are left out of the lists, nowhere else.  All
+tie-breaking is by ascending member id then ascending node id, so every
+result is deterministic.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from itertools import count
 
-from framecycles.model import DisjointSets, WeightedGraph, heavy_first
+from framecycles.model import DisjointSets, Edge, WeightedGraph, heavy_first
 
 SRT = "SRT"
 SRTM = "SRTM"
@@ -33,8 +38,9 @@ class RouteTree:
     """Spanning tree of the reachable component with breadth-first tier labels.
 
     A tree grown lazily for ``min_cycle_on_member`` holds only the tiers
-    that the lock-step search reached; an SRTM's also holds its whole main
-    phase (``_srtm_tiers``).
+    that the lock-step search reached, an SRTM's as well as an SRT's; the
+    SRTM's main-phase node set L0 is known apart from the tree
+    (``_main_set``).
     """
 
     root: int
@@ -200,57 +206,188 @@ def build_srtm(
     average.  The tree is ``_srtm_tiers`` run to the end.
     """
     plain = _plain(graph, forbidden, mask)
+    pruned = _pruned(graph, plain, mask)
+    stranded = _Stranded(graph, root, _main_set(graph, root, pruned, mask), plain)
     tree = RouteTree(root, {}, {root: 0})
-    for _ in _srtm_tiers(graph, tree, plain, _pruned(graph, plain, mask)):
+    for _ in _srtm_tiers(tree, pruned, stranded):
         pass
     return tree
 
 
-def _srtm_tiers(
-    graph: WeightedGraph, tree: RouteTree, plain: Lists, pruned: Lists
-) -> Iterator[list[int]]:
-    """Add the SRTM's tiers to *tree* one at a time, yielding each new one.
+def _reach(root: int, lists: Lists, stop: int | None = None) -> set[int]:
+    """The nodes reachable from *root* over *lists*.  The search is
+    breadth-first, so if it meets *stop* it ends there early, with the nodes
+    met so far."""
+    table, ends = lists
+    seen = {root}
+    order = [root]
+    for u in order:
+        for _, v in ends[u] if u in ends else table[u]:
+            if v not in seen:
+                seen.add(v)
+                if v == stop:
+                    return seen
+                order.append(v)
+    return seen
 
-    The main phase, the tier loop over *pruned*, runs in full at the first
-    pull; call its node set L0.  A node it strands is attached in fallback
-    round r, its distance to L0 over *plain*, by its heaviest key
-    ``(-w, id, u)`` over its neighbours u in round r-1 (L0 for round 1):
-    when it is attached, all its labelled neighbours lie in that round.  Its
-    label is its parent's + 1, so tier j is main tier j and the stranded
-    nodes whose parent is in tier j-1, and those are among the unlabelled
-    neighbours of tier j-1.  A stranded node's parent is found once, when
-    it is first met: in round 1 by a look at its own list for L0, in a later
-    round from the rounds of a ``_grow`` out of L0 over *plain*, pulled until
-    it has one.  So a tree pulled to tier k is exactly the top k tiers of
-    the whole SRTM, with the whole main phase below them.
+
+def _closure(graph: WeightedGraph, node: int) -> tuple[RouteTree, RouteTree]:
+    """The record of *node*'s strong component K in the graph's survivor
+    digraph (u -> v over ``heavy_incident[u]``), made at the first need and
+    kept in ``WeightedGraph.heavy_closures`` for every node of K.
+
+    The first node asked for is K's representative r.  The record is two
+    breadth-first trees from r: T, over the survivor lists, whose nodes are
+    L, the nodes reachable from r (the closure of K); and one over the same
+    members reversed inside L, whose nodes are K, so that a node's parent
+    there is its next step on a path to r.
     """
-    main = [[tree.root], *_grow(tree, pruned)]
-    table, ends = plain
-    weights = graph.weights
-    label, parent = tree.label, tree.parent
-    rounds = dict.fromkeys(label, 0)  # fallback round: 0 in L0, the rest as pulled
-    fallback = _grow(RouteTree(tree.root, {}, rounds), plain)
-    found: dict[int, tuple[int, int]] = {}  # stranded node -> its parent
+    memo = graph.heavy_closures
+    if node not in memo:
+        heavy = graph.heavy_incident
+        out = RouteTree(node, {}, {node: 0})
+        for _ in _grow(out, (heavy, {})):
+            pass
+        into: dict[int, list] = {v: [] for v in out.label}
+        for u in out.label:
+            for e, v in heavy[u]:
+                into[v].append((e, u))
+        back = RouteTree(node, {}, {node: 0})
+        for _ in _grow(back, (into, {})):
+            pass
+        memo.update(dict.fromkeys(back.label, (out, back)))
+    return memo[node]
 
-    def attach(v: int) -> tuple[int, int]:
+
+def _certified(graph: WeightedGraph, root: int, pruned: Lists) -> dict | None:
+    """L0 as the closure L of *root*'s component (``_closure``), where a
+    certificate shows that they are equal, else None.
+
+    *pruned* differs from ``heavy_incident`` only at the forbidden member's
+    ends, so three checks there decide it, at the cost of the ends' degrees
+    and the root's path to r, not a search.  If each end's survivors that
+    start in L end in L, L is closed and holds the root, so L0 is within L.
+    If every member of T, and of the root's path to r, that leaves an end
+    survives there, L0 holds r and all of L.  r may be an end itself; the
+    root's path to it is then empty or checked like any other.
+    """
+    out, back = _closure(graph, root)
+    closed = out.label
+    kept: dict[int, set[int]] = {}
+    for end, survivors in pruned[1].items():
+        if end in closed:
+            if any(v not in closed for _, v in survivors):
+                return None
+            kept[end] = {e.id for e, _ in survivors}
+            for e, v in graph.heavy_incident[end]:
+                if out.parent.get(v) == (end, e.id) and e.id not in kept[end]:
+                    return None
+    node = root
+    while node != back.root:
+        after, eid = back.parent[node]
+        if node in kept and eid not in kept[node]:
+            return None
+        node = after
+    return closed
+
+
+def _main_set(
+    graph: WeightedGraph, root: int, pruned: Lists, mask: MemberMask | None, stop: int | None = None
+) -> Collection[int]:
+    """The SRTM main phase's node set L0: the nodes reachable from *root*
+    over the survivor lists *pruned*, known before any tier is grown.
+
+    Without a mask it is the closure shared by the root's whole component
+    wherever ``_certified`` shows that to be L0; else one search, which
+    ends early at *stop* (``min_cycle_on_member``).
+    """
+    if mask is None:
+        certified = _certified(graph, root, pruned)
+        if certified is not None:
+            return certified
+    return _reach(root, pruned, stop)
+
+
+class _Stranded:
+    """The stranded nodes of the SRTMs with one L0 (*main*) and one *plain*.
+
+    A node that the main phase strands is attached in fallback round r, its
+    distance to L0 over *plain*, by its heaviest key ``(-w, id, u)`` over
+    its neighbours u in round r-1 (L0 for round 1): when it is attached, all
+    its labelled neighbours lie in that round.  Its parent depends on
+    neither root, so the two trees of one member share it when they share
+    L0, and it is found once, when first met (``found``): in round 1 by a
+    look at its own list for L0, in a later round from the rounds of a
+    ``_grow`` out of L0 over *plain*, made at the first need and pulled
+    until it has the node.
+    """
+
+    def __init__(self, graph: WeightedGraph, root: int, main: Collection[int], plain: Lists):
+        self.weights, self.root, self.main, self.plain = graph.weights, root, main, plain
+        self.found: dict[int, tuple[int, int]] = {}  # stranded node -> its parent
+        self.rounds: dict[int, int] = {}  # fallback round: 0 in L0, the rest as pulled
+        self.fallback: Iterator[list[int]] | None = None
+
+    def attach(self, v: int) -> tuple[int, int]:
+        table, ends = self.plain
+        weights, main = self.weights, self.main
         adjacent = ends[v] if v in ends else table[v]
-        keys = [(-weights[e.id], e.id, u) for e, u in adjacent if rounds.get(u) == 0]
+        keys = [(-weights[e.id], e.id, u) for e, u in adjacent if u in main]
         if not keys:
+            if self.fallback is None:
+                self.rounds = dict.fromkeys(main, 0)
+                self.fallback = _grow(RouteTree(self.root, {}, self.rounds), self.plain)
             # _grow yields only whole rounds, and v, met over *plain*, is
             # reachable from L0: the pull ends with rounds 0..rounds[v] whole.
+            rounds = self.rounds
             while v not in rounds:
-                next(fallback)
+                next(self.fallback)
             before = rounds[v] - 1
             keys = [(-weights[e.id], e.id, u) for e, u in adjacent if rounds.get(u) == before]
         _, eid, u = min(keys)
         return u, eid
 
-    tier = main[0]
+
+def _stranded_pair(
+    graph: WeightedGraph, m: Edge, plain: Lists, pruned: Lists, mask: MemberMask | None
+) -> tuple[_Stranded, _Stranded]:
+    """The stranded-node state of the SRTMs from member *m*'s two ends.
+
+    The two L0 are equal exactly when each end reaches the other over
+    *pruned*.  So the second end's search, if it needs one, stops once it
+    meets the first end, and then the two trees share L0, the fallback
+    rounds and the parents found.
+    """
+    main_a = _main_set(graph, m.a, pruned, mask)
+    mutual = m.b in main_a
+    main_b = _main_set(graph, m.b, pruned, mask, stop=m.a if mutual else None)
+    stranded_a = _Stranded(graph, m.a, main_a, plain)
+    if mutual and m.a in main_b:
+        return stranded_a, stranded_a
+    return stranded_a, _Stranded(graph, m.b, main_b, plain)
+
+
+def _srtm_tiers(tree: RouteTree, pruned: Lists, stranded: _Stranded) -> Iterator[list[int]]:
+    """Add the SRTM's tiers to *tree* one at a time, yielding each new one.
+
+    Tier j is main tier j, pulled from a ``_grow`` over *pruned*, and the
+    stranded nodes whose parent is in tier j-1; those are among the
+    unlabelled neighbours of tier j-1 over *plain* that are not in L0, which
+    is known before the first pull (``_main_set``).  So a tree pulled to
+    tier k holds exactly the top k tiers of the whole SRTM, and nothing
+    below them.
+    """
+    main = _grow(tree, pruned)
+    table, ends = stranded.plain
+    in_main, found, attach = stranded.main, stranded.found, stranded.attach
+    label, parent = tree.label, tree.parent
+    tier = [tree.root]
     for depth in count(1):
-        next_tier = main[depth] if depth < len(main) else []
+        # A copy: the list that _grow yields is its own next frontier.
+        next_tier = list(next(main, ()))
         for u in tier:
             for _, v in ends[u] if u in ends else table[u]:
-                if v in label:
+                if v in label or v in in_main:
                     continue
                 if v not in found:
                     found[v] = attach(v)
@@ -275,8 +412,10 @@ def min_cycle_on_member(
     Two route trees of the given kind grow from the member's two ends with
     the member itself forbidden, expanding in lock-step tiers; the first
     common node closes the cycle.  Both kinds grow only as far as that
-    node: an SRTM runs its main phase in full first and attaches only the
-    stranded nodes of the tiers reached (``_srtm_tiers``), so the cycle is
+    node.  An SRTM knows its main-phase node set L0 before it grows a tier
+    (``_main_set``; the two trees share it where they can,
+    ``_stranded_pair``), and grows its main tiers and attaches its stranded
+    nodes only as deep as the search goes (``_srtm_tiers``), so the cycle is
     the one two whole trees would give.  With SRT trees the result has
     minimum length among cycles through the member; SRTM trades length for
     weight.  With a *mask*, the cycle is the one on the graph without the
@@ -291,7 +430,9 @@ def min_cycle_on_member(
         tiers_a, tiers_b = _grow(tree_a, plain), _grow(tree_b, plain)
     else:
         pruned = _pruned(graph, plain, mask)
-        tiers_a, tiers_b = (_srtm_tiers(graph, t, plain, pruned) for t in (tree_a, tree_b))
+        stranded_a, stranded_b = _stranded_pair(graph, m, plain, pruned, mask)
+        tiers_a = _srtm_tiers(tree_a, pruned, stranded_a)
+        tiers_b = _srtm_tiers(tree_b, pruned, stranded_b)
     meet = _first_common_node(tree_a.root, tiers_a, tree_b.root, tiers_b)
     if meet is None:
         raise NoCycleThroughMember(f"no cycle through member {member_id}")

@@ -170,6 +170,13 @@ class WeightedGraph:
         return {n: heavy_first(self.adjacency[n], self.weights) for n in self.nodes}
 
     @cached_property
+    def heavy_closures(self) -> dict:
+        """Memo of the strong components of the ``heavy_incident`` digraph,
+        filled by ``cycles`` for the components that route trees are rooted in.
+        """
+        return {}
+
+    @cached_property
     def min_cycles(self) -> dict:
         """Memo of the minimal cycle per (member id, tree kind), filled by ``basis``.
 

@@ -18,10 +18,15 @@ from framecycles.cycles import (
     NoCycleThroughMember,
     RouteTree,
     UnionSubgraph,
+    _certified,
+    _closure,
     _grow,
+    _main_set,
     _plain,
     _pruned,
     _srtm_tiers,
+    _Stranded,
+    _stranded_pair,
     admissible_expansion,
     build_srt,
     build_srtm,
@@ -338,50 +343,122 @@ def test_grow_from_a_node_set_labels_each_node_with_its_distance_to_it(seed, dat
 CONTRAST_WEIGHTS = (0.01, 1.0, 100.0)
 
 
+def contrast_case(seed, data, max_masked=6):
+    """A random graph with high-contrast weights, a forbidden member, a mask
+    over up to *max_masked* other members (None if it holds none) and the
+    copy of the graph without the masked members."""
+    g = oracles.random_connected_graph(random.Random(seed), 40)
+    draw_weight = st.sampled_from(CONTRAST_WEIGHTS)
+    g = WeightedGraph(g.nodes, g.members, {mid: data.draw(draw_weight) for mid in g.member_ids()})
+    forbidden = data.draw(st.sampled_from(g.member_ids()))
+    others = [mid for mid in g.member_ids() if mid != forbidden]
+    mask = MemberMask(g)
+    for mid in data.draw(st.lists(st.sampled_from(others), unique=True, max_size=max_masked)):
+        mask.add(mid)
+    view = oracles.masked_graph(g, mask.members, keep=forbidden)
+    return g, forbidden, mask if mask.members else None, view
+
+
 def test_srtm_tiers_pulled_so_far_are_the_top_of_the_whole_tree():
-    """After any k tiers taken from ``_srtm_tiers``, the labels and parents
-    up to tier k are the reference tree's on a copy of the graph without the
-    masked members; nodes the tree holds below tier k (the main phase) agree
-    too.  Some examples attach a node in fallback round 2 or later."""
-    late_rounds = []
+    """After any k tiers taken from ``_srtm_tiers``, the tree holds exactly
+    the reference tree's nodes up to tier k, with their labels and parents,
+    on a copy of the graph without the masked members, and no node below
+    tier k: the main phase grows lazily too.  Some examples attach a node in
+    fallback round 2 or later, and some strand a node with a survivor two
+    or more tiers below it, which the main phase must not expand to."""
+    late_rounds, stranded_with_survivors = [], []
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1), st.data())
     def check(seed, data):
-        g = oracles.random_connected_graph(random.Random(seed), 40)
-        draw_weight = st.sampled_from(CONTRAST_WEIGHTS)
-        g = WeightedGraph(g.nodes, g.members, {mid: data.draw(draw_weight) for mid in g.member_ids()})
-        forbidden = data.draw(st.sampled_from(g.member_ids()))
-        others = [mid for mid in g.member_ids() if mid != forbidden]
-        mask = MemberMask(g)
-        for mid in data.draw(st.lists(st.sampled_from(others), unique=True, max_size=6)):
-            mask.add(mid)
+        g, forbidden, mask, view = contrast_case(seed, data)
         e = g.member(forbidden)
         root = data.draw(st.sampled_from((e.a, e.b)))
-        view = oracles.masked_graph(g, mask.members, keep=forbidden)
         label, parent = oracles._reference_srtm(view, root, forbidden)
         main, _ = oracles._reference_srtm_main(view, root, forbidden)
         late_rounds.append(any(v not in main and u not in main for v, (u, _) in parent.items()))
 
         tree = RouteTree(root, {}, {root: 0})
         plain = _plain(g, forbidden, mask)
-        tiers = _srtm_tiers(g, tree, plain, _pruned(g, plain, mask))
+        pruned = _pruned(g, plain, mask)
+        table, ends = pruned
+        stranded_with_survivors.append(
+            any(
+                label[w] > label[v] + 1
+                for v in label
+                if v not in main
+                for _, w in (ends[v] if v in ends else table[v])
+            )
+        )
+        stranded = _Stranded(g, root, _main_set(g, root, pruned, mask), plain)
+        tiers = _srtm_tiers(tree, pruned, stranded)
         k = data.draw(st.integers(0, max(label.values()) + 1))
         pulled = list(itertools.islice(tiers, k))
         assert [sorted(tier) for tier in pulled] == [
             sorted(n for n, lbl in label.items() if lbl == j) for j in range(1, len(pulled) + 1)
         ]
-        top = {n for n, lbl in label.items() if lbl <= k}
-        assert {n for n, lbl in tree.label.items() if lbl <= k} == top
-        assert {n: label[n] for n in tree.label} == tree.label
-        assert {n: parent[n] for n in tree.parent} == tree.parent
-        assert top - {root} <= set(tree.parent)
+        assert tree.label == {n: lbl for n, lbl in label.items() if lbl <= k}
+        assert tree.parent == {n: parent[n] for n in tree.label if n != root}
 
     check()
     assert any(late_rounds)
+    assert any(stranded_with_survivors)
 
 
-@pytest.mark.parametrize(
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_main_phase_node_set_is_the_reference_main_phase(seed, data):
+    """Each end's L0, from the certificate or from a search, is the node set
+    of the reference main phase on the copy without the masked members; the
+    two trees of a member share their stranded-node state exactly when
+    their two L0 are equal; and without a mask the whole SRTM, built on a
+    certified L0 where there is one, is the reference tree."""
+    g, forbidden, mask, view = contrast_case(seed, data)
+    e = g.member(forbidden)
+    plain = _plain(g, forbidden, mask)
+    pruned = _pruned(g, plain, mask)
+    expected = {}
+    for end in (e.a, e.b):
+        main, _ = oracles._reference_srtm_main(view, end, forbidden)
+        expected[end] = set(main)
+        assert set(_main_set(g, end, pruned, mask)) == expected[end]
+        if mask is None:
+            certified = _certified(g, end, pruned)
+            assert certified is None or set(certified) == expected[end]
+            tree = build_srtm(g, end, forbidden)
+            assert (tree.label, tree.parent) == oracles._reference_srtm(view, end, forbidden)
+    stranded_a, stranded_b = _stranded_pair(g, e, plain, pruned, mask)
+    assert set(stranded_a.main) == expected[e.a] and set(stranded_b.main) == expected[e.b]
+    assert (stranded_a is stranded_b) == (expected[e.a] == expected[e.b])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(connected_graphs(), st.data())
+def test_certificate_holds_whatever_the_representative(g, data):
+    """On small graphs with parallel members and tied weights, whichever
+    node a component's record is made from first (its representative r),
+    every certified L0 is the reference main phase's node set."""
+    _closure(g, data.draw(st.sampled_from(g.nodes)))
+    for mid in g.member_ids():
+        e = g.member(mid)
+        pruned = _pruned(g, _plain(g, mid, None), None)
+        for end in (e.a, e.b):
+            main, _ = oracles._reference_srtm_main(g, end, mid)
+            assert set(_main_set(g, end, pruned, None)) == set(main)
+
+
+def high_contrast_graph(model):
+    """The model's graph with a two-member tail, one light and one heavy,
+    which adds two bridges."""
+    grid = build_graph(model)
+    top, last = max(grid.nodes), max(grid.member_ids())
+    tail = (Edge(last + 1, top, top + 1), Edge(last + 2, top + 1, top + 2))
+    light, heavy = min(grid.weights.values()) / 100, max(grid.weights.values()) * 100
+    weights = {**grid.weights, last + 1: light, last + 2: heavy}
+    return WeightedGraph((*grid.nodes, top + 1, top + 2), grid.members + tail, weights)
+
+
+HIGH_CONTRAST_GRIDS = pytest.mark.parametrize(
     "model",
     [
         generate_grid(8, 8, pattern="weak-columns"),
@@ -390,17 +467,14 @@ def test_srtm_tiers_pulled_so_far_are_the_top_of_the_whole_tree():
     ],
     ids=["grid:8x8:weak-columns", "grid:8x8:checker", "grid3d:3x3x3:checker"],
 )
+
+
+@HIGH_CONTRAST_GRIDS
 def test_srtm_cycles_on_high_contrast_grids_match_the_reference(model):
     """Every member's SRTM cycle on grids whose fallback runs many rounds is
     the one from two whole reference trees, down to the weight's last bit.
-    A two-member tail, one light and one heavy, adds two bridges, which
-    raise in both."""
-    grid = build_graph(model)
-    top, last = max(grid.nodes), max(grid.member_ids())
-    tail = (Edge(last + 1, top, top + 1), Edge(last + 2, top + 1, top + 2))
-    light, heavy = min(grid.weights.values()) / 100, max(grid.weights.values()) * 100
-    weights = {**grid.weights, last + 1: light, last + 2: heavy}
-    g = WeightedGraph((*grid.nodes, top + 1, top + 2), grid.members + tail, weights)
+    The tail's two bridges raise in both."""
+    g = high_contrast_graph(model)
     for mid in g.member_ids():
         expected = oracles.reference_min_cycle(g, mid, SRTM)
         if expected is None:
@@ -410,3 +484,20 @@ def test_srtm_cycles_on_high_contrast_grids_match_the_reference(model):
         cycle = min_cycle_on_member(g, mid, SRTM)
         assert cycle.members == expected[0]
         assert repr(cycle.weight) == repr(expected[1])
+
+
+@HIGH_CONTRAST_GRIDS
+def test_main_phase_node_sets_on_high_contrast_grids_match_the_reference(model):
+    """At both ends of every member, L0 is the reference main phase's node
+    set, and the certificate holds at some ends of every grid, so the
+    closure shared by a component is in use."""
+    g = high_contrast_graph(model)
+    certified = 0
+    for mid in g.member_ids():
+        e = g.member(mid)
+        pruned = _pruned(g, _plain(g, mid, None), None)
+        for end in (e.a, e.b):
+            main, _ = oracles._reference_srtm_main(g, end, mid)
+            assert set(_main_set(g, end, pruned, None)) == set(main)
+            certified += _certified(g, end, pruned) is not None
+    assert certified > 0
