@@ -125,12 +125,11 @@ def _greedy_select(
     selected: list[CycleVector] = []
     log: list[tuple[int, bool, bool]] = []
     for cand in candidates:
-        independent = space.is_independent(cand)
+        independent = space.add(cand)
         admissible = admissible_expansion(graph, union, cand)
         log.append((cand.generator, independent, admissible))
         if not independent:
             continue
-        space.add(cand)
         union.add(graph, cand.members)
         selected.append(cand)
         if len(selected) == target:

@@ -109,7 +109,10 @@ class MemberMask:
     of the graph without them.  They start as the graph's ``adjacency``
     and ``heavy_incident``; taking a member in recomputes both at its two
     ends only, in member-id order, so each list and each mean is the one a
-    copy of the graph without the masked members would give.
+    copy of the graph without the masked members would give.  ``changed``
+    holds the nodes whose survivors in ``heavy`` are not, as a set of
+    members, those of ``heavy_incident``: everywhere else the survivor
+    digraph is the graph's, which ``_certified`` relies on.
     """
 
     def __init__(self, graph: WeightedGraph):
@@ -117,14 +120,20 @@ class MemberMask:
         self.members: set[int] = set()
         self.incident = dict(graph.adjacency)
         self.heavy = dict(graph.heavy_incident)
+        self.changed: set[int] = set()
 
     def add(self, member_id: int) -> None:
         self.members.add(member_id)
-        e = self.graph.member(member_id)
+        graph = self.graph
+        e = graph.member(member_id)
         for end in (e.a, e.b):
             kept = [(f, v) for f, v in self.incident[end] if f.id != member_id]
             self.incident[end] = kept
-            self.heavy[end] = heavy_first(kept, self.graph.weights)
+            self.heavy[end] = heavy = heavy_first(kept, graph.weights)
+            if {f.id for f, _ in heavy} == {f.id for f, _ in graph.heavy_incident[end]}:
+                self.changed.discard(end)
+            else:
+                self.changed.add(end)
 
 
 def _plain(graph: WeightedGraph, forbidden: int | None, mask: MemberMask | None) -> Lists:
@@ -231,16 +240,18 @@ def _reach(root: int, lists: Lists, stop: int | None = None) -> set[int]:
     return seen
 
 
-def _closure(graph: WeightedGraph, node: int) -> tuple[RouteTree, RouteTree]:
+def _closure(graph: WeightedGraph, node: int) -> tuple[RouteTree, RouteTree, dict[int, list]]:
     """The record of *node*'s strong component K in the graph's survivor
-    digraph (u -> v over ``heavy_incident[u]``), made at the first need and
-    kept in ``WeightedGraph.heavy_closures`` for every node of K.
+    digraph H (u -> v over ``heavy_incident[u]``), made at the first need
+    and kept in ``WeightedGraph.heavy_closures`` for every node of K.
 
     The first node asked for is K's representative r.  The record is two
-    breadth-first trees from r: T, over the survivor lists, whose nodes are
-    L, the nodes reachable from r (the closure of K); and one over the same
-    members reversed inside L, whose nodes are K, so that a node's parent
-    there is its next step on a path to r.
+    breadth-first trees from r and the lists between them: T, over the
+    survivor lists, whose nodes are L, the nodes reachable from r (the
+    closure of K); the in-lists of L, each node's ``(edge, u)`` over the
+    members u -> v of H inside L; and a tree over the in-lists, whose
+    nodes are K, so that a node's parent there is its next step on a path
+    to r.
     """
     memo = graph.heavy_closures
     if node not in memo:
@@ -255,40 +266,78 @@ def _closure(graph: WeightedGraph, node: int) -> tuple[RouteTree, RouteTree]:
         back = RouteTree(node, {}, {node: 0})
         for _ in _grow(back, (into, {})):
             pass
-        memo.update(dict.fromkeys(back.label, (out, back)))
+        memo.update(dict.fromkeys(back.label, (out, back, into)))
     return memo[node]
 
 
-def _certified(graph: WeightedGraph, root: int, pruned: Lists) -> dict | None:
+def _certified(
+    graph: WeightedGraph, root: int, pruned: Lists, mask: MemberMask | None
+) -> dict | None:
     """L0 as the closure L of *root*'s component (``_closure``), where a
     certificate shows that they are equal, else None.
 
-    *pruned* differs from ``heavy_incident`` only at the forbidden member's
-    ends, so three checks there decide it, at the cost of the ends' degrees
-    and the root's path to r, not a search.  If each end's survivors that
-    start in L end in L, L is closed and holds the root, so L0 is within L.
-    If every member of T, and of the root's path to r, that leaves an end
-    survives there, L0 holds r and all of L.  r may be an end itself; the
-    root's path to it is then empty or checked like any other.
+    *pruned* differs from H only at the forbidden member's ends and the
+    mask's ``changed`` nodes, so three checks at those of them in L decide
+    it, at the cost of their degrees and of a few tree paths, not a
+    search.  (a) If their survivors all end in L, L is closed and holds
+    the root, so L0 is within L.  (b) A member of T pruned at one of them
+    loses its child c; if each lost c has a survivor y -> c whose path up
+    T meets no lost child, c included, r reaches every node of T.  (c) If
+    the root's path to r in the tree over the in-lists keeps each step,
+    or breaks only at a node x one of whose survivors lies in K with a
+    whole path to r, the root reaches r.  (b) and (c) together put all of
+    L in L0.  r may be an end itself; the root's path to it is then empty
+    or checked like any other.
     """
-    out, back = _closure(graph, root)
-    closed = out.label
+    out, back, into = _closure(graph, root)
+    closed, tree = out.label, out.parent
+    table, ends = pruned
+    heavy = graph.heavy_incident
     kept: dict[int, set[int]] = {}
-    for end, survivors in pruned[1].items():
-        if end in closed:
-            if any(v not in closed for _, v in survivors):
+    lost: list[int] = []
+    for x in ends if mask is None else ends.keys() | mask.changed:
+        if x not in closed:
+            continue
+        survivors = ends[x] if x in ends else table[x]
+        if any(v not in closed for _, v in survivors):
+            return None
+        kept[x] = ids = {e.id for e, _ in survivors}
+        lost += [v for e, v in heavy[x] if e.id not in ids and tree.get(v) == (x, e.id)]
+    if lost:
+        blocked = set(lost)
+        for c in lost:
+            if not any(
+                (y not in kept or e.id in kept[y]) and _clear(tree, y, blocked)
+                for e, y in into[c]
+            ):
                 return None
-            kept[end] = {e.id for e, _ in survivors}
-            for e, v in graph.heavy_incident[end]:
-                if out.parent.get(v) == (end, e.id) and e.id not in kept[end]:
-                    return None
-    node = root
+    x = _break(back, root, kept)
+    if x is not None and not any(
+        w in back.label and _break(back, w, kept) is None
+        for _, w in (ends[x] if x in ends else table[x])
+    ):
+        return None
+    return closed
+
+
+def _clear(parent: dict[int, tuple[int, int]], node: int, blocked: set[int]) -> bool:
+    """Whether the path from *node* up the tree of *parent* meets no node of *blocked*."""
+    while node not in blocked:
+        if node not in parent:
+            return True
+        node = parent[node][0]
+    return False
+
+
+def _break(back: RouteTree, node: int, kept: dict[int, set[int]]) -> int | None:
+    """The first node on *node*'s path to the root of *back* whose step
+    there is not among its survivors *kept*, or None if the path is whole."""
     while node != back.root:
         after, eid = back.parent[node]
         if node in kept and eid not in kept[node]:
-            return None
+            return node
         node = after
-    return closed
+    return None
 
 
 def _main_set(
@@ -297,14 +346,13 @@ def _main_set(
     """The SRTM main phase's node set L0: the nodes reachable from *root*
     over the survivor lists *pruned*, known before any tier is grown.
 
-    Without a mask it is the closure shared by the root's whole component
-    wherever ``_certified`` shows that to be L0; else one search, which
-    ends early at *stop* (``min_cycle_on_member``).
+    It is the closure shared by the root's whole component wherever
+    ``_certified`` shows that to be L0, masked or not; else one search,
+    which ends early at *stop* (``min_cycle_on_member``).
     """
-    if mask is None:
-        certified = _certified(graph, root, pruned)
-        if certified is not None:
-            return certified
+    certified = _certified(graph, root, pruned, mask)
+    if certified is not None:
+        return certified
     return _reach(root, pruned, stop)
 
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from framecycles import cycles
+from framecycles.basis import AlgorithmSpec, generate_basis
 from framecycles.cycles import (
     SRT,
     SRTM,
@@ -33,7 +35,7 @@ from framecycles.cycles import (
     min_cycle_on_member,
 )
 from framecycles.frames import generate_grid, generate_grid3d
-from framecycles.model import Edge, WeightedGraph, build_graph, cycle_rank
+from framecycles.model import Edge, WeightedGraph, build_graph, classify_members, cycle_rank
 
 
 def graph_from_edges(edges, weights=None):
@@ -409,10 +411,11 @@ def test_srtm_tiers_pulled_so_far_are_the_top_of_the_whole_tree():
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_main_phase_node_set_is_the_reference_main_phase(seed, data):
     """Each end's L0, from the certificate or from a search, is the node set
-    of the reference main phase on the copy without the masked members; the
-    two trees of a member share their stranded-node state exactly when
-    their two L0 are equal; and without a mask the whole SRTM, built on a
-    certified L0 where there is one, is the reference tree."""
+    of the reference main phase on the copy without the masked members, and
+    so is a certified L0, masked or not; the two trees of a member share
+    their stranded-node state exactly when their two L0 are equal; and the
+    whole SRTM, built on a certified L0 where there is one, is the
+    reference tree."""
     g, forbidden, mask, view = contrast_case(seed, data)
     e = g.member(forbidden)
     plain = _plain(g, forbidden, mask)
@@ -422,11 +425,10 @@ def test_main_phase_node_set_is_the_reference_main_phase(seed, data):
         main, _ = oracles._reference_srtm_main(view, end, forbidden)
         expected[end] = set(main)
         assert set(_main_set(g, end, pruned, mask)) == expected[end]
-        if mask is None:
-            certified = _certified(g, end, pruned)
-            assert certified is None or set(certified) == expected[end]
-            tree = build_srtm(g, end, forbidden)
-            assert (tree.label, tree.parent) == oracles._reference_srtm(view, end, forbidden)
+        certified = _certified(g, end, pruned, mask)
+        assert certified is None or set(certified) == expected[end]
+        tree = build_srtm(g, end, forbidden, mask)
+        assert (tree.label, tree.parent) == oracles._reference_srtm(view, end, forbidden)
     stranded_a, stranded_b = _stranded_pair(g, e, plain, pruned, mask)
     assert set(stranded_a.main) == expected[e.a] and set(stranded_b.main) == expected[e.b]
     assert (stranded_a is stranded_b) == (expected[e.a] == expected[e.b])
@@ -437,14 +439,25 @@ def test_main_phase_node_set_is_the_reference_main_phase(seed, data):
 def test_certificate_holds_whatever_the_representative(g, data):
     """On small graphs with parallel members and tied weights, whichever
     node a component's record is made from first (its representative r),
-    every certified L0 is the reference main phase's node set."""
+    every L0, certified or searched, is the reference main phase's node set
+    on the copy without the masked members, under a mask of up to six."""
     _closure(g, data.draw(st.sampled_from(g.nodes)))
+    masked = data.draw(st.lists(st.sampled_from(g.member_ids()), unique=True, max_size=6))
+    mask = MemberMask(g)
+    for mid in masked:
+        mask.add(mid)
     for mid in g.member_ids():
+        if mid in mask.members:
+            continue
         e = g.member(mid)
-        pruned = _pruned(g, _plain(g, mid, None), None)
+        view = oracles.masked_graph(g, mask.members, keep=mid)
+        some = mask if mask.members else None
+        pruned = _pruned(g, _plain(g, mid, some), some)
         for end in (e.a, e.b):
-            main, _ = oracles._reference_srtm_main(g, end, mid)
-            assert set(_main_set(g, end, pruned, None)) == set(main)
+            main, _ = oracles._reference_srtm_main(view, end, mid)
+            assert set(_main_set(g, end, pruned, some)) == set(main)
+            certified = _certified(g, end, pruned, some)
+            assert certified is None or set(certified) == set(main)
 
 
 def high_contrast_graph(model):
@@ -499,5 +512,95 @@ def test_main_phase_node_sets_on_high_contrast_grids_match_the_reference(model):
         for end in (e.a, e.b):
             main, _ = oracles._reference_srtm_main(g, end, mid)
             assert set(_main_set(g, end, pruned, None)) == set(main)
-            certified += _certified(g, end, pruned) is not None
+            certified += _certified(g, end, pruned, None) is not None
     assert certified > 0
+
+
+def survivor_ids(lists):
+    return {e.id for e, _ in lists}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_mask_changed_is_the_nodes_whose_survivors_differ(seed, data):
+    """After every ``MemberMask.add`` of a sequence, ``changed`` is exactly
+    the set of nodes whose survivor ids in ``heavy`` differ from the
+    graph's ``heavy_incident``: outside it the masked survivor digraph is
+    the graph's."""
+    g, forbidden, mask, _ = contrast_case(seed, data, max_masked=20)
+    mask = mask or MemberMask(g)
+    others = [mid for mid in g.member_ids() if mid not in mask.members]
+    for mid in [None, *data.draw(st.lists(st.sampled_from(others), unique=True, max_size=8))]:
+        if mid is not None:
+            mask.add(mid)
+        assert mask.changed == {
+            n
+            for n in g.nodes
+            if survivor_ids(mask.heavy[n]) != survivor_ids(g.heavy_incident[n])
+        }
+
+
+def test_certificate_re_hangs_re_routes_and_holds_under_a_mask(monkeypatch):
+    """On fixed grids, unmasked and under algorithm 5's growing mask, every
+    certified L0 is the reference main phase's node set, and some roots are
+    certified only by re-hanging a lost member of T (``_clear`` runs only
+    when one is lost), some only by re-routing the root's broken path home
+    (``_break`` runs again only then), and some under a mask."""
+    runs = {"_clear": 0, "_break": 0}
+    for name in runs:
+        original = getattr(cycles, name)
+
+        def counted(*args, name=name, original=original):
+            runs[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cycles, name, counted)
+    certified_by = {"re-hang": 0, "re-route": 0, "mask": 0}
+
+    def check(g, mid, mask, view):
+        e = g.member(mid)
+        pruned = _pruned(g, _plain(g, mid, mask), mask)
+        for end in (e.a, e.b):
+            runs.update(_clear=0, _break=0)
+            certified = _certified(g, end, pruned, mask)
+            if certified is None:
+                continue
+            main, _ = oracles._reference_srtm_main(view, end, mid)
+            assert set(certified) == set(main)
+            certified_by["re-hang"] += runs["_clear"] > 0
+            certified_by["re-route"] += runs["_break"] > 1
+            certified_by["mask"] += mask is not None
+
+    for model in (
+        generate_grid(8, 8, pattern="weak-columns"),
+        generate_grid3d(3, 3, 3, pattern="checker"),
+    ):
+        g = build_graph(model)
+        for mid in g.member_ids():
+            check(g, mid, None, g)
+        mask = MemberMask(g)
+        for mid in sorted(classify_members(g).inadmissible, key=lambda m: (g.weight(m), m)):
+            if mask.members:
+                check(g, mid, mask, oracles.masked_graph(g, mask.members, keep=mid))
+            mask.add(mid)
+    assert all(certified_by.values()), certified_by
+
+
+def test_l0_searches_for_algorithms_2_and_5_on_a_space_grid(monkeypatch):
+    """Algorithms 2 and 5 on one 6x4x4 checker space grid search for L0 at
+    no more than 106 roots.  They searched at 685 when the certificate was
+    tried only without a mask and failed wherever a member of T was pruned:
+    the count guards the certificate's reach, with no timing."""
+    searches = 0
+    reach = cycles._reach
+
+    def counted(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return reach(*args, **kwargs)
+
+    monkeypatch.setattr(cycles, "_reach", counted)
+    g = build_graph(generate_grid3d(6, 4, 4, pattern="checker"))
+    generate_basis(g, AlgorithmSpec.for_id(2))
+    generate_basis(g, AlgorithmSpec.for_id(5), classify_members(g))
+    assert searches <= 106
