@@ -8,10 +8,11 @@ stranded by pruning.  Both yield their tiers one at a time, so the search
 for a member's cycle stops growing them where the two trees meet; the
 SRTM's main phase and its stranded nodes are grown tier by tier as well.
 An SRTM needs its main phase's node set L0 before its first tier.  Where
-a certificate shows it, L0 is the closure of the root's strong component
-in the graph's survivor digraph, made once per component and graph and
-shared by every tree rooted there; elsewhere it is one search, and the
-two trees of a member share it when their L0 are equal.  Forbidden and
+a certificate shows it, with a mask or without, L0 is the closure of the
+root's strong component in the graph's survivor digraph, made once per
+component and graph and shared by every tree rooted there; elsewhere it
+is one search, and the two trees of a member share it when their L0 are
+equal.  Forbidden and
 masked members are left out of the lists, nowhere else.  All
 tie-breaking is by ascending member id then ascending node id, so every
 result is deterministic.
@@ -245,13 +246,12 @@ def _closure(graph: WeightedGraph, node: int) -> tuple[RouteTree, RouteTree, dic
     digraph H (u -> v over ``heavy_incident[u]``), made at the first need
     and kept in ``WeightedGraph.heavy_closures`` for every node of K.
 
-    The first node asked for is K's representative r.  The record is two
-    breadth-first trees from r and the lists between them: T, over the
-    survivor lists, whose nodes are L, the nodes reachable from r (the
-    closure of K); the in-lists of L, each node's ``(edge, u)`` over the
-    members u -> v of H inside L; and a tree over the in-lists, whose
-    nodes are K, so that a node's parent there is its next step on a path
-    to r.
+    The first node asked for is K's representative r.  The record holds
+    T, the breadth-first tree from r over the survivor lists, whose nodes
+    are L, the nodes reachable from r (the closure of K); the in-lists of
+    L, each node v's ``(edge, u)`` over the members u -> v of H; and the
+    breadth-first tree from r over the in-lists, whose nodes are K, so that
+    a node's parent there is its next step on a path to r.
     """
     memo = graph.heavy_closures
     if node not in memo:
