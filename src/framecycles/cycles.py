@@ -241,17 +241,16 @@ def _reach(root: int, lists: Lists, stop: int | None = None) -> set[int]:
     return seen
 
 
-def _closure(graph: WeightedGraph, node: int) -> tuple[RouteTree, RouteTree, dict[int, list]]:
+def _closure(graph: WeightedGraph, node: int) -> tuple[RouteTree, RouteTree]:
     """The record of *node*'s strong component K in the graph's survivor
-    digraph H (u -> v over ``heavy_incident[u]``), made at the first need
-    and kept in ``WeightedGraph.heavy_closures`` for every node of K.
+    digraph (u -> v over ``heavy_incident[u]``), made at the first need and
+    kept in ``WeightedGraph.heavy_closures`` for every node of K.
 
-    The first node asked for is K's representative r.  The record holds
-    T, the breadth-first tree from r over the survivor lists, whose nodes
-    are L, the nodes reachable from r (the closure of K); the in-lists of
-    L, each node v's ``(edge, u)`` over the members u -> v of H; and the
-    breadth-first tree from r over the in-lists, whose nodes are K, so that
-    a node's parent there is its next step on a path to r.
+    The first node asked for is K's representative r.  The record is two
+    breadth-first trees from r: T, over the survivor lists, whose nodes are
+    L, the nodes reachable from r (the closure of K); and one over the same
+    members reversed inside L, whose nodes are K, so that a node's parent
+    there is its next step on a path to r.
     """
     memo = graph.heavy_closures
     if node not in memo:
@@ -266,7 +265,7 @@ def _closure(graph: WeightedGraph, node: int) -> tuple[RouteTree, RouteTree, dic
         back = RouteTree(node, {}, {node: 0})
         for _ in _grow(back, (into, {})):
             pass
-        memo.update(dict.fromkeys(back.label, (out, back, into)))
+        memo.update(dict.fromkeys(back.label, (out, back)))
     return memo[node]
 
 
@@ -276,23 +275,23 @@ def _certified(
     """L0 as the closure L of *root*'s component (``_closure``), where a
     certificate shows that they are equal, else None.
 
-    *pruned* differs from H only at the forbidden member's ends and the
-    mask's ``changed`` nodes, so three checks at those of them in L decide
-    it, at the cost of their degrees and of a few tree paths, not a
-    search.  (a) If their survivors all end in L, L is closed and holds
-    the root, so L0 is within L.  (b) A member of T pruned at one of them
-    loses its child c; if each lost c has a survivor y -> c whose path up
-    T meets no lost child, c included, r reaches every node of T.  (c) If
-    the root's path to r in the tree over the in-lists keeps each step,
-    or breaks only at a node x one of whose survivors lies in K with a
-    whole path to r, the root reaches r.  (b) and (c) together put all of
-    L in L0.  r may be an end itself; the root's path to it is then empty
-    or checked like any other.
+    *pruned* differs from ``heavy_incident`` only at the forbidden member's
+    ends and the mask's ``changed`` nodes, so three checks at those of them
+    in L decide it, at the cost of their degrees and of a few tree paths,
+    not a search.  (a) If their survivors all end in L, L is closed and
+    holds the root, so L0 is within L.  (b) A member of T pruned at one of
+    them loses its child c.  If each lost c has a neighbour y in L whose
+    member to c survives at y and whose path up T meets no lost child, c
+    included, r reaches every node of T.  (c) If the root's path to r in
+    the reversed tree keeps each step, or breaks only at a node x one of
+    whose survivors lies in K with a whole path to r, the root reaches r.
+    (b) and (c) together put all of L in L0.  r may be an end itself; the
+    root's path to it is then empty or checked like any other.
     """
-    out, back, into = _closure(graph, root)
+    out, back = _closure(graph, root)
     closed, tree = out.label, out.parent
     table, ends = pruned
-    heavy = graph.heavy_incident
+    heavy, weights = graph.heavy_incident, graph.weights
     kept: dict[int, set[int]] = {}
     lost: list[int] = []
     for x in ends if mask is None else ends.keys() | mask.changed:
@@ -306,9 +305,13 @@ def _certified(
     if lost:
         blocked = set(lost)
         for c in lost:
+            # y's survivors are its members at or above their mean, so at an
+            # unchanged y the member to c survives if it weighs at least the last.
             if not any(
-                (y not in kept or e.id in kept[y]) and _clear(tree, y, blocked)
-                for e, y in into[c]
+                y in closed
+                and (e.id in kept[y] if y in kept else weights[e.id] >= weights[heavy[y][-1][0].id])
+                and _clear(tree, y, blocked)
+                for e, y in graph.adjacency[c]
             ):
                 return None
     x = _break(back, root, kept)
