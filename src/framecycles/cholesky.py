@@ -10,13 +10,13 @@ G's 3x3-block pattern is that of the cycle adjacency matrix D, so G is
 sparse, but the greedy order of the cycles scatters its entries.  The
 factor renumbers the cycles by reverse Cuthill-McKee (Cuthill & McKee
 1969) on G's pattern over consecutive row triples, which keeps each
-cycle's three redundants together, and keeps the given order where that
-is no wider.  A symmetric renumbering changes neither det G, nor the
-eigenvalues, nor the solution.  The renumbered G is factored along its
-envelope (George & Liu 1981), left-looking, in blocks of 64 rows: no fill
-falls left of a row's first nonzero, so each block column of L reaches
-down only to the last row whose first nonzero lies left of the block's
-end.  A dense G is the case of an envelope as deep as G, by the same code.
+cycle's three redundants together.  A symmetric renumbering changes
+neither det G, nor the eigenvalues, nor the solution.  The renumbered G
+is factored along its envelope (George & Liu 1981), left-looking, in
+blocks of 64 rows: no fill falls left of a row's first nonzero, so each
+block column of L reaches down only to the last row whose first nonzero
+lies left of the block's end.  A dense G is the case of an envelope as
+deep as G, by the same code.
 
 The factor keeps, per block, the inverse of its diagonal block of L (made
 once), the panel of L below that block, and diag L, plus a reference to
@@ -70,8 +70,8 @@ def _order(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column of each row's envelope.
 
     The triples take reverse Cuthill-McKee order on G's nonzero pattern
-    over triples, unless the given order is no wider.  A coarser pattern
-    only widens the envelope, so it is exact for any n.
+    over triples.  A coarser pattern only widens the envelope, so it is
+    exact for any n.
     """
     n = len(G)
     pattern = _triples(_triples(G != 0).T)
@@ -81,22 +81,14 @@ def _order(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.nonzero(pattern)
     # Where each triple's neighbours start in j; its diagonal makes each run non-empty.
     runs = np.searchsorted(i, np.arange(len(pattern)))
-
-    def firsts(order: np.ndarray) -> np.ndarray:
-        """Position of each triple's first neighbour, in *order*."""
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        return np.minimum.reduceat(position[j], runs)[order]
-
-    order = np.arange(len(pattern))
-    first = firsts(order)
     bounds = [*runs.tolist(), len(j)]
     neighbours = j.tolist()
-    rcm = _reverse_cuthill_mckee([neighbours[a:b] for a, b in zip(bounds, bounds[1:])])
-    rcm = np.array(rcm, dtype=np.intp)
-    rcm_first = firsts(rcm)
-    if np.max(order - rcm_first, initial=0) < np.max(order - first, initial=0):
-        order, first = rcm, rcm_first
+    adjacency = [neighbours[a:b] for a, b in zip(bounds, bounds[1:])]
+    order = np.array(_reverse_cuthill_mckee(adjacency), dtype=np.intp)
+    # Position of each triple's first neighbour, in the order.
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    first = np.minimum.reduceat(position[j], runs)[order]
     sizes = np.minimum(3, n - 3 * order)
     starts = np.cumsum(sizes) - sizes
     rows = (3 * order[:, None] + np.arange(3)).ravel()

@@ -294,10 +294,11 @@ def _cmd_compare(args) -> int:
     if analysis.model.ndim != 2:
         print("warning: 3D model, reporting combinatorial columns only", file=sys.stderr)
     table, csv_text, _rows = analysis.compare(algorithms, args.precision)
-    sys.stdout.write(table)
+    # The CSV first: a path that cannot be written leaves no table printed.
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(csv_text)
+    sys.stdout.write(table)
     return 0
 
 

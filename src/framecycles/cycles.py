@@ -12,10 +12,9 @@ a certificate shows it, with a mask or without, L0 is the closure of the
 root's strong component in the graph's survivor digraph, made once per
 component and graph and shared by every tree rooted there; elsewhere it
 is one search, and the two trees of a member share it when their L0 are
-equal.  Forbidden and
-masked members are left out of the lists, nowhere else.  All
-tie-breaking is by ascending member id then ascending node id, so every
-result is deterministic.
+equal.  Forbidden and masked members are left out of the lists, nowhere
+else.  All tie-breaking is by ascending member id then ascending node id,
+so every result is deterministic.
 """
 
 from __future__ import annotations

@@ -23,10 +23,12 @@ block too; no dense 3M x 3b1 array is built.  G is the sum over members m
 of B1_m' F_m B1_m, where B1_m holds member m's blocks on the cycles through
 m; only cycle pairs that share a member get a block, which is the nonzero
 pattern of the cycle adjacency matrix D.  So ``render`` draws this block
-pattern from D and builds no G.  ``assemble_g`` factors nothing.  The solve
-checks the loads and carries them to ground first, then builds B1 and G and
-factors G once: a failed Cholesky raises RankDeficientBasis, and the
-redundants come from that factor by blocked substitution, with no LU of G.
+pattern from D and builds no G.  Each member's product is made symmetric
+before it is added, so G comes out exactly symmetric with no symmetrising
+pass; ``assemble_g`` factors nothing.  The solve checks the loads and
+carries them to ground first, then builds B1 and G and factors G once: a
+failed Cholesky raises RankDeficientBasis, and the redundants come from
+that factor by blocked substitution, with no LU of G.
 """
 
 from __future__ import annotations
@@ -125,8 +127,6 @@ def _carry(
 #: Couples of the three unit bi-actions at a cycle cut: axial, shear, moment.
 _CUT_COUPLES = np.array([0.0, 0.0, 1.0])
 _XYZ = np.arange(3)
-#: Rows per block in the symmetrisation of G.
-_ROWS = 64
 
 
 def _oriented(ends: dict[int, tuple[int, int]], cycle: CycleVector) -> list[tuple[int, float]]:
@@ -240,11 +240,13 @@ def _apply_flexibility(Fm: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def assemble_g(B1: B1Blocks, Fm: np.ndarray) -> np.ndarray:
-    """G = B1' Fm B1 from member blocks, symmetrized and not factored.
+    """G = B1' Fm B1 from member blocks, exactly symmetric and not factored.
 
     Member m adds B1_m' F_m B1_m on the cycles through it, which are its
     run of blocks in B1.  Members through the same number of cycles are
-    summed as one batch.
+    summed as one batch.  Each product is made symmetric before it is added,
+    and a simple cycle passes a member once, so entries (p, q) and (q, p)
+    get the same numbers in the same member order.
     """
     if Fm.shape != (B1.shape[0] // 3, 3, 3):
         raise ValueError(f"Fm of shape {Fm.shape} does not match B1 of shape {B1.shape}")
@@ -258,18 +260,11 @@ def assemble_g(B1: B1Blocks, Fm: np.ndarray) -> np.ndarray:
         runs = starts[members][:, None] + np.arange(k)
         cols = (3 * B1.cycles[runs][:, :, None] + _XYZ).reshape(len(members), 3 * k)
         Bm = B1.blocks[runs].transpose(0, 2, 1, 3).reshape(len(members), 3, 3 * k)
+        X = Bm.transpose(0, 2, 1) @ (Fm[members] @ Bm)
+        X += X.transpose(0, 2, 1)  # numpy reads the overlapping operand from a copy
+        X *= 0.5
         # Two members of a batch can share a cycle pair: add.at sums repeats.
-        targets = n * cols[:, :, None] + cols[:, None, :]
-        np.add.at(flat, targets.ravel(), (Bm.transpose(0, 2, 1) @ (Fm[members] @ Bm)).ravel())
-    # (G + G') / 2 by pairs of blocks: G += G.T would make a transposed n x n
-    # copy of G for the overlapping add.  Addition commutes, so both
-    # triangles get the same bits.
-    for a in range(0, n, _ROWS):
-        for b in range(a, n, _ROWS):
-            upper, lower = np.s_[a : a + _ROWS, b : b + _ROWS], np.s_[b : b + _ROWS, a : a + _ROWS]
-            S = (G[upper] + G[lower].T) * 0.5
-            G[upper] = S
-            G[lower] = S.T
+        np.add.at(flat, (n * cols[:, :, None] + cols[:, None, :]).ravel(), X.ravel())
     return G
 
 

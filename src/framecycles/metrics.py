@@ -5,9 +5,10 @@ base-10 log of the extreme eigenvalue ratio; PN, the determinant of the
 row-normalized matrix; and PDET, the determinant after symmetric diagonal
 scaling.  G is factored once, G = L L'; that Cholesky factor is G's
 positive-definiteness test, gives log det G for both determinants, and
-applies G^-1 for the smallest eigenvalue.  The determinants underflow
-quickly for large matrices, so their base-10 logs are carried alongside
-the clamped values.
+applies G^-1 for the smallest eigenvalue.  ``condition_report`` is the
+one entry point that checks G; ``eig_extremes`` takes only the factor and
+reads G from it.  The determinants underflow quickly for large matrices,
+so their base-10 logs are carried alongside the clamped values.
 
 PL needs only the two extreme eigenvalues, so no eigendecomposition of G
 is made.  Each comes from a Lanczos run (Lanczos 1950) with full
@@ -84,18 +85,13 @@ def _exponent(G: np.ndarray) -> int:
     return max(math.frexp(float(np.max(np.diag(G))))[1] - 1, -1021)
 
 
-def eig_extremes(G: np.ndarray, factor: Cholesky | None = None) -> tuple[float, float]:
-    """Extreme eigenvalues (min, max) of a symmetric positive definite matrix.
+def eig_extremes(factor: Cholesky) -> tuple[float, float]:
+    """Extreme eigenvalues (min, max) of the symmetric positive definite
+    matrix *factor*.G, from its Cholesky factor.
 
-    Without *factor* it checks G before any other use: it must be a
-    non-empty square matrix of finite numbers, symmetric, with a positive
-    diagonal and a normal largest entry, and its Cholesky factor must
-    exist; anything else is a ValueError.  A caller that has made those
-    checks passes the factor.
+    G is not checked here: ``condition_report`` checks it before it factors it.
     """
-    if factor is None:
-        G = _checked(G)
-        factor = cholesky(G)
+    G = factor.G
     # Both runs see their operator times 2^-e: exactly the runs on G, but no
     # product or norm in them over- or underflows, however large or small G is.
     exponent = _exponent(G)
@@ -174,7 +170,7 @@ def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
     check_precision(precision)
     G = _checked(G)
     factor = cholesky(G)
-    lam_min, lam_max = eig_extremes(G, factor)
+    lam_min, lam_max = eig_extremes(factor)
     pl = math.log10(lam_max / lam_min)
     logdet = factor.log_det()
     # Row norms of G 2^-e, whose squares cannot overflow or underflow, then

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from framecycles.cholesky import _BLOCK, cholesky
+from framecycles.cholesky import _BLOCK, _reverse_cuthill_mckee, cholesky
 from framecycles.cli import Analysis, load_or_generate
 from test_force import planar_grids
 
@@ -108,21 +108,55 @@ def test_order_is_a_deterministic_permutation_of_row_triples(checker_15x15, algo
     assert np.array_equal(cholesky(G.copy()).perm, perm)
 
 
+def triple_pattern(G):
+    """G's nonzero pattern over consecutive row triples, made symmetric."""
+    triples = np.arange(len(G)) // 3
+    rows, cols = np.nonzero(G)
+    pattern = np.zeros((-(-len(G) // 3),) * 2, dtype=bool)
+    pattern[triples[rows], triples[cols]] = True
+    return pattern | pattern.T
+
+
+def rcm_rows(G):
+    """G's rows in the reverse Cuthill-McKee order of its row triples."""
+    adjacency = [np.flatnonzero(row).tolist() for row in triple_pattern(G)]
+    rows = (3 * np.array(_reverse_cuthill_mckee(adjacency))[:, None] + np.arange(3)).ravel()
+    return rows[rows < len(G)]
+
+
+def greedy_bandwidth(G):
+    """The half-bandwidth in rows of G's envelope over row triples, in G's own order."""
+    pattern = triple_pattern(G)
+    last_rows = np.minimum(3 * np.arange(len(pattern)) + 2, len(G) - 1)
+    return int(np.max(last_rows - 3 * np.argmax(pattern, axis=1)))
+
+
 @pytest.mark.parametrize("algorithm,bandwidth", [(1, 47), (3, 47), ("baseline", 89)])
 def test_half_bandwidths_on_the_15x15_checker_grid(checker_15x15, algorithm, bandwidth):
-    """Reverse Cuthill-McKee narrows G's band to 15 cycles for algorithm 1
-    and to 29 for the baseline, 3 rows per cycle plus the rest of a triple.
-    Algorithm 3's greedy order is as narrow already, and is kept."""
+    """Reverse Cuthill-McKee narrows G's band to 15 cycles for algorithms 1
+    and 3 and to 29 for the baseline, 3 rows per cycle plus the rest of a
+    triple.  The factor takes that order for every basis."""
     G = checker_15x15[algorithm]
     factor = cholesky(G)
     assert factor.bandwidth == bandwidth
-    assert np.array_equal(factor.perm, np.arange(len(G))) == (algorithm == 3)
+    assert np.array_equal(factor.perm, rcm_rows(G))
 
 
-def test_a_dense_matrix_keeps_its_order_and_its_full_band():
+@pytest.mark.parametrize("algorithm", [1, 3, "baseline"])
+def test_band_is_never_wider_than_the_greedy_order(checker_15x15, algorithm):
+    """Algorithm 3's greedy order ties with reverse Cuthill-McKee; the
+    others' greedy orders are far wider."""
+    G = checker_15x15[algorithm]
+    assert cholesky(G).bandwidth <= greedy_bandwidth(G)
+
+
+def test_a_dense_matrix_keeps_its_full_band_in_rcm_order():
+    """On a complete pattern every triple has the same degree, so reverse
+    Cuthill-McKee numbers the triples from the last to the first."""
     G = oracles.random_spd(np.random.default_rng(0), 2 * _BLOCK + 1)
     factor = cholesky(G)
-    assert np.array_equal(factor.perm, np.arange(len(G)))
+    triples = np.arange(len(G) // 3)[::-1]
+    assert np.array_equal(factor.perm, (3 * triples[:, None] + np.arange(3)).ravel())
     assert factor.bandwidth == len(G) - 1
 
 

@@ -152,6 +152,14 @@ class TestCompare:
         assert len(csv_lines) == 4
         assert csv_lines[3].startswith("baseline,")
 
+    def test_an_unwritable_csv_path_prints_no_table(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "out.csv"
+        assert main(["compare", "grid:2x3:weak-beams", "--csv", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not csv_path.exists()
+
     def test_runs_are_deterministic(self, tmp_path):
         algorithms = [1, 2, 3, 4, 5]
         table1, csv1, _ = Analysis(load_or_generate("grid:3x3:checker")).compare(algorithms)

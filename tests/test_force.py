@@ -204,8 +204,9 @@ class TestAssembleG:
 
     @pytest.mark.parametrize("algorithm", [2, "baseline"])
     def test_exactly_symmetric_across_blocks(self, algorithm):
-        """G is symmetrised by pairs of 64-row blocks; with more than two
-        blocks, each pair off the diagonal gets the same bits both ways."""
+        """Each member's product is symmetric before it is scattered, and a
+        simple cycle passes a member once, so entries (p, q) and (q, p) sum
+        the same numbers in the same member order, however large G is."""
         model = generate_grid(8, 8, pattern="checker")
         basis = Analysis(model).basis(algorithm)
         G = assemble_g(build_b1(model, basis), unassembled_flexibility(model))
@@ -315,8 +316,9 @@ def _rendered(matrix):
 @given(planar_grids())
 def test_block_structured_force_layer_matches_dense_references(model):
     """B1, G and the sparsity rasters agree with the dense, one-block-at-a-time
-    references for every algorithm; G's block pattern is D's, so the raster
-    that ``render --block`` draws from D is G's block pattern."""
+    references for every algorithm; G is exactly symmetric, and its block
+    pattern is D's, so the raster that ``render --block`` draws from D is
+    G's block pattern."""
     Fm = unassembled_flexibility(model)
     dense_fm = oracles.dense_flexibility(model)
     analysis = Analysis(model)
@@ -328,6 +330,7 @@ def test_block_structured_force_layer_matches_dense_references(model):
         assert np.all(np.abs(B1 - reference_b1) <= 1e-14 * np.max(np.abs(reference_b1), axis=0))
 
         G = assemble_g(blocks, Fm)
+        assert np.array_equal(G, G.T)
         dense = oracles.dense_g(reference_b1, dense_fm)
         assert np.max(np.abs(G - dense)) <= 1e-12 * np.max(np.abs(dense))
         D = adjacency_matrix(incidence_matrix(basis)).D

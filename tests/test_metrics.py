@@ -42,8 +42,11 @@ def test_random_spd_oracle_takes_every_size(n):
 
 
 class TestEigExtremes:
+    """Extremes from a Cholesky factor, and the matrices rejected before one
+    is made: condition_report checks G first."""
+
     def test_known_diagonal(self):
-        lo, hi = eig_extremes(np.diag([2.0, 5.0, 11.0]))
+        lo, hi = eig_extremes(cholesky(np.diag([2.0, 5.0, 11.0])))
         assert lo == pytest.approx(2.0)
         assert hi == pytest.approx(11.0)
 
@@ -52,14 +55,14 @@ class TestEigExtremes:
         for n in (3, 4):
             for _ in range(100):
                 M = oracles.random_spd(rng, n)
-                lo, hi = eig_extremes(M)
+                lo, hi = eig_extremes(cholesky(M))
                 olo, ohi = oracles.charpoly_extreme_eigs(M)
                 assert lo == pytest.approx(olo, rel=1e-10)
                 assert hi == pytest.approx(ohi, rel=1e-10)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
-            eig_extremes(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            condition_report(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("i,j", [(1, 0), (0, 1), (70, 3), (3, 70), (130, 129), (149, 64), (64, 149)])
     def test_rejects_one_asymmetric_pair_anywhere(self, i, j):
@@ -67,15 +70,15 @@ class TestEigExtremes:
         G = oracles.random_spd(np.random.default_rng(7), 150)
         G[i, j] += 1e-9 * np.max(np.abs(G))
         with pytest.raises(ValueError, match="symmetric"):
-            eig_extremes(G)
+            condition_report(G)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
-            eig_extremes(np.diag([1.0, -1.0]))
+            condition_report(np.diag([1.0, -1.0]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
-            eig_extremes(np.ones((2, 3)))
+            condition_report(np.ones((2, 3)))
 
 
 class TestIndicators:
@@ -204,7 +207,7 @@ def check_extremes_against_eigvalsh(G):
     """Both extremes lie within 10 n eps lambda_max of eigvalsh's, which is
     the accuracy that eigvalsh itself guarantees."""
     reference = np.linalg.eigvalsh(G)
-    lo, hi = eig_extremes(G)
+    lo, hi = eig_extremes(cholesky(G))
     bound = 10 * len(G) * EPS * reference[-1]
     assert abs(lo - reference[0]) <= bound
     assert abs(hi - reference[-1]) <= bound
@@ -269,8 +272,8 @@ def test_extremes_scale_with_g_however_large_or_small(power):
     """G times 2^power has its extremes times 2^power: neither run may
     overflow or underflow (2^600 G squares to beyond the largest float)."""
     G = oracles.random_spd(np.random.default_rng(11), 100)
-    lo, hi = eig_extremes(G)
-    scaled_lo, scaled_hi = eig_extremes(G * 2.0**power)
+    lo, hi = eig_extremes(cholesky(G))
+    scaled_lo, scaled_hi = eig_extremes(cholesky(G * 2.0**power))
     assert scaled_lo == pytest.approx(lo * 2.0**power, rel=1e-12)
     assert scaled_hi == pytest.approx(hi * 2.0**power, rel=1e-12)
 
@@ -290,15 +293,14 @@ def test_report_scales_with_g_however_large_or_small(power):
     assert scaled.pdet_log10 == pytest.approx(report.pdet_log10, abs=1e-10)
 
 
-@pytest.mark.parametrize("check", [condition_report, eig_extremes])
-def test_a_subnormal_g_is_a_value_error(check):
+def test_a_subnormal_g_is_a_value_error():
     """No power of two brings a G below the smallest normal float back into
     range: it is rejected before a sweep through its factor could overflow."""
     G = oracles.random_spd(np.random.default_rng(11), 100) * 2.0**-1030
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="^matrix entries are subnormal: the largest is "):
-            check(G)
+            condition_report(G)
 
 
 def test_extremes_are_deterministic_and_leave_the_global_rng_alone():
@@ -306,9 +308,9 @@ def test_extremes_are_deterministic_and_leave_the_global_rng_alone():
     np.random.seed(123)
     expected = np.random.random()
     np.random.seed(123)
-    first = eig_extremes(G)
+    first = eig_extremes(cholesky(G))
     assert np.random.random() == expected
-    assert eig_extremes(G) == first
+    assert eig_extremes(cholesky(G)) == first
 
 
 def test_condition_loads_no_random_generator():
@@ -329,7 +331,7 @@ def test_lanczos_holds_no_n_by_n_basis():
     factor = cholesky(G)
     tracemalloc.start()
     try:
-        eig_extremes(G, factor)
+        eig_extremes(factor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
