@@ -22,6 +22,7 @@ from oracles import (
     chopped_gauss_solve,
     ill_conditioned_demo,
 )
+from framecycles import metrics
 from framecycles.cholesky import cholesky
 from framecycles.cli import Analysis, load_or_generate
 from framecycles.metrics import condition_report, eig_extremes
@@ -293,9 +294,17 @@ def test_report_scales_with_g_however_large_or_small(power):
     assert scaled.pdet_log10 == pytest.approx(report.pdet_log10, abs=1e-10)
 
 
-def test_a_subnormal_g_is_a_value_error():
+@pytest.mark.parametrize("unreached", [None, "eig_extremes"], ids=["condition_report", "eig_extremes"])
+def test_a_subnormal_g_is_a_value_error(unreached, monkeypatch):
     """No power of two brings a G below the smallest normal float back into
-    range: it is rejected before a sweep through its factor could overflow."""
+    range: condition_report rejects it before a sweep through its factor
+    could overflow, so eig_extremes never sees it."""
+    if unreached:
+
+        def fail(*args):
+            raise AssertionError(f"{unreached} reached with a subnormal G")
+
+        monkeypatch.setattr(metrics, unreached, fail)
     G = oracles.random_spd(np.random.default_rng(11), 100) * 2.0**-1030
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
