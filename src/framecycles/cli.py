@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
+import os
 import re
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -109,8 +113,8 @@ class Analysis:
     def g(self, cycle_basis: CycleBasis) -> np.ndarray:
         return assemble_g(build_b1(self.model, cycle_basis), self.flexibility)
 
-    def compare(self, algorithms: list, precision: int = 16) -> tuple[str, str, list[dict]]:
-        """The algorithms side by side: (table text, CSV text, row dicts).
+    def compare(self, algorithms: list, precision: int = 16) -> tuple[str, str]:
+        """The algorithms side by side: (table text, CSV text).
 
         Space frames get '-' placeholders for the numeric metrics.
         """
@@ -125,7 +129,7 @@ class Analysis:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COMPARE_COLUMNS)
         writer.writerows(table_rows)
-        return "\n".join(lines) + "\n", buf.getvalue(), rows
+        return "\n".join(lines) + "\n", buf.getvalue()
 
     def _compare_row(self, algorithm, precision: int) -> dict:
         cycle_basis = self.basis(algorithm)
@@ -293,7 +297,7 @@ def _cmd_compare(args) -> int:
     analysis = _analysis(args)
     if analysis.model.ndim != 2:
         print("warning: 3D model, reporting combinatorial columns only", file=sys.stderr)
-    table, csv_text, _rows = analysis.compare(algorithms, args.precision)
+    table, csv_text = analysis.compare(algorithms, args.precision)
     # The CSV first: a path that cannot be written leaves no table printed.
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -315,13 +319,39 @@ def _cmd_render(args) -> int:
         print("error: frame rendering is available for planar models only", file=sys.stderr)
         return 1
     cycle_basis = analysis.basis(algorithm)
+    outputs = []
     if args.sparsity:
-        render.render_sparsity(analysis.adjacency(cycle_basis).D, args.sparsity)
-        print(f"wrote {args.sparsity}")
+        D = analysis.adjacency(cycle_basis).D
+        outputs.append((args.sparsity, lambda path: render.render_sparsity(D, path)))
     if args.frame:
-        render.render_frame(analysis.model, cycle_basis, args.frame)
-        print(f"wrote {args.frame}")
+        model = analysis.model
+        outputs.append((args.frame, lambda path: render.render_frame(model, cycle_basis, path)))
+    _write_all(outputs)
+    for path, _ in outputs:
+        print(f"wrote {path}")
     return 0
+
+
+def _write_all(outputs) -> None:
+    """Run each (path, write) pair's *write* on a file in a new folder beside
+    *path*, and move the files into place only once all are written, so a
+    command that fails leaves none of its outputs behind."""
+    staged = []
+    try:
+        for path, write in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            try:
+                folder = tempfile.mkdtemp(dir=os.path.dirname(os.path.abspath(path)))
+            except OSError as exc:  # name the output, not the folder
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append(folder)
+            write(os.path.join(folder, "out"))
+        for (path, _), folder in zip(outputs, staged):
+            os.replace(os.path.join(folder, "out"), path)
+    finally:
+        for folder in staged:
+            shutil.rmtree(folder, ignore_errors=True)
 
 
 _COMMANDS = {

@@ -4,21 +4,23 @@ Both route trees grow by one breadth-first tier loop over per-node
 candidate lists: the plain SRT over all incident members, which yields
 minimum-length cycles, and the weight-pruned SRTM over the members at
 least as heavy as their node's average, plus rounds that attach nodes
-stranded by pruning.  Both yield their tiers one at a time, so the search
-for a member's cycle stops growing them where the two trees meet; the
-SRTM's main phase and its stranded nodes are grown tier by tier as well.
-An SRTM needs its main phase's node set L0 before its first tier.  Where
-a certificate shows it, with a mask or without, L0 is the closure of the
-root's strong component in the graph's survivor digraph, made once per
-component and graph and shared by every tree rooted there; elsewhere it
-is one search, and the two trees of a member share it when their L0 are
-equal.  Forbidden and masked members are left out of the lists, nowhere
-else.  All tie-breaking is by ascending member id then ascending node id,
-so every result is deterministic.
+stranded by pruning; both yield their tiers one at a time.  The search
+for a member's cycle lets its two trees take turns, the first end's
+first: each pulls one tier on its turn, a tree with none left drops out,
+and the search stops where they meet, so neither grows a tier it does
+not examine.  An SRTM needs its main phase's node set L0 before its
+first tier.  Where a certificate shows it, with a mask or without, L0 is
+the closure of the root's strong component in the graph's survivor
+digraph, made once per component and graph and shared by every tree
+rooted there; elsewhere it is one search, and the two trees of a member
+share it when their L0 are equal.  Forbidden and masked members are left
+out of the lists, nowhere else.  All tie-breaking is by ascending member
+id then ascending node id, so every result is deterministic.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from itertools import count
@@ -37,10 +39,11 @@ class NoCycleThroughMember(ValueError):
 class RouteTree:
     """Spanning tree of the reachable component with breadth-first tier labels.
 
-    A tree grown lazily for ``min_cycle_on_member`` holds only the tiers
-    that the lock-step search reached, an SRTM's as well as an SRT's; the
-    SRTM's main-phase node set L0 is known apart from the tree
-    (``_main_set``).
+    A tree grown lazily for ``min_cycle_on_member`` holds exactly the tiers
+    that the lock-step search examined, an SRTM's as well as an SRT's: the
+    two trees take turns, tree a first, and each pulls one tier on its turn
+    (``_first_common_node``).  The SRTM's main-phase node set L0 is known
+    apart from the tree (``_main_set``).
     """
 
     root: int
@@ -460,7 +463,7 @@ def min_cycle_on_member(
     """Minimal cycle on a generator member.
 
     Two route trees of the given kind grow from the member's two ends with
-    the member itself forbidden, expanding in lock-step tiers; the first
+    the member itself forbidden, taking turns one tier at a time; the first
     common node closes the cycle.  Both kinds grow only as far as that
     node.  An SRTM knows its main-phase node set L0 before it grows a tier
     (``_main_set``; the two trees share it where they can,
@@ -483,38 +486,32 @@ def min_cycle_on_member(
         stranded_a, stranded_b = _stranded_pair(graph, m, plain, pruned, mask)
         tiers_a = _srtm_tiers(tree_a, pruned, stranded_a)
         tiers_b = _srtm_tiers(tree_b, pruned, stranded_b)
-    meet = _first_common_node(tree_a.root, tiers_a, tree_b.root, tiers_b)
+    meet = _first_common_node(tree_a, tiers_a, tree_b, tiers_b)
     if meet is None:
         raise NoCycleThroughMember(f"no cycle through member {member_id}")
     return close_cycle(graph, member_id, tree_a.path_members(meet), tree_b.path_members(meet))
 
 
 def _first_common_node(
-    root_a: int, tiers_a: Iterator[list[int]], root_b: int, tiers_b: Iterator[list[int]]
+    tree_a: RouteTree, tiers_a: Iterator[list[int]], tree_b: RouteTree, tiers_b: Iterator[list[int]]
 ) -> int | None:
-    """Lock-step tier intersection: alternate expanding each tree one tier.
+    """Lock-step tier intersection: the two trees take turns, tree a first.
 
-    Each iterator yields its tree's tiers below the root, in label order.
-    The tree at the lower tier expands next (tree a on a tie) while it has a
-    tier left, so each side's next tier is fetched one step ahead.  If
-    several common nodes appear at the same step, the lowest node id wins.
+    Each iterator yields its tree's tiers below the root, in label order,
+    labelling each in its tree as it goes.  On its turn a tree pulls one
+    tier and looks for it in the other tree's labels; a tree with no tier
+    left drops out, and the other goes on alone.  So each tree holds exactly
+    the tiers examined.  If a tier meets several nodes, the lowest id wins.
     """
-    seen_a, seen_b = {root_a}, {root_b}
-    next_a, next_b = next(tiers_a, None), next(tiers_b, None)
-    depth_a = depth_b = 0
-    while next_a or next_b:
-        if next_a and (depth_a <= depth_b or not next_b):
-            depth_a += 1
-            seen_a.update(next_a)
-            common = seen_b.intersection(next_a)
-            next_a = None if common else next(tiers_a, None)
-        else:
-            depth_b += 1
-            seen_b.update(next_b)
-            common = seen_a.intersection(next_b)
-            next_b = None if common else next(tiers_b, None)
-        if common:
-            return min(common)
+    turns = deque([(tiers_a, tree_b.label), (tiers_b, tree_a.label)])
+    while turns:
+        tiers, other = turns.popleft()
+        tier = next(tiers, None)
+        if tier is not None:
+            common = [v for v in tier if v in other]
+            if common:
+                return min(common)
+            turns.append((tiers, other))
     return None
 
 

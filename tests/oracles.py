@@ -212,7 +212,9 @@ def _path_members(parent, root: int, node: int) -> list[int]:
 
 
 def reference_min_cycle(graph: WeightedGraph, member_id: int, tree_kind: str):
-    """(member set, weight) of the minimal cycle on a member, or None for a bridge.
+    """((member set, weight), tiers): the minimal cycle on a member, or None
+    for a bridge, and how many tiers of the trees from the member's two ends
+    the lock-step search examined.
 
     Both trees are built in full; the lock-step search then rescans every
     label for each tier.  The member set and the weight are built exactly
@@ -228,7 +230,7 @@ def reference_min_cycle(graph: WeightedGraph, member_id: int, tree_kind: str):
     while not seen_a & seen_b:
         can_a, can_b = tier_a < max_a, tier_b < max_b
         if not can_a and not can_b:
-            return None
+            return None, (tier_a, tier_b)
         if can_a and (tier_a <= tier_b or not can_b):
             tier_a += 1
             seen_a.update(n for n, lbl in label_a.items() if lbl == tier_a)
@@ -240,7 +242,7 @@ def reference_min_cycle(graph: WeightedGraph, member_id: int, tree_kind: str):
     members ^= set(_path_members(parent_a, m.a, meet))
     members ^= set(_path_members(parent_b, m.b, meet))
     members = frozenset(members)
-    return members, sum(graph.weight(mid) for mid in members)
+    return (members, sum(graph.weight(mid) for mid in members)), (tier_a, tier_b)
 
 
 def gf2_rank(member_sets, universe) -> int:

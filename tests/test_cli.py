@@ -162,8 +162,8 @@ class TestCompare:
 
     def test_runs_are_deterministic(self, tmp_path):
         algorithms = [1, 2, 3, 4, 5]
-        table1, csv1, _ = Analysis(load_or_generate("grid:3x3:checker")).compare(algorithms)
-        table2, csv2, _ = Analysis(load_or_generate("grid:3x3:checker")).compare(algorithms)
+        table1, csv1 = Analysis(load_or_generate("grid:3x3:checker")).compare(algorithms)
+        table2, csv2 = Analysis(load_or_generate("grid:3x3:checker")).compare(algorithms)
         assert table1 == table2
         assert csv1 == csv2
 
@@ -217,6 +217,18 @@ class TestRender:
         assert rc == 0
         assert pbm.read_text().startswith("P1\n")
         assert "<svg" in svg.read_text()
+
+    @pytest.mark.parametrize("frame", ["missing/a.svg", "folder"], ids=["no-folder", "a-folder"])
+    def test_a_failed_output_leaves_no_output_behind(self, tmp_path, capsys, frame):
+        (tmp_path / "folder").mkdir()
+        pbm = tmp_path / "ok.pbm"
+        argv = ["render", "grid:2x2", "--sparsity", str(pbm), "--frame", str(tmp_path / frame)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and frame in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+        assert list((tmp_path / "folder").iterdir()) == []
 
     def test_no_output_selected(self, capsys):
         assert main(["render", "grid:1x1"]) == 2

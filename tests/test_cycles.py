@@ -1,7 +1,9 @@
 """Route trees, minimal cycles, and GF(2) independence machinery."""
 
+import contextlib
 import itertools
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -224,22 +226,57 @@ def connected_graphs(draw):
     return WeightedGraph(tuple(ids), members, weights)
 
 
+@contextlib.contextmanager
+def counted_tier_pulls():
+    """A list that gets, per ``_first_common_node`` call, how many tiers the
+    search pulled from each side: its arguments 1 and 3 are the iterators."""
+    pulls = []
+    search = cycles._first_common_node
+
+    def counting(*args):
+        pulled = [0, 0]
+        pulls.append(pulled)
+
+        def counted(side, tiers):
+            for tier in tiers:
+                pulled[side] += 1
+                yield tier
+
+        args = list(args)
+        args[1], args[3] = counted(0, args[1]), counted(1, args[3])
+        return search(*args)
+
+    with mock.patch.object(cycles, "_first_common_node", counting):
+        yield pulls
+
+
+def assert_reference_cycle(g, mid, kind, reference, mask=None):
+    """The member's cycle is the one the eager construction gives on the
+    *reference* graph, down to the last bit of the weight, or a bridge in
+    both; and each tree pulled exactly the tiers the reference examined."""
+    expected, tiers = oracles.reference_min_cycle(reference, mid, kind)
+    with counted_tier_pulls() as pulls:
+        if expected is None:
+            with pytest.raises(NoCycleThroughMember):
+                min_cycle_on_member(g, mid, kind, mask)
+        else:
+            cycle = min_cycle_on_member(g, mid, kind, mask)
+    assert pulls == [list(tiers)]
+    if expected is not None:
+        assert cycle.members == expected[0]
+        assert list(cycle.members) == list(expected[0])  # the order summed in
+        assert repr(cycle.weight) == repr(expected[1])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(connected_graphs())
 def test_cycles_match_reference_construction(g):
     """Lazy SRT and table-driven SRTM give the eager construction's cycles,
-    down to the last bit of the weight; bridges raise in both."""
+    down to the last bit of the weight, and grow only the tiers it examines;
+    bridges raise in both."""
     for kind in (SRT, SRTM):
         for mid in g.member_ids():
-            expected = oracles.reference_min_cycle(g, mid, kind)
-            if expected is None:
-                with pytest.raises(NoCycleThroughMember):
-                    min_cycle_on_member(g, mid, kind)
-                continue
-            cycle = min_cycle_on_member(g, mid, kind)
-            assert cycle.members == expected[0]
-            assert list(cycle.members) == list(expected[0])  # the order summed in
-            assert repr(cycle.weight) == repr(expected[1])
+            assert_reference_cycle(g, mid, kind, g)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -274,23 +311,15 @@ def masked_case(seed, tied, data):
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
 def test_masked_cycles_match_the_masked_copy(seed, tied, data):
     """With members masked, each other member's cycle is the one on a copy of
-    the graph without them, down to the last bit of the weight; a member
-    left without a cycle raises in both."""
+    the graph without them, down to the last bit of the weight, grown only
+    as deep as the search on the copy examines; a member left without a
+    cycle raises in both."""
     g, mask = masked_case(seed, tied, data)
     for kind in (SRT, SRTM):
         for mid in g.member_ids():
-            if mid in mask.members:
-                continue
-            view = oracles.masked_graph(g, mask.members, keep=mid)
-            expected = oracles.reference_min_cycle(view, mid, kind)
-            if expected is None:
-                with pytest.raises(NoCycleThroughMember):
-                    min_cycle_on_member(g, mid, kind, mask)
-                continue
-            cycle = min_cycle_on_member(g, mid, kind, mask)
-            assert cycle.members == expected[0]
-            assert list(cycle.members) == list(expected[0])  # the order summed in
-            assert repr(cycle.weight) == repr(expected[1])
+            if mid not in mask.members:
+                view = oracles.masked_graph(g, mask.members, keep=mid)
+                assert_reference_cycle(g, mid, kind, view, mask)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -485,18 +514,12 @@ HIGH_CONTRAST_GRIDS = pytest.mark.parametrize(
 @HIGH_CONTRAST_GRIDS
 def test_srtm_cycles_on_high_contrast_grids_match_the_reference(model):
     """Every member's SRTM cycle on grids whose fallback runs many rounds is
-    the one from two whole reference trees, down to the weight's last bit.
-    The tail's two bridges raise in both."""
+    the one from two whole reference trees, down to the weight's last bit,
+    and each tree pulls only the tiers examined.  The tail's two bridges
+    raise in both."""
     g = high_contrast_graph(model)
     for mid in g.member_ids():
-        expected = oracles.reference_min_cycle(g, mid, SRTM)
-        if expected is None:
-            with pytest.raises(NoCycleThroughMember):
-                min_cycle_on_member(g, mid, SRTM)
-            continue
-        cycle = min_cycle_on_member(g, mid, SRTM)
-        assert cycle.members == expected[0]
-        assert repr(cycle.weight) == repr(expected[1])
+        assert_reference_cycle(g, mid, SRTM, g)
 
 
 @HIGH_CONTRAST_GRIDS
