@@ -20,9 +20,11 @@ deep as G, by the same code.
 
 The factor keeps, per block, the inverse of its diagonal block of L (made
 once), the panel of L below that block, and diag L, plus a reference to
-G; it keeps no n x n array of its own.  numpy has no triangular solver,
-so each solve substitutes block by block through those inverses with
-matrix products.
+G.  G is the only n x n array it holds or makes: the pattern over row
+triples is read _BLOCK triples at a time and kept as its nonzero pairs,
+and each block column of G is gathered down to the envelope only.  numpy
+has no triangular solver, so each solve substitutes block by block
+through those inverses with matrix products.
 """
 
 from __future__ import annotations
@@ -65,6 +67,27 @@ def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
     return order[::-1]
 
 
+def _pattern(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), in row-major order, of the nonzero row triple pairs of G
+    made symmetric, with the diagonal.
+
+    _BLOCK triples at a time, against the same triples of columns, so no
+    n x n mask is made.
+    """
+    size = -(-len(G) // 3)
+    i, j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for a in range(0, size, _BLOCK):
+        rows = slice(3 * a, 3 * (a + _BLOCK))
+        block = _triples(_triples(G[rows] != 0).T).T
+        # G may be symmetric only to rounding, with a zero facing a tiny entry.
+        block |= _triples(_triples(G[:, rows] != 0).T)
+        block[np.arange(len(block)), a + np.arange(len(block))] = True
+        rows_of, cols_of = np.nonzero(block)
+        i.append(rows_of + a)
+        j.append(cols_of)
+    return np.concatenate(i), np.concatenate(j)
+
+
 def _order(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of G renumbered by row triples, and in that order the first
     column of each row's envelope.
@@ -74,13 +97,9 @@ def _order(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exact for any n.
     """
     n = len(G)
-    pattern = _triples(_triples(G != 0).T)
-    # G may be symmetric only to rounding, with a zero facing a tiny entry.
-    pattern |= pattern.T
-    np.fill_diagonal(pattern, True)
-    i, j = np.nonzero(pattern)
+    i, j = _pattern(G)
     # Where each triple's neighbours start in j; its diagonal makes each run non-empty.
-    runs = np.searchsorted(i, np.arange(len(pattern)))
+    runs = np.searchsorted(i, np.arange(-(-n // 3)))
     bounds = [*runs.tolist(), len(j)]
     neighbours = j.tolist()
     adjacency = [neighbours[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -133,11 +133,10 @@ class Analysis:
 
     def _compare_row(self, algorithm, precision: int) -> dict:
         cycle_basis = self.basis(algorithm)
-        D = self.adjacency(cycle_basis)
         row = {
             "algorithm": str(algorithm),
             "b1": len(cycle_basis),
-            "XD": D.chi,
+            "XD": self.adjacency(cycle_basis).chi,  # D itself is not kept beside G
             "sumL": cycle_basis.total_length(),
             "overlapL": cycle_basis.overlap_length(),
             "overlapW": _fmt(cycle_basis.overlap_weight()),
@@ -281,12 +280,12 @@ def _cmd_condition(args) -> int:
         print("error: condition report requires a planar model", file=sys.stderr)
         return 1
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
-    D = analysis.adjacency(cycle_basis)
+    chi = analysis.adjacency(cycle_basis).chi  # D itself is not kept beside G
     report = metrics.condition_report(analysis.g(cycle_basis), args.precision)
     print(f"PL = {_fmt(report.pl)}")
     print(f"PN = {_fmt(report.pn)} (log10 {_fmt(report.pn_log10)})")
     print(f"PDET = {_fmt(report.pdet)} (log10 {_fmt(report.pdet_log10)})")
-    print(f"X(D) = {D.chi}")
+    print(f"X(D) = {chi}")
     print(f"good digits (p={report.precision}) = {_fmt(report.good_digits)}")
     return 0
 

@@ -25,10 +25,13 @@ m; only cycle pairs that share a member get a block, which is the nonzero
 pattern of the cycle adjacency matrix D.  So ``render`` draws this block
 pattern from D and builds no G.  Each member's product is made symmetric
 before it is added, so G comes out exactly symmetric with no symmetrising
-pass; ``assemble_g`` factors nothing.  The solve checks the loads and
-carries them to ground first, then builds B1 and G and factors G once: a
-failed Cholesky raises RankDeficientBasis, and the redundants come from
-that factor by blocked substitution, with no LU of G.
+pass; ``assemble_g`` factors nothing.  G is the only n x n array this
+layer makes: the products are scattered in chunks of at most n _BLOCK
+entries (_BLOCK from ``cholesky``), and the solve holds G, its factor and
+arrays the size of B1.  The solve checks the loads and carries them to
+ground first, then builds B1 and G and factors G once: a failed Cholesky
+raises RankDeficientBasis, and the redundants come from that factor by
+blocked substitution, with no LU of G.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from framecycles.basis import CycleBasis
-from framecycles.cholesky import cholesky
+from framecycles.cholesky import _BLOCK, cholesky
 from framecycles.cycles import CycleVector, build_srt
 from framecycles.model import (
     ModelError,
@@ -239,14 +242,37 @@ def _apply_flexibility(Fm: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.einsum("mab,mb->ma", Fm, r.reshape(len(Fm), 3)).ravel()
 
 
+def _member_products(
+    B1: B1Blocks, Fm: np.ndarray, starts: np.ndarray, members: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into G and values of B1_m' F_m B1_m, made symmetric,
+    for these members, each through k cycles from its first block starts[m].
+
+    A function of its own, so one chunk's arrays are freed before the next
+    chunk's are made.
+    """
+    n = B1.shape[1]
+    runs = starts[members][:, None] + np.arange(k)
+    cols = (3 * B1.cycles[runs][:, :, None] + _XYZ).reshape(len(members), 3 * k)
+    Bm = B1.blocks[runs].transpose(0, 2, 1, 3).reshape(len(members), 3, 3 * k)
+    X = Bm.transpose(0, 2, 1) @ (Fm[members] @ Bm)
+    X += X.transpose(0, 2, 1)  # numpy reads the overlapping operand from a copy
+    X *= 0.5
+    index = np.multiply(cols[:, :, None], n, out=np.empty(X.shape, dtype=np.intp))
+    index += cols[:, None, :]
+    return index.ravel(), X.ravel()
+
+
 def assemble_g(B1: B1Blocks, Fm: np.ndarray) -> np.ndarray:
     """G = B1' Fm B1 from member blocks, exactly symmetric and not factored.
 
     Member m adds B1_m' F_m B1_m on the cycles through it, which are its
     run of blocks in B1.  Members through the same number of cycles are
-    summed as one batch.  Each product is made symmetric before it is added,
-    and a simple cycle passes a member once, so entries (p, q) and (q, p)
-    get the same numbers in the same member order.
+    summed as one batch, in chunks of consecutive members that add at most
+    n _BLOCK entries (one member at least), so G is the only n x n array
+    made.  Each product is made symmetric before it is added, and a simple
+    cycle passes a member once, so entries (p, q) and (q, p) get the same
+    numbers in the same member order.
     """
     if Fm.shape != (B1.shape[0] // 3, 3, 3):
         raise ValueError(f"Fm of shape {Fm.shape} does not match B1 of shape {B1.shape}")
@@ -256,15 +282,12 @@ def assemble_g(B1: B1Blocks, Fm: np.ndarray) -> np.ndarray:
     G = np.zeros((n, n))
     flat = G.reshape(-1)
     for k in np.unique(counts[counts > 0]):
-        members = np.flatnonzero(counts == k)
-        runs = starts[members][:, None] + np.arange(k)
-        cols = (3 * B1.cycles[runs][:, :, None] + _XYZ).reshape(len(members), 3 * k)
-        Bm = B1.blocks[runs].transpose(0, 2, 1, 3).reshape(len(members), 3, 3 * k)
-        X = Bm.transpose(0, 2, 1) @ (Fm[members] @ Bm)
-        X += X.transpose(0, 2, 1)  # numpy reads the overlapping operand from a copy
-        X *= 0.5
-        # Two members of a batch can share a cycle pair: add.at sums repeats.
-        np.add.at(flat, (n * cols[:, :, None] + cols[:, None, :]).ravel(), X.ravel())
+        batch = np.flatnonzero(counts == k)
+        step = max(1, n * _BLOCK // (3 * k) ** 2)
+        for c in range(0, len(batch), step):
+            # np.add.at sums repeats in index order, so chunks in member
+            # order add the same numbers in the same order as one batch.
+            np.add.at(flat, *_member_products(B1, Fm, starts, batch[c : c + step], k))
     return G
 
 

@@ -7,8 +7,10 @@ scaling.  G is factored once, G = L L'; that Cholesky factor is G's
 positive-definiteness test, gives log det G for both determinants, and
 applies G^-1 for the smallest eigenvalue.  ``condition_report`` is the
 one entry point that checks G; ``eig_extremes`` takes only the factor and
-reads G from it.  The determinants underflow quickly for large matrices,
-so their base-10 logs are carried alongside the clamped values.
+reads G from it.  G is the only n x n array the report holds: the checks
+read G in place or _ROWS rows at a time, and so do PN's row norms.  The
+determinants underflow quickly for large matrices, so their base-10 logs
+are carried alongside the clamped values.
 
 PL needs only the two extreme eigenvalues, so no eigendecomposition of G
 is made.  Each comes from a Lanczos run (Lanczos 1950) with full
@@ -59,9 +61,11 @@ def _checked(G: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {G.shape}")
     if G.size == 0:
         raise ValueError("G is empty: the frame has no cycles (b1 = 0)")
-    scale = float(np.max(np.abs(G)))  # NaN or inf if an entry is
-    if not math.isfinite(scale):
+    # max|G| from the extremes in place: no |G| copy.  NaN or inf if an entry is.
+    top, bottom = float(G.max()), float(G.min())
+    if not (math.isfinite(top) and math.isfinite(bottom)):
         raise ValueError("matrix has a non-finite entry")
+    scale = max(top, -bottom)
     # Each block of rows against the same block of columns, up to the block's
     # end: G - G' in one go makes a transposed copy of G, 8 times slower at
     # n = 675.
@@ -105,8 +109,8 @@ def _largest_eigenvalue(apply: Callable[[np.ndarray], np.ndarray], n: int) -> fl
     """The largest eigenvalue of the symmetric positive definite operator
     *apply* on R^n, by Lanczos with full reorthogonalisation.
 
-    The Krylov basis grows by doubling, so it holds about as many vectors
-    as the run takes steps, never an n x n array up front.
+    The Krylov basis grows in place by 16 rows at a time, so it holds about
+    as many vectors as the run takes steps, and never two copies of itself.
     """
     tol = n * np.finfo(float).eps
     v = (np.arange(1, n + 1) ** 2 * _GOLDEN) % 1.0 - 0.5
@@ -115,7 +119,8 @@ def _largest_eigenvalue(apply: Callable[[np.ndarray], np.ndarray], n: int) -> fl
     alpha, beta = [], []
     for k in range(n):
         if k == len(basis):
-            basis = np.concatenate([basis, np.empty((min(k, n - k), n))])
+            # No view of the basis outlives a step, so it can move.
+            basis.resize((min(k + 16, n), n), refcheck=False)
         basis[k] = v
         w = apply(v)
         alpha.append(float(v @ w))

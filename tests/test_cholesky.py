@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from framecycles.cholesky import _BLOCK, _reverse_cuthill_mckee, cholesky
+from framecycles.cholesky import _BLOCK, _pattern, _reverse_cuthill_mckee, cholesky
 from framecycles.cli import Analysis, load_or_generate
 from test_force import planar_grids
 
@@ -88,6 +88,23 @@ def test_solve_is_backward_stable_on_permuted_band_matrices(system):
     perm = cholesky(G).perm
     assert np.array_equal(np.sort(perm), np.arange(len(G)))
     assert np.array_equal(cholesky(G).perm, perm)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3 * _BLOCK - 1, 3 * _BLOCK, 3 * _BLOCK + 2, 400])
+def test_pattern_is_that_of_all_of_g_at_once(n):
+    """Read block by block, the pattern over row triples is the one a mask of
+    all of G gives, made symmetric with the diagonal, for a G whose zeros
+    do not face zeros."""
+    rng = np.random.default_rng(n)
+    G = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.01)
+    size = -(-n // 3)
+    mask = np.zeros((size, size), dtype=bool)
+    i, j = np.nonzero(G)
+    mask[i // 3, j // 3] = True
+    mask |= mask.T | np.eye(size, dtype=bool)
+    expected = np.nonzero(mask)
+    pattern = _pattern(G)
+    assert all(np.array_equal(a, b) for a, b in zip(pattern, expected))
 
 
 @pytest.fixture(scope="module")

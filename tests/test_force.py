@@ -30,6 +30,7 @@ from framecycles.force import (
     solve_force_method,
     unassembled_flexibility,
 )
+from framecycles.cholesky import _BLOCK
 from framecycles.cli import Analysis
 from framecycles.cycles import CycleVector
 from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid, generate_grid3d
@@ -142,6 +143,32 @@ class TestB1:
         assert peak < 8 * (m * n + n * n)
 
 
+@pytest.mark.parametrize("algorithm", ["baseline", 1, 3])
+def test_g_is_the_only_n_by_n_array(algorithm):
+    """On the 15x15 checker grid, G with its condition report, and the solve,
+    each peak below 1.5 G above the memory live when they start: no |G|
+    copy, no unbounded scatter, no n x n mask is made beside G."""
+    model = generate_grid(15, 15, pattern="checker")
+    analysis = Analysis(model)
+    basis = analysis.basis(algorithm)
+    free = sorted(n.id for n in model.nodes if n.id not in set(model.supports))
+    loads = [(free[37 * i % len(free)], 10.0 * (i + 1), -5.0 * i, 2.0) for i in range(10)]
+    # numpy's first scatter leaves memory behind once per process.
+    G = analysis.g(basis)
+    for run in (
+        lambda: condition_report(analysis.g(basis)),
+        lambda: solve_force_method(model, basis, loads),
+    ):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live < 1.5 * G.nbytes
+
+
 class TestB0:
     """The particular forces r0 = B0 p, carried from the loads without a B0."""
 
@@ -212,6 +239,27 @@ class TestAssembleG:
         G = assemble_g(build_b1(model, basis), unassembled_flexibility(model))
         assert len(G) > 2 * 64
         assert np.array_equal(G, G.T)
+
+    @pytest.mark.parametrize("algorithm", [2, "baseline"])
+    def test_chunks_add_what_single_members_add(self, algorithm):
+        """G is scattered in chunks of at most n _BLOCK entries; bit for bit,
+        it is G summed one member at a time, members by the number of cycles
+        through them, then by row."""
+        model = generate_grid(10, 10, pattern="weak-beams")
+        B1 = build_b1(model, Analysis(model).basis(algorithm))
+        Fm = unassembled_flexibility(model)
+        n = B1.shape[1]
+        counts = np.bincount(B1.rows, minlength=len(Fm))
+        batches = np.bincount(counts)[1:] * (3 * np.arange(1, counts.max() + 1)) ** 2
+        assert batches.max() > n * _BLOCK
+        expected = np.zeros((n, n))
+        for m in sorted(np.flatnonzero(counts), key=lambda m: (counts[m], m)):
+            run = B1.rows == m
+            cols = (3 * B1.cycles[run][:, None] + np.arange(3)).ravel()
+            Bm = B1.blocks[run].transpose(1, 0, 2).reshape(3, -1)
+            X = Bm.T @ (Fm[m] @ Bm)
+            expected[np.ix_(cols, cols)] += (X + X.T) * 0.5
+        assert np.array_equal(assemble_g(B1, Fm), expected)
 
     def test_dependent_basis_rejected(self):
         """assemble_g factors nothing; each consumer's own factorisation rejects G."""

@@ -334,9 +334,17 @@ def test_condition_loads_no_random_generator():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
 
 
-def test_lanczos_holds_no_n_by_n_basis():
-    analysis = Analysis(load_or_generate("grid:15x15:checker"))
-    G = analysis.g(analysis.basis("baseline"))
+@pytest.fixture(scope="module")
+def checker_15x15_analysis():
+    return Analysis(load_or_generate("grid:15x15:checker"))
+
+
+@pytest.mark.parametrize("algorithm", ["baseline", 1, 2, 3, 4, 5])
+def test_lanczos_holds_no_n_by_n_basis(checker_15x15_analysis, algorithm):
+    """The Krylov basis grows in place, so however many steps a run takes
+    (75 for algorithm 3 here), it never holds an old and a new copy of itself."""
+    analysis = checker_15x15_analysis
+    G = analysis.g(analysis.basis(algorithm))
     factor = cholesky(G)
     tracemalloc.start()
     try:
