@@ -93,8 +93,8 @@ def test_solve_is_backward_stable_on_permuted_band_matrices(system):
 @pytest.mark.parametrize("n", [0, 1, 2, 3 * _BLOCK - 1, 3 * _BLOCK, 3 * _BLOCK + 2, 400])
 def test_pattern_is_that_of_all_of_g_at_once(n):
     """Read block by block, the pattern over row triples is the one a mask of
-    all of G gives, made symmetric with the diagonal, for a G whose zeros
-    do not face zeros."""
+    all of G gives, made symmetric with the diagonal, for a G whose own
+    pattern is not symmetric."""
     rng = np.random.default_rng(n)
     G = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.01)
     size = -(-n // 3)
