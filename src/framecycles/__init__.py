@@ -17,7 +17,6 @@ from framecycles.cycles import (
     NoCycleThroughMember,
     RouteTree,
     build_srt,
-    build_srtm,
     min_cycle_on_member,
 )
 from framecycles.basis import (
@@ -45,7 +44,6 @@ __all__ = [
     "baseline_tree_basis",
     "build_graph",
     "build_srt",
-    "build_srtm",
     "classify_members",
     "cycle_rank",
     "generate_basis",

@@ -21,10 +21,10 @@ deep as G, by the same code.
 The factor keeps, per block, the inverse of its diagonal block of L (made
 once), the panel of L below that block, and diag L, plus a reference to
 G.  G is the only n x n array it holds or makes: the pattern over row
-triples is read _BLOCK triples at a time and kept as its nonzero pairs,
-and each block column of G is gathered down to the envelope only.  numpy
-has no triangular solver, so each solve substitutes block by block
-through those inverses with matrix products.
+triples is read from G's rows, _BLOCK triples at a time, and kept as its
+nonzero pairs, and each block column of G is gathered down to the
+envelope only.  numpy has no triangular solver, so each solve substitutes
+block by block through those inverses with matrix products.
 """
 
 from __future__ import annotations
@@ -68,19 +68,18 @@ def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
 
 
 def _pattern(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j), in row-major order, of the nonzero row triple pairs of G
-    made symmetric, with the diagonal.
+    """(i, j), in row-major order, of the nonzero row triple pairs of G,
+    with the diagonal.
 
-    _BLOCK triples at a time, against the same triples of columns, so no
-    n x n mask is made.
+    Read from G's rows alone, _BLOCK triples at a time, so no n x n mask is
+    made.  The factor reads only G's lower triangle, each of whose nonzeros
+    lies in its row's pattern, so the envelope is exact even where G is
+    symmetric only to rounding.
     """
     size = -(-len(G) // 3)
     i, j = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for a in range(0, size, _BLOCK):
-        rows = slice(3 * a, 3 * (a + _BLOCK))
-        block = _triples(_triples(G[rows] != 0).T).T
-        # G may be symmetric only to rounding, with a zero facing a tiny entry.
-        block |= _triples(_triples(G[:, rows] != 0).T)
+        block = _triples(_triples(G[3 * a : 3 * (a + _BLOCK)] != 0).T).T
         block[np.arange(len(block)), a + np.arange(len(block))] = True
         rows_of, cols_of = np.nonzero(block)
         i.append(rows_of + a)

@@ -43,7 +43,7 @@ class RouteTree:
     that the lock-step search examined, an SRTM's as well as an SRT's: the
     two trees take turns, tree a first, and each pulls one tier on its turn
     (``_first_common_node``).  The SRTM's main-phase node set L0 is known
-    apart from the tree (``_main_set``).
+    apart from the tree (``_stranded_pair``).
     """
 
     root: int
@@ -139,15 +139,12 @@ class MemberMask:
                 self.changed.add(end)
 
 
-def _plain(graph: WeightedGraph, forbidden: int | None, mask: MemberMask | None) -> Lists:
+def _plain(graph: WeightedGraph, forbidden: int, mask: MemberMask | None) -> Lists:
     """The incident lists without the forbidden and masked members: with
     ``_pruned``'s, the only place where route trees leave members out."""
     table = graph.adjacency if mask is None else mask.incident
-    if forbidden is None:
-        return table, {}
     m = graph.member(forbidden)
-    ends = {end: [(e, v) for e, v in table[end] if e.id != forbidden] for end in (m.a, m.b)}
-    return table, ends
+    return table, {end: [(e, v) for e, v in table[end] if e.id != forbidden] for end in (m.a, m.b)}
 
 
 def _pruned(graph: WeightedGraph, plain: Lists, mask: MemberMask | None) -> Lists:
@@ -183,53 +180,16 @@ def _grow(tree: RouteTree, lists: Lists) -> Iterator[list[int]]:
         frontier = next_frontier
 
 
-def build_srt(
-    graph: WeightedGraph,
-    root: int,
-    forbidden: int | None = None,
-    mask: MemberMask | None = None,
-) -> RouteTree:
-    """Breadth-first shortest route tree rooted at *root*.
-
-    The forbidden member and the masked ones, if any, never enter the tree;
-    nodes unreachable without them are simply absent.
-    """
+def build_srt(graph: WeightedGraph, root: int) -> RouteTree:
+    """Breadth-first shortest route tree rooted at *root*, over the whole graph."""
     tree = RouteTree(root, {}, {root: 0})
-    for _ in _grow(tree, _plain(graph, forbidden, mask)):
+    for _ in _grow(tree, (graph.adjacency, {})):
         pass
     return tree
 
 
-def build_srtm(
-    graph: WeightedGraph,
-    root: int,
-    forbidden: int | None = None,
-    mask: MemberMask | None = None,
-) -> RouteTree:
-    """Weight-pruned route tree: SRTM.
-
-    Tier expansion as in the SRT, except that at each expanded node the
-    incident members weighing strictly less than the average weight of that
-    node's incident members are pruned from tree candidacy, and surviving
-    candidates are taken in descending weight order.  Nodes stranded by
-    pruning are then attached round by round through their maximum-weight
-    available member, so the tree still spans the reachable component.  The
-    forbidden member and the masked ones never enter the tree or any
-    average.  The tree is ``_srtm_tiers`` run to the end.
-    """
-    plain = _plain(graph, forbidden, mask)
-    pruned = _pruned(graph, plain, mask)
-    stranded = _Stranded(graph, root, _main_set(graph, root, pruned, mask), plain)
-    tree = RouteTree(root, {}, {root: 0})
-    for _ in _srtm_tiers(tree, pruned, stranded):
-        pass
-    return tree
-
-
-def _reach(root: int, lists: Lists, stop: int | None = None) -> set[int]:
-    """The nodes reachable from *root* over *lists*.  The search is
-    breadth-first, so if it meets *stop* it ends there early, with the nodes
-    met so far."""
+def _reach(root: int, lists: Lists) -> set[int]:
+    """The nodes reachable from *root* over *lists*."""
     table, ends = lists
     seen = {root}
     order = [root]
@@ -237,8 +197,6 @@ def _reach(root: int, lists: Lists, stop: int | None = None) -> set[int]:
         for _, v in ends[u] if u in ends else table[u]:
             if v not in seen:
                 seen.add(v)
-                if v == stop:
-                    return seen
                 order.append(v)
     return seen
 
@@ -345,22 +303,6 @@ def _break(back: RouteTree, node: int, kept: dict[int, set[int]]) -> int | None:
     return None
 
 
-def _main_set(
-    graph: WeightedGraph, root: int, pruned: Lists, mask: MemberMask | None, stop: int | None = None
-) -> Collection[int]:
-    """The SRTM main phase's node set L0: the nodes reachable from *root*
-    over the survivor lists *pruned*, known before any tier is grown.
-
-    It is the closure shared by the root's whole component wherever
-    ``_certified`` shows that to be L0, masked or not; else one search,
-    which ends early at *stop* (``min_cycle_on_member``).
-    """
-    certified = _certified(graph, root, pruned, mask)
-    if certified is not None:
-        return certified
-    return _reach(root, pruned, stop)
-
-
 class _Stranded:
     """The stranded nodes of the SRTMs with one L0 (*main*) and one *plain*.
 
@@ -406,16 +348,17 @@ def _stranded_pair(
 ) -> tuple[_Stranded, _Stranded]:
     """The stranded-node state of the SRTMs from member *m*'s two ends.
 
-    The two L0 are equal exactly when each end reaches the other over
-    *pruned*.  So the second end's search, if it needs one, stops once it
-    meets the first end, and then the two trees share L0, the fallback
-    rounds and the parents found.
+    Each end's L0, the nodes it reaches over *pruned*, is the closure shared
+    by its whole component wherever ``_certified`` shows that to be L0,
+    masked or not, and else one search.  The two L0 are equal exactly when
+    each end reaches the other, and then the two trees share L0, the
+    fallback rounds and the parents found.
     """
-    main_a = _main_set(graph, m.a, pruned, mask)
-    mutual = m.b in main_a
-    main_b = _main_set(graph, m.b, pruned, mask, stop=m.a if mutual else None)
+    main_a, main_b = (
+        _certified(graph, end, pruned, mask) or _reach(end, pruned) for end in (m.a, m.b)
+    )
     stranded_a = _Stranded(graph, m.a, main_a, plain)
-    if mutual and m.a in main_b:
+    if m.b in main_a and m.a in main_b:
         return stranded_a, stranded_a
     return stranded_a, _Stranded(graph, m.b, main_b, plain)
 
@@ -426,8 +369,8 @@ def _srtm_tiers(tree: RouteTree, pruned: Lists, stranded: _Stranded) -> Iterator
     Tier j is main tier j, pulled from a ``_grow`` over *pruned*, and the
     stranded nodes whose parent is in tier j-1; those are among the
     unlabelled neighbours of tier j-1 over *plain* that are not in L0, which
-    is known before the first pull (``_main_set``).  So a tree pulled to
-    tier k holds exactly the top k tiers of the whole SRTM, and nothing
+    is known before the first pull (``_stranded_pair``).  So a tree pulled
+    to tier k holds exactly the top k tiers of the whole SRTM, and nothing
     below them.
     """
     main = _grow(tree, pruned)
@@ -466,13 +409,12 @@ def min_cycle_on_member(
     the member itself forbidden, taking turns one tier at a time; the first
     common node closes the cycle.  Both kinds grow only as far as that
     node.  An SRTM knows its main-phase node set L0 before it grows a tier
-    (``_main_set``; the two trees share it where they can,
-    ``_stranded_pair``), and grows its main tiers and attaches its stranded
-    nodes only as deep as the search goes (``_srtm_tiers``), so the cycle is
-    the one two whole trees would give.  With SRT trees the result has
-    minimum length among cycles through the member; SRTM trades length for
-    weight.  With a *mask*, the cycle is the one on the graph without the
-    masked members.
+    (``_stranded_pair``, which shares it between the two trees where it
+    can), and grows its main tiers and attaches its stranded nodes only as
+    deep as the search goes (``_srtm_tiers``), so the cycle is the one two
+    whole trees would give.  With SRT trees the result has minimum length
+    among cycles through the member; SRTM trades length for weight.  With a
+    *mask*, the cycle is the one on the graph without the masked members.
     """
     if tree_kind not in (SRT, SRTM):
         raise ValueError(f"unknown tree kind '{tree_kind}'")

@@ -8,7 +8,7 @@ positive-definiteness test, gives log det G for both determinants, and
 applies G^-1 for the smallest eigenvalue.  ``condition_report`` is the
 one entry point that checks G; ``eig_extremes`` takes only the factor and
 reads G from it.  G is the only n x n array the report holds: the checks
-read G in place or _ROWS rows at a time, and so do PN's row norms.  The
+read G in place or _BLOCK rows at a time, and so do PN's row norms.  The
 determinants underflow quickly for large matrices, so their base-10 logs
 are carried alongside the clamped values.
 
@@ -41,11 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from framecycles.cholesky import Cholesky, cholesky
+from framecycles.cholesky import _BLOCK, Cholesky, cholesky
 
 _SYMMETRY_TOL = 1e-12
-#: Rows per block of the symmetry check and of PN's row norms.
-_ROWS = 64
 #: Lanczos steps between two convergence tests.
 _CHECK_EVERY = 5
 #: The fractional parts of k^2 times this make the Lanczos start vector.
@@ -70,8 +68,8 @@ def _checked(G: np.ndarray) -> np.ndarray:
     # end: G - G' in one go makes a transposed copy of G, 8 times slower at
     # n = 675.
     asymmetry = max(
-        float(np.max(np.abs(G[s : s + _ROWS, : s + _ROWS] - G[: s + _ROWS, s : s + _ROWS].T)))
-        for s in range(0, len(G), _ROWS)
+        float(np.max(np.abs(G[s : s + _BLOCK, : s + _BLOCK] - G[: s + _BLOCK, s : s + _BLOCK].T)))
+        for s in range(0, len(G), _BLOCK)
     )
     if asymmetry > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
@@ -181,7 +179,7 @@ def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
     # Row norms of G 2^-e, whose squares cannot overflow or underflow, then
     # times 2^e; one block of rows at a time, so no second n x n array.
     down = math.ldexp(1.0, -_exponent(G))
-    rows = [np.linalg.norm(G[s : s + _ROWS] * down, axis=1) for s in range(0, len(G), _ROWS)]
+    rows = [np.linalg.norm(G[s : s + _BLOCK] * down, axis=1) for s in range(0, len(G), _BLOCK)]
     values = []
     for scales in (np.concatenate(rows) / down, np.diag(G)):
         log_value = logdet - float(np.log(scales).sum())

@@ -40,26 +40,22 @@ def render_frame(model: StructuralModel, basis: CycleBasis, path) -> None:
     def pt(coords):
         return (coords[0] - x0) * scale, (y1 - coords[1]) * scale
 
+    def line(a, b, style):
+        """A <line> from node *a* to node *b*, drawn in *style*."""
+        ax, ay = pt(model.node(a).coords)
+        bx, by = pt(model.node(b).coords)
+        return f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" {style}/>'
+
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">'
     ]
     for m in model.members:
-        ax, ay = pt(model.node(m.a).coords)
-        bx, by = pt(model.node(m.b).coords)
-        parts.append(
-            f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
-            'stroke="#333333" stroke-width="2"/>'
-        )
+        parts.append(line(m.a, m.b, 'stroke="#333333" stroke-width="2"'))
     # Fictitious support links, drawn as the chain the ground merge stands for.
     supports = sorted(model.supports, key=lambda s: model.node(s).coords)
     for sa, sb in zip(supports, supports[1:]):
-        ax, ay = pt(model.node(sa).coords)
-        bx, by = pt(model.node(sb).coords)
-        parts.append(
-            f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
-            'stroke="#d4b106" stroke-width="3" stroke-dasharray="6,4"/>'
-        )
+        parts.append(line(sa, sb, 'stroke="#d4b106" stroke-width="3" stroke-dasharray="6,4"'))
     for s in supports:
         sx, sy = pt(model.node(s).coords)
         parts.append(
@@ -70,12 +66,7 @@ def render_frame(model: StructuralModel, basis: CycleBasis, path) -> None:
         color = _PALETTE[i % len(_PALETTE)]
         for mid in sorted(cycle.members):
             m = model.member(mid)
-            ax, ay = pt(model.node(m.a).coords)
-            bx, by = pt(model.node(m.b).coords)
-            parts.append(
-                f'<line x1="{ax:.2f}" y1="{ay:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
-                f'stroke="{color}" stroke-width="4" stroke-opacity="0.45"/>'
-            )
+            parts.append(line(m.a, m.b, f'stroke="{color}" stroke-width="4" stroke-opacity="0.45"'))
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

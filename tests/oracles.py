@@ -26,6 +26,7 @@ import math
 import random
 from collections import defaultdict, deque
 
+import networkx as nx
 import numpy as np
 
 from framecycles.frames import FORMAT_VERSION
@@ -116,6 +117,17 @@ def horton_minimum_cycle_basis(graph: WeightedGraph) -> list[frozenset[int]]:
             rows[bits.bit_length() - 1] = bits
             basis.append(cycle)
     return basis
+
+
+def minimum_cycle_total_length(graph: WeightedGraph) -> int:
+    """The total length, in members, of a minimum cycle basis: networkx's
+    ``minimum_cycle_basis`` (de Pina 1995) on the simple graph, where a
+    cycle through k nodes has k members.  networkx would merge parallel
+    members, so they are a ValueError."""
+    simple = nx.Graph([(e.a, e.b) for e in graph.members])
+    if simple.number_of_edges() != len(graph.members):
+        raise ValueError("parallel members")
+    return sum(len(cycle) for cycle in nx.minimum_cycle_basis(simple))
 
 
 def shortest_cycle_length_through(graph: WeightedGraph, member_id: int) -> int | None:

@@ -2,9 +2,10 @@
 
 import random
 
-import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import make_golden
 import oracles
@@ -164,9 +165,7 @@ class TestMinimumCycleBasis:
             mcb = oracles.horton_minimum_cycle_basis(g)
             assert len(mcb) == cycle_rank(g)
             assert oracles.gf2_rank(mcb, g.member_ids()) == cycle_rank(g)
-            nx_graph = nx.Graph([(e.a, e.b) for e in g.members])
-            expected = sum(len(c) for c in nx.minimum_cycle_basis(nx_graph))
-            assert sum(len(c) for c in mcb) == expected
+            assert sum(len(c) for c in mcb) == oracles.minimum_cycle_total_length(g)
         # The cells of a grid, three members each in the grounded story.
         grid = build_graph(generate_grid(3, 4))
         assert sum(map(len, oracles.horton_minimum_cycle_basis(grid))) == 44
@@ -191,6 +190,22 @@ class TestMinimumCycleBasis:
                 basis = generate_basis(g, spec, partition if spec.na_avoidance else None)
                 assert basis.total_length() >= minimum
             assert baseline_tree_basis(g).total_length() >= minimum
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_no_basis_is_shorter_than_networkx_minimum_cycle_basis(seed):
+    """Algorithms 1-5 and the baseline each give a basis at least as long in
+    total as networkx's minimum cycle basis.  Each is a cycle basis, so
+    this is a theorem, checked against an oracle apart from Horton's."""
+    g = oracles.random_connected_graph(random.Random(seed), 40)
+    minimum = oracles.minimum_cycle_total_length(g)
+    partition = classify_members(g)
+    for algorithm_id in (1, 2, 3, 4, 5):
+        spec = AlgorithmSpec.for_id(algorithm_id)
+        basis = generate_basis(g, spec, partition if spec.na_avoidance else None)
+        assert basis.total_length() >= minimum
+    assert baseline_tree_basis(g).total_length() >= minimum
 
 
 class TestBaseline:

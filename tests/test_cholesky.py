@@ -63,7 +63,8 @@ def permuted_band_systems(draw):
     """One or two SPD blocks on the diagonal, each of a random half-bandwidth
     and scaled symmetrically by 10^[-4, 4], under a random symmetric
     permutation, and a right-hand side.  No block's size is a multiple of
-    3 or of _BLOCK."""
+    3 or of _BLOCK.  In some, one zero faces a tiny entry, as where G is
+    symmetric only to rounding; the factor reads only the lower triangle."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.sampled_from([1, 2, 5, 67, 131, 200]), min_size=1, max_size=2))
     G = np.zeros((sum(sizes), sum(sizes)))
@@ -76,6 +77,10 @@ def permuted_band_systems(draw):
         s = 10.0 ** rng.uniform(-4.0, 4.0, size=n)
         G[start : start + n, start : start + n] = s[:, None] * A * s
         start += n
+    zeros = np.argwhere(G == 0)
+    if len(zeros) and draw(st.booleans()):
+        i, j = zeros[rng.integers(len(zeros))]
+        G[i, j] = EPS * np.sqrt(G[i, i] * G[j, j])
     p = rng.permutation(len(G))
     return G[np.ix_(p, p)], rng.standard_normal(len(G))
 
@@ -93,15 +98,15 @@ def test_solve_is_backward_stable_on_permuted_band_matrices(system):
 @pytest.mark.parametrize("n", [0, 1, 2, 3 * _BLOCK - 1, 3 * _BLOCK, 3 * _BLOCK + 2, 400])
 def test_pattern_is_that_of_all_of_g_at_once(n):
     """Read block by block, the pattern over row triples is the one a mask of
-    all of G gives, made symmetric with the diagonal, for a G whose own
-    pattern is not symmetric."""
+    all of G's rows gives, with the diagonal, for a G whose own pattern is
+    not symmetric: nothing is read from G's columns."""
     rng = np.random.default_rng(n)
     G = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.01)
     size = -(-n // 3)
     mask = np.zeros((size, size), dtype=bool)
     i, j = np.nonzero(G)
     mask[i // 3, j // 3] = True
-    mask |= mask.T | np.eye(size, dtype=bool)
+    mask |= np.eye(size, dtype=bool)
     expected = np.nonzero(mask)
     pattern = _pattern(G)
     assert all(np.array_equal(a, b) for a, b in zip(pattern, expected))

@@ -25,15 +25,13 @@ from framecycles.cycles import (
     _certified,
     _closure,
     _grow,
-    _main_set,
     _plain,
     _pruned,
+    _reach,
     _srtm_tiers,
-    _Stranded,
     _stranded_pair,
     admissible_expansion,
     build_srt,
-    build_srtm,
     min_cycle_on_member,
 )
 from framecycles.frames import generate_grid, generate_grid3d
@@ -47,6 +45,24 @@ def graph_from_edges(edges, weights=None):
     if weights:
         w.update(weights)
     return WeightedGraph(tuple(nodes), members, w)
+
+
+def whole_tree(g, root, forbidden, kind=SRT, mask=None):
+    """The whole route tree of *kind* from *root* with the forbidden (and any
+    masked) members left out, pulled to the end from the lists and, for an
+    SRTM from an end of that member, the L0 that ``min_cycle_on_member``'s
+    search uses: ``_grow``, or ``_srtm_tiers`` from ``_stranded_pair``."""
+    e = g.member(forbidden)
+    plain = _plain(g, forbidden, mask)
+    tree = RouteTree(root, {}, {root: 0})
+    if kind == SRT:
+        tiers = _grow(tree, plain)
+    else:
+        pruned = _pruned(g, plain, mask)
+        tiers = _srtm_tiers(tree, pruned, _stranded_pair(g, e, plain, pruned, mask)[root != e.a])
+    for _ in tiers:
+        pass
+    return tree
 
 
 # 1 -- 2 -- 3
@@ -65,40 +81,47 @@ class TestSrt:
         assert tree.path_members(6) == [6, 2, 1]
 
     def test_forbidden_member_is_excluded(self):
-        tree = build_srt(HOUSE, 1, forbidden=1)  # drop member 1-2
+        tree = whole_tree(HOUSE, 1, forbidden=1)  # drop member 1-2
         assert tree.label[2] == 4  # now reached the long way round
 
     def test_unreachable_nodes_absent(self):
         chain = graph_from_edges([(1, 2), (2, 3)])
-        tree = build_srt(chain, 1, forbidden=2)
+        tree = whole_tree(chain, 1, forbidden=2)
         assert 3 not in tree.label
 
 
 class TestSrtm:
+    """Each graph but the random ones ends in a pendant member to node 4: the
+    tree grows from node 1 with that member forbidden, so node 1's lists and
+    average are those of the graph without it."""
+
     def test_prunes_below_average_members(self):
         # Node 1 sees weights 10 and 1: the light member must not enter the
         # tree while the heavy route can still span the graph.
         g = graph_from_edges(
-            [(1, 2), (1, 3), (2, 3)], weights={1: 10.0, 2: 1.0, 3: 10.0}
+            [(1, 2), (1, 3), (2, 3), (1, 4)], weights={1: 10.0, 2: 1.0, 3: 10.0}
         )
-        tree = build_srtm(g, 1)
+        tree = whole_tree(g, 1, forbidden=4, kind=SRTM)
         used = {via for _, via in tree.parent.values()}
         assert used == {1, 3}
 
     def test_fallback_attaches_stranded_nodes(self):
         # Pruning at node 1 would strand node 3 entirely; the fallback pass
         # must still span the component.
-        g = graph_from_edges([(1, 2), (1, 3)], weights={1: 10.0, 2: 1.0})
-        tree = build_srtm(g, 1)
+        g = graph_from_edges([(1, 2), (1, 3), (1, 4)], weights={1: 10.0, 2: 1.0})
+        tree = whole_tree(g, 1, forbidden=3, kind=SRTM)
         assert set(tree.label) == {1, 2, 3}
 
     def test_spans_same_component_as_srt(self):
         rng = random.Random(7)
         for _ in range(25):
             g = oracles.random_connected_graph(rng, 20)
-            srt = build_srt(g, g.nodes[0])
-            srtm = build_srtm(g, g.nodes[0])
-            assert set(srtm.label) == set(srt.label)
+            for mid in g.member_ids():
+                e = g.member(mid)
+                for end in (e.a, e.b):
+                    srt = whole_tree(g, end, mid)
+                    srtm = whole_tree(g, end, mid, SRTM)
+                    assert set(srtm.label) == set(srt.label)
 
 
 class TestMinCycle:
@@ -335,11 +358,11 @@ def test_masked_trees_match_the_masked_copy(seed, tied, data):
         view = oracles.masked_graph(g, mask.members, keep=mid)
         e = g.member(mid)
         for end in (e.a, e.b):
-            for build, reference in (
-                (build_srt, oracles._reference_srt),
-                (build_srtm, oracles._reference_srtm),
+            for kind, reference in (
+                (SRT, oracles._reference_srt),
+                (SRTM, oracles._reference_srtm),
             ):
-                tree = build(g, end, forbidden=mid, mask=mask)
+                tree = whole_tree(g, end, mid, kind, mask)
                 assert (tree.label, tree.parent) == reference(view, end, mid)
 
 
@@ -421,7 +444,7 @@ def test_srtm_tiers_pulled_so_far_are_the_top_of_the_whole_tree():
                 for _, w in (ends[v] if v in ends else table[v])
             )
         )
-        stranded = _Stranded(g, root, _main_set(g, root, pruned, mask), plain)
+        stranded = _stranded_pair(g, e, plain, pruned, mask)[root != e.a]
         tiers = _srtm_tiers(tree, pruned, stranded)
         k = data.draw(st.integers(0, max(label.values()) + 1))
         pulled = list(itertools.islice(tiers, k))
@@ -439,11 +462,11 @@ def test_srtm_tiers_pulled_so_far_are_the_top_of_the_whole_tree():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.data())
 def test_main_phase_node_set_is_the_reference_main_phase(seed, data):
-    """Each end's L0, from the certificate or from a search, is the node set
-    of the reference main phase on the copy without the masked members, and
-    so is a certified L0, masked or not; the two trees of a member share
-    their stranded-node state exactly when their two L0 are equal; and the
-    whole SRTM, built on a certified L0 where there is one, is the
+    """Each end's L0, the one the search uses, is the node set of the
+    reference main phase on the copy without the masked members, and so are
+    its search and a certified L0, masked or not; the two trees of a member
+    share their stranded-node state exactly when their two L0 are equal;
+    and the whole SRTM, built on a certified L0 where there is one, is the
     reference tree."""
     g, forbidden, mask, view = contrast_case(seed, data)
     e = g.member(forbidden)
@@ -453,10 +476,10 @@ def test_main_phase_node_set_is_the_reference_main_phase(seed, data):
     for end in (e.a, e.b):
         main, _ = oracles._reference_srtm_main(view, end, forbidden)
         expected[end] = set(main)
-        assert set(_main_set(g, end, pruned, mask)) == expected[end]
+        assert _reach(end, pruned) == expected[end]
         certified = _certified(g, end, pruned, mask)
         assert certified is None or set(certified) == expected[end]
-        tree = build_srtm(g, end, forbidden, mask)
+        tree = whole_tree(g, end, forbidden, SRTM, mask)
         assert (tree.label, tree.parent) == oracles._reference_srtm(view, end, forbidden)
     stranded_a, stranded_b = _stranded_pair(g, e, plain, pruned, mask)
     assert set(stranded_a.main) == expected[e.a] and set(stranded_b.main) == expected[e.b]
@@ -481,10 +504,11 @@ def test_certificate_holds_whatever_the_representative(g, data):
         e = g.member(mid)
         view = oracles.masked_graph(g, mask.members, keep=mid)
         some = mask if mask.members else None
-        pruned = _pruned(g, _plain(g, mid, some), some)
-        for end in (e.a, e.b):
+        plain = _plain(g, mid, some)
+        pruned = _pruned(g, plain, some)
+        for end, stranded in zip((e.a, e.b), _stranded_pair(g, e, plain, pruned, some)):
             main, _ = oracles._reference_srtm_main(view, end, mid)
-            assert set(_main_set(g, end, pruned, some)) == set(main)
+            assert set(stranded.main) == set(main)
             certified = _certified(g, end, pruned, some)
             assert certified is None or set(certified) == set(main)
 
@@ -531,10 +555,11 @@ def test_main_phase_node_sets_on_high_contrast_grids_match_the_reference(model):
     certified = 0
     for mid in g.member_ids():
         e = g.member(mid)
-        pruned = _pruned(g, _plain(g, mid, None), None)
-        for end in (e.a, e.b):
+        plain = _plain(g, mid, None)
+        pruned = _pruned(g, plain, None)
+        for end, stranded in zip((e.a, e.b), _stranded_pair(g, e, plain, pruned, None)):
             main, _ = oracles._reference_srtm_main(g, end, mid)
-            assert set(_main_set(g, end, pruned, None)) == set(main)
+            assert set(stranded.main) == set(main)
             certified += _certified(g, end, pruned, None) is not None
     assert certified > 0
 

@@ -167,15 +167,20 @@ def _public_names(stmt: ast.stmt) -> list[str]:
 def test_every_public_name_has_a_caller_outside_tests():
     """A public name that only the tests use is test code shipped in the package.
 
-    Each one must be used in the package beyond its own definition, exported
-    by ``framecycles.__all__`` or named by the benchmark.
+    Each one must be used in the package beyond its own definition or named
+    by the benchmark.  A re-export from ``__init__`` is not a use: being in
+    ``framecycles.__all__`` does not make a name needed.
     """
     modules = {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
     bench = [ast.parse(path.read_text(), str(path)) for path in BENCH.glob("*.py")]
-    allowed = set(framecycles.__all__).union(*(_names_used(tree, strings=True) for tree in bench))
+    allowed = set().union(*(_names_used(tree, strings=True) for tree in bench))
     unused = []
     for name, tree in modules.items():
-        others = (_names_used(other) for other in modules.values() if other is not tree)
+        others = (
+            _names_used(other)
+            for other_name, other in modules.items()
+            if other is not tree and other_name != "__init__.py"
+        )
         elsewhere = allowed.union(*others)
         for stmt in tree.body:
             used = elsewhere.union(*(_names_used(other) for other in tree.body if other is not stmt))
