@@ -12,6 +12,8 @@ masked, so low-weight members stay out of cycle overlaps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -233,42 +235,58 @@ def baseline_tree_basis(graph: WeightedGraph) -> CycleBasis:
 
 @dataclass
 class IncidenceMatrix:
-    """Cycle-member incidence over GF(2); row order follows the basis."""
+    """Cycle-member incidence C over GF(2), kept by rows: ``columns[i]``
+    holds the column indices (into ``member_ids``) of cycle i's members.
+    Row order follows the basis."""
 
-    matrix: np.ndarray  # (b1, M) uint8
+    columns: tuple[tuple[int, ...], ...]
     member_ids: tuple[int, ...]
 
 
 @dataclass
 class AdjacencyMatrix:
-    """Integer D = C C^t with per-row intersection coefficients sigma."""
+    """The nonzero pattern of D = C C^t, with per-row intersection coefficients sigma.
 
-    D: np.ndarray  # (b1, b1) int64
+    ``rows[i]`` is cycle i's neighbour set as a bit mask: bit k is set where
+    cycles i and k share a member, so bit i is always set.
+    """
+
+    rows: tuple[int, ...]
     sigma: tuple[int, ...]
     chi: int
+
+    def pattern(self) -> np.ndarray:
+        """D != 0 as a (b1, b1) bool array."""
+        n = len(self.rows)
+        width = (n + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
+        return np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
 
 
 def incidence_matrix(basis: CycleBasis) -> IncidenceMatrix:
     member_ids = tuple(basis.graph.member_ids())
     index = {mid: j for j, mid in enumerate(member_ids)}
-    C = np.zeros((len(basis.cycles), len(member_ids)), dtype=np.uint8)
-    for i, cycle in enumerate(basis.cycles):
-        for mid in cycle.members:
-            C[i, index[mid]] = 1
-    return IncidenceMatrix(C, member_ids)
+    columns = tuple(tuple(map(index.__getitem__, c.members)) for c in basis.cycles)
+    return IncidenceMatrix(columns, member_ids)
 
 
 def adjacency_matrix(incidence: IncidenceMatrix) -> AdjacencyMatrix:
-    """D = C C^t over the integers, with chi(D) = b1 + 2 sum(sigma) checked.
+    """D's pattern as neighbour bit sets, with chi(D) = b1 + 2 sum(sigma) checked.
 
-    The product runs in float64, where numpy uses BLAS (its integer matmul
-    does not), and is cast back: each entry counts shared members, far
-    below 2**53, so it is exact.
+    Each column of C becomes the bit set of the cycles through its member,
+    and a cycle's neighbours are the union of its members' sets: D_ik is
+    nonzero exactly where cycles i and k share a member.  No product is
+    formed; the work is one union per (cycle, member) pair, twice.
     """
-    C = incidence.matrix.astype(np.float64)
-    D = (C @ C.T).astype(np.int64)
-    sigma = tuple(int(np.count_nonzero(D[i, i + 1 :])) for i in range(len(D)))
-    chi = int(np.count_nonzero(D))
+    through = [0] * len(incidence.member_ids)
+    for i, columns in enumerate(incidence.columns):
+        bit = 1 << i
+        for j in columns:
+            through[j] |= bit
+    rows = tuple(reduce(or_, map(through.__getitem__, columns), 0) for columns in incidence.columns)
+    sigma = tuple((row >> (i + 1)).bit_count() for i, row in enumerate(rows))
+    chi = sum(row.bit_count() for row in rows)
     if chi != len(sigma) + 2 * sum(sigma):
         raise RuntimeError("cycle adjacency identity violated")
-    return AdjacencyMatrix(D, sigma, chi)
+    return AdjacencyMatrix(rows, sigma, chi)

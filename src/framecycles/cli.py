@@ -136,7 +136,7 @@ class Analysis:
         row = {
             "algorithm": str(algorithm),
             "b1": len(cycle_basis),
-            "XD": self.adjacency(cycle_basis).chi,  # D itself is not kept beside G
+            "XD": self.adjacency(cycle_basis).chi,
             "sumL": cycle_basis.total_length(),
             "overlapL": cycle_basis.overlap_length(),
             "overlapW": _fmt(cycle_basis.overlap_weight()),
@@ -280,7 +280,7 @@ def _cmd_condition(args) -> int:
         print("error: condition report requires a planar model", file=sys.stderr)
         return 1
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
-    chi = analysis.adjacency(cycle_basis).chi  # D itself is not kept beside G
+    chi = analysis.adjacency(cycle_basis).chi
     report = metrics.condition_report(analysis.g(cycle_basis), args.precision)
     print(f"PL = {_fmt(report.pl)}")
     print(f"PN = {_fmt(report.pn)} (log10 {_fmt(report.pn_log10)})")
@@ -320,8 +320,8 @@ def _cmd_render(args) -> int:
     cycle_basis = analysis.basis(algorithm)
     outputs = []
     if args.sparsity:
-        D = analysis.adjacency(cycle_basis).D
-        outputs.append((args.sparsity, lambda path: render.render_sparsity(D, path)))
+        pattern = analysis.adjacency(cycle_basis).pattern()
+        outputs.append((args.sparsity, lambda path: render.render_sparsity(pattern, path)))
     if args.frame:
         model = analysis.model
         outputs.append((args.frame, lambda path: render.render_frame(model, cycle_basis, path)))

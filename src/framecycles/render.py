@@ -17,10 +17,12 @@ def render_sparsity(matrix: np.ndarray, path) -> None:
     """Monochrome portable bitmap: one pixel per entry, black where it is nonzero."""
     pattern = np.atleast_2d(np.asarray(matrix)) != 0
     h, w = pattern.shape
-    lines = ["P1", f"{w} {h}"]
-    lines.extend(" ".join(row) for row in np.where(pattern, "1", "0").tolist())
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # Each row is its digits with a space after each but the last, then a newline.
+    text = np.full((h, max(2 * w, 1)), ord(" "), dtype=np.uint8)
+    text[:, : 2 * w : 2] = pattern + ord("0")
+    text[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P1\n{w} {h}\n".encode() + text.tobytes())
 
 
 def render_frame(model: StructuralModel, basis: CycleBasis, path) -> None:

@@ -8,9 +8,10 @@ instead of the force method.  The exceptions are the library's own earlier
 constructions, kept as references for the faster ones that replaced them:
 the eager cycle construction (two complete route trees and a lock-step
 search that rescans every label per tier), algorithm 5's masked graph copy
-(a new graph without the masked members), the dense force-method products
-(a 3M x 3M block-diagonal Fm, B1 scattered from its blocks and
-G = B1' Fm B1), the per-member, per-wrench B1 builder, the explicitly scaled copies of G behind PN and PDET
+(a new graph without the masked members), the integer cycle adjacency
+matrix D = C C' (the library keeps only its nonzero pattern), the dense
+force-method products (a 3M x 3M block-diagonal Fm, B1 scattered from its
+blocks and G = B1' Fm B1), the per-member, per-wrench B1 builder, the explicitly scaled copies of G behind PN and PDET
 and the block-by-block sparsity raster.
 
 Two test fixtures that are not part of the method live here too: the
@@ -279,6 +280,17 @@ def gf2_rank(member_sets, universe) -> int:
         rows = [row ^ pivot_row if row >> col & 1 else row for row in rows]
         rank += 1
     return rank
+
+
+def cycle_adjacency_counts(basis) -> np.ndarray:
+    """The integer cycle adjacency matrix D = C C' (entry (i, k) counts the
+    members that cycles i and k share), from a dense 0/1 incidence C built
+    from the member sets, in basis order."""
+    index = {mid: j for j, mid in enumerate(basis.graph.member_ids())}
+    C = np.zeros((len(basis.cycles), len(index)), dtype=np.int64)
+    for i, cycle in enumerate(basis.cycles):
+        C[i, [index[mid] for mid in cycle.members]] = 1
+    return C @ C.T
 
 
 def subgraph_b1(graph: WeightedGraph, members) -> int:

@@ -1,6 +1,7 @@
 """The five generation algorithms, greedy selection, and C / D matrices."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from framecycles.basis import (
     LENGTH_ASCENDING,
     WEIGHT_DESCENDING,
     AlgorithmSpec,
+    CycleBasis,
     adjacency_matrix,
     baseline_tree_basis,
     generate_basis,
@@ -222,19 +224,36 @@ class TestBaseline:
         assert D.chi == len(D.sigma) + 2 * sum(D.sigma)
 
 
+def assert_adjacency_is_the_pattern_of_the_counts(basis):
+    """D's bit sets against the integer C C' of the oracle: the pattern is
+    its nonzeros, with the diagonal set and symmetric, and sigma and chi
+    count them."""
+    adjacency = adjacency_matrix(incidence_matrix(basis))
+    counts = oracles.cycle_adjacency_counts(basis)
+    pattern = adjacency.pattern()
+    assert pattern.dtype == bool
+    assert np.array_equal(pattern, counts != 0)
+    assert pattern.diagonal().all()
+    assert np.array_equal(pattern, pattern.T)
+    assert adjacency.sigma == tuple(int(np.count_nonzero(row[i + 1 :])) for i, row in enumerate(counts))
+    assert adjacency.chi == np.count_nonzero(counts)
+
+
 class TestMatrices:
     def test_incidence_rows_match_cycles(self):
         basis = run_algorithm(generate_grid(2, 2), 1)
         C = incidence_matrix(basis)
         for i, cycle in enumerate(basis.cycles):
-            row_members = {C.member_ids[j] for j in np.nonzero(C.matrix[i])[0]}
+            row_members = {C.member_ids[j] for j in C.columns[i]}
             assert row_members == set(cycle.members)
 
     def test_adjacency_diagonal_is_cycle_length(self):
         basis = run_algorithm(generate_grid(2, 3), 3)
-        D = adjacency_matrix(incidence_matrix(basis))
+        D = oracles.cycle_adjacency_counts(basis)
+        pattern = adjacency_matrix(incidence_matrix(basis)).pattern()
         for i, cycle in enumerate(basis.cycles):
-            assert D.D[i, i] == cycle.length
+            assert D[i, i] == cycle.length
+            assert pattern[i, i]
 
     def test_overlap_measures(self):
         basis = run_algorithm(generate_grid(1, 2), 1)
@@ -252,13 +271,41 @@ class TestMatrices:
         D = adjacency_matrix(incidence_matrix(basis))
         assert D.chi == len(basis) + 2 * sum(D.sigma)
 
-    def test_adjacency_is_the_integer_product_on_golden_grids(self):
-        """D, formed in float64, equals the int64 product C C' exactly."""
+    def test_adjacency_is_the_pattern_of_the_integer_product_on_golden_grids(self):
         for spec, _, _ in make_golden.report_corpus():
             analysis = Analysis(load_or_generate(spec))
             for algorithm in make_golden.REPORT_ALGORITHMS:
-                incidence = incidence_matrix(analysis.basis(algorithm))
-                C = incidence.matrix.astype(np.int64)
-                D = adjacency_matrix(incidence).D
-                assert D.dtype == np.int64
-                assert np.array_equal(D, C @ C.T)
+                assert_adjacency_is_the_pattern_of_the_counts(analysis.basis(algorithm))
+
+    def test_no_cycles_give_an_empty_pattern(self):
+        graph = build_graph(generate_grid(1, 1))
+        adjacency = adjacency_matrix(incidence_matrix(CycleBasis([], graph)))
+        assert (adjacency.sigma, adjacency.chi) == ((), 0)
+        assert adjacency.pattern().shape == (0, 0)
+
+    def test_bit_sets_stay_below_four_bytes_per_entry_of_d(self):
+        """X(D) of the densest basis at b1 = 225 allocates less than a b1 x b1
+        float32 array: no product, no dense C and no integer D."""
+        basis = baseline_tree_basis(build_graph(load_or_generate("grid:15x15:checker")))
+        b1 = len(basis)
+        assert b1 == 225
+        tracemalloc.start()
+        try:
+            adjacency_matrix(incidence_matrix(basis))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * b1**2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_adjacency_is_the_pattern_of_the_integer_product(seed):
+    """On random connected graphs, for every algorithm and the baseline."""
+    graph = oracles.random_connected_graph(random.Random(seed), 40)
+    partition = classify_members(graph)
+    for algorithm_id in (1, 2, 3, 4, 5):
+        spec = AlgorithmSpec.for_id(algorithm_id)
+        basis = generate_basis(graph, spec, partition if spec.na_avoidance else None)
+        assert_adjacency_is_the_pattern_of_the_counts(basis)
+    assert_adjacency_is_the_pattern_of_the_counts(baseline_tree_basis(graph))

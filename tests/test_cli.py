@@ -542,19 +542,40 @@ def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, argv, factor
 class TestStaticallyDeterminateFrame:
     """A cantilever column: b1 = 0, so there is no cycle and G is empty."""
 
-    @pytest.fixture
-    def frame(self, tmp_path):
-        path = tmp_path / "cantilever.json"
+    @staticmethod
+    def cantilever(tmp_path, ndim):
+        path = tmp_path / f"cantilever{ndim}d.json"
         doc = {
             "format_version": 1,
-            "dimensionality": 2,
-            "nodes": [{"id": 1, "coords": [0.0, 0.0]}, {"id": 2, "coords": [0.0, 3.0]}],
+            "dimensionality": ndim,
+            "nodes": [{"id": 1, "coords": [0.0] * ndim}, {"id": 2, "coords": [0.0] * (ndim - 1) + [3.0]}],
             "members": [{"id": 1, "a": 1, "b": 2, "section": "s"}],
             "sections": {"s": {"A": 0.0097, "I": 0.0001961, "E": 21000000.0}},
             "supports": [{"node": 1, "kind": "fixed"}],
         }
         path.write_text(json.dumps(doc))
         return str(path)
+
+    @pytest.fixture
+    def frame(self, tmp_path):
+        return self.cantilever(tmp_path, 2)
+
+    def test_sparsity_is_an_empty_raster(self, frame, tmp_path, capsys):
+        out = tmp_path / "d.pbm"
+        assert main(["render", frame, "--sparsity", str(out)]) == 0
+        assert out.read_bytes() == b"P1\n0 0\n"
+        assert capsys.readouterr().out == f"wrote {out}\n"
+
+    def test_space_compare_prints_xd_0(self, tmp_path, capsys):
+        frame = self.cantilever(tmp_path, 3)
+        assert main(["compare", frame, "--algorithms", "1,baseline"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: 3D model, reporting combinatorial columns only\n"
+        assert captured.out == (
+            "algorithm  b1  XD  sumL  overlapL  overlapW  PL  PN  PDET  g\n"
+            "1          0   0   0     0         0         -   -   -     -\n"
+            "baseline   0   0   0     0         0         -   -   -     -\n"
+        )
 
     @pytest.mark.parametrize("command", ["condition", "compare"])
     def test_conditioning_says_g_is_empty(self, frame, capsys, command):
