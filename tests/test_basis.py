@@ -15,7 +15,6 @@ from framecycles.basis import (
     LENGTH_ASCENDING,
     WEIGHT_DESCENDING,
     AlgorithmSpec,
-    CycleBasis,
     adjacency_matrix,
     baseline_tree_basis,
     generate_basis,
@@ -276,12 +275,6 @@ class TestMatrices:
             analysis = Analysis(load_or_generate(spec))
             for algorithm in make_golden.REPORT_ALGORITHMS:
                 assert_adjacency_is_the_pattern_of_the_counts(analysis.basis(algorithm))
-
-    def test_no_cycles_give_an_empty_pattern(self):
-        graph = build_graph(generate_grid(1, 1))
-        adjacency = adjacency_matrix(incidence_matrix(CycleBasis([], graph)))
-        assert (adjacency.sigma, adjacency.chi) == ((), 0)
-        assert adjacency.pattern().shape == (0, 0)
 
     def test_bit_sets_stay_below_four_bytes_per_entry_of_d(self):
         """X(D) of the densest basis at b1 = 225 allocates less than a b1 x b1
