@@ -2,7 +2,6 @@
 
 from framecycles.model import (
     GROUND,
-    AdmissibilityPartition,
     ModelError,
     Section,
     StructuralModel,
@@ -30,7 +29,6 @@ from framecycles.basis import (
 
 __all__ = [
     "GROUND",
-    "AdmissibilityPartition",
     "AlgorithmSpec",
     "CycleBasis",
     "CycleVector",

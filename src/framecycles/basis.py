@@ -30,7 +30,7 @@ from framecycles.cycles import (
     close_cycle,
     min_cycle_on_member,
 )
-from framecycles.model import AdmissibilityPartition, Edge, WeightedGraph, cycle_rank
+from framecycles.model import WeightedGraph, cycle_rank
 
 WEIGHT_DESCENDING = "weight-descending"
 LENGTH_ASCENDING = "length-ascending"
@@ -91,12 +91,6 @@ class CycleBasis:
             seen.update(c.members)
         return shared
 
-    def overlap_length(self) -> int:
-        return len(self.overlap_members())
-
-    def overlap_weight(self) -> float:
-        return sum(self.graph.weight(m) for m in self.overlap_members())
-
 
 def _sort_key(ordering: str):
     if ordering == WEIGHT_DESCENDING:
@@ -122,7 +116,7 @@ def _greedy_select(
     independent.
     """
     target = cycle_rank(graph)
-    space = CycleSpace.over(graph)
+    space = CycleSpace(graph.column)
     union = UnionSubgraph()
     selected: list[CycleVector] = []
     log: list[tuple[int, bool, bool]] = []
@@ -182,17 +176,18 @@ def _min_cycle(graph: WeightedGraph, member_id: int, tree_kind: str) -> CycleVec
 def generate_basis(
     graph: WeightedGraph,
     spec: AlgorithmSpec,
-    partition: AdmissibilityPartition | None = None,
+    inadmissible: frozenset[int] | None = None,
 ) -> CycleBasis:
-    """Run one of the five algorithms on a connected weighted graph."""
+    """Run one of the five algorithms on a connected weighted graph; algorithm
+    5 needs its *inadmissible* (NA) members, as ``classify_members`` gives them."""
     if graph.b0 != 1:
         raise ValueError("basis generation requires a connected graph")
-    if spec.na_avoidance and partition is None:
+    if spec.na_avoidance and inadmissible is None:
         raise ValueError(f"algorithm {spec.id} requires an admissibility partition")
 
     candidates: list[CycleVector | None] = []
     if spec.na_avoidance:
-        na_order = sorted(partition.inadmissible, key=lambda m: (graph.weight(m), m))
+        na_order = sorted(inadmissible, key=lambda m: (graph.weight(m), m))
         mask = MemberMask(graph)
         for mid in na_order:
             # Keep earlier NA generators out of this cycle where a cycle
@@ -207,7 +202,7 @@ def generate_basis(
                 cycle = _min_cycle(graph, mid, spec.tree_kind)
             candidates.append(cycle)
             mask.add(mid)
-        remaining = [m for m in graph.member_ids() if m not in partition.inadmissible]
+        remaining = [m for m in graph.member_ids() if m not in inadmissible]
     else:
         remaining = graph.member_ids()
     candidates += [_min_cycle(graph, mid, spec.tree_kind) for mid in remaining]
@@ -236,8 +231,8 @@ def baseline_tree_basis(graph: WeightedGraph) -> CycleBasis:
 @dataclass
 class IncidenceMatrix:
     """Cycle-member incidence C over GF(2), kept by rows: ``columns[i]``
-    holds the column indices (into ``member_ids``) of cycle i's members.
-    Row order follows the basis."""
+    holds the column indices (into ``member_ids``, the graph's ``column``
+    numbering) of cycle i's members.  Row order follows the basis."""
 
     columns: tuple[tuple[int, ...], ...]
     member_ids: tuple[int, ...]
@@ -265,10 +260,9 @@ class AdjacencyMatrix:
 
 
 def incidence_matrix(basis: CycleBasis) -> IncidenceMatrix:
-    member_ids = tuple(basis.graph.member_ids())
-    index = {mid: j for j, mid in enumerate(member_ids)}
-    columns = tuple(tuple(map(index.__getitem__, c.members)) for c in basis.cycles)
-    return IncidenceMatrix(columns, member_ids)
+    column = basis.graph.column
+    columns = tuple(tuple(map(column.__getitem__, c.members)) for c in basis.cycles)
+    return IncidenceMatrix(columns, tuple(column))
 
 
 def adjacency_matrix(incidence: IncidenceMatrix) -> AdjacencyMatrix:

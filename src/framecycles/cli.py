@@ -69,7 +69,7 @@ class Analysis:
     """The method's pipeline for one model under one set of options.
 
     Contracted graph -> cycle basis -> D = C C' -> G = B1' Fm B1.  The
-    graph, the admissibility partition and (planar only) the unassembled
+    graph, its inadmissible (NA) members and (planar only) the unassembled
     flexibility Fm are built once, on first use.  Bases, D and G are built
     on request and kept by the caller, so a comparison holds one
     algorithm's basis and matrices at a time.
@@ -103,8 +103,8 @@ class Analysis:
         algorithm_id = int(algorithm)
         ordering = self.alg5_ordering if algorithm_id == 5 else None
         spec = AlgorithmSpec.for_id(algorithm_id, ordering)
-        partition = self.partition if spec.na_avoidance else None
-        return basis_mod.generate_basis(graph, spec, partition)
+        inadmissible = self.partition if spec.na_avoidance else None
+        return basis_mod.generate_basis(graph, spec, inadmissible)
 
     @staticmethod
     def adjacency(cycle_basis: CycleBasis) -> basis_mod.AdjacencyMatrix:
@@ -133,13 +133,14 @@ class Analysis:
 
     def _compare_row(self, algorithm, precision: int) -> dict:
         cycle_basis = self.basis(algorithm)
+        overlap = cycle_basis.overlap_members()
         row = {
             "algorithm": str(algorithm),
             "b1": len(cycle_basis),
             "XD": self.adjacency(cycle_basis).chi,
             "sumL": cycle_basis.total_length(),
-            "overlapL": cycle_basis.overlap_length(),
-            "overlapW": _fmt(cycle_basis.overlap_weight()),
+            "overlapL": len(overlap),
+            "overlapW": _fmt(sum(self.graph.weight(m) for m in overlap)),
         }
         if self.model.ndim != 2:
             return {**row, "PL": "-", "PN": "-", "PDET": "-", "g": "-"}

@@ -461,22 +461,18 @@ def _first_common_node(
 class CycleSpace:
     """Incremental GF(2) span of cycle vectors via a reduced pivot table.
 
-    Vectors are bitmasks over a fixed member-id universe; repeated
-    independence queries amortize to one elimination pass each.
+    Vectors are bitmasks over a graph's members, bit ``column[id]`` for
+    member *id* (``WeightedGraph.column``); repeated independence queries
+    amortize to one elimination pass each.
     """
 
-    member_index: dict[int, int]
+    column: dict[int, int]
     pivots: dict[int, int] = field(default_factory=dict)  # pivot bit -> row
-
-    @staticmethod
-    def over(graph: WeightedGraph) -> "CycleSpace":
-        index = {mid: i for i, mid in enumerate(graph.member_ids())}
-        return CycleSpace(index)
 
     def _to_bits(self, cycle: CycleVector) -> int:
         bits = 0
         for mid in cycle.members:
-            bits |= 1 << self.member_index[mid]
+            bits |= 1 << self.column[mid]
         return bits
 
     def _reduce(self, bits: int) -> int:

@@ -155,14 +155,15 @@ class WeightedGraph:
                 raise ModelError(f"graph member {e.id} must have a finite weight")
         self.nodes = tuple(sorted(node_set))
         self.b0 = _component_count(self.nodes, self.members)
+        order = sorted(self.members, key=lambda e: e.id)
+        self._member_map = {e.id: e for e in order}
+        # member id -> its position in ascending id order: GF(2) bits, columns of C
+        self.column = {mid: j for j, mid in enumerate(self._member_map)}
         # node -> its incident (edge, other-end) pairs, by member id; never mutated
         self.adjacency: dict[int, list[tuple[Edge, int]]] = {n: [] for n in self.nodes}
-        for e in self.members:
+        for e in order:
             self.adjacency[e.a].append((e, e.b))
             self.adjacency[e.b].append((e, e.a))
-        for n in self.nodes:
-            self.adjacency[n].sort(key=lambda item: item[0].id)
-        self._member_map = {e.id: e for e in self.members}
 
     @cached_property
     def heavy_incident(self) -> dict[int, list[tuple[Edge, int]]]:
@@ -192,7 +193,7 @@ class WeightedGraph:
         return self.weights[member_id]
 
     def member_ids(self) -> list[int]:
-        return sorted(self._member_map)
+        return list(self.column)
 
 
 def heavy_first(
@@ -323,15 +324,6 @@ def build_graph(model: StructuralModel, variant: str = SUM) -> WeightedGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class AdmissibilityPartition:
-    """Split of the member set into F-admissible (heavy) and inadmissible (NA)."""
-
-    admissible: frozenset[int]
-    inadmissible: frozenset[int]
-    mean_weight: float
-
-
 def check_alpha(alpha: int) -> None:
     """Reject an admissibility divisor below 1 or too large to divide a float."""
     if alpha < 1:
@@ -340,20 +332,18 @@ def check_alpha(alpha: int) -> None:
         raise ModelError(f"alpha must be at most {sys.float_info.max:g}")
 
 
-def classify_members(graph: WeightedGraph, alpha: int = 2) -> AdmissibilityPartition:
-    """Partition members by weight against the (1/alpha)-scaled mean weight.
+def classify_members(graph: WeightedGraph, alpha: int = 2) -> frozenset[int]:
+    """The inadmissible (NA) members: those lighter than mean/alpha.
 
-    A member is F-admissible when its weight is at least mean/alpha; the rest
-    form the NA set that the basis algorithms keep out of cycle overlaps.
+    A member is F-admissible when its weight is at least the (1/alpha)-scaled
+    mean weight; the rest form the NA set that algorithm 5 keeps out of
+    cycle overlaps.
     """
     if not graph.members:
         raise ModelError("graph has no members")
     check_alpha(alpha)
-    mean = sum(graph.weights.values()) / len(graph.members)
-    threshold = mean / alpha
-    admissible = frozenset(e.id for e in graph.members if graph.weight(e.id) >= threshold)
-    inadmissible = frozenset(e.id for e in graph.members) - admissible
-    return AdmissibilityPartition(admissible, inadmissible, mean)
+    threshold = sum(graph.weights.values()) / len(graph.members) / alpha
+    return frozenset(e.id for e in graph.members if graph.weight(e.id) < threshold)
 
 
 def cycle_rank(graph: WeightedGraph) -> int:

@@ -90,6 +90,18 @@ class TestGenerateBasis:
         with pytest.raises(ValueError, match="connected"):
             generate_basis(g, AlgorithmSpec.for_id(1))
 
+    def test_baseline_requires_connected_graph(self):
+        from framecycles.model import Edge, WeightedGraph
+
+        g = WeightedGraph((1, 2, 3), (Edge(1, 1, 2),), {1: 1.0})
+        with pytest.raises(ValueError, match="baseline basis requires a connected graph"):
+            baseline_tree_basis(g)
+
+    def test_unknown_ordering_is_rejected(self):
+        g = build_graph(generate_grid(2, 2))
+        with pytest.raises(ValueError, match="unknown ordering 'random'"):
+            generate_basis(g, AlgorithmSpec(1, SRT, "random"))
+
     def test_algorithm_5_requires_partition(self):
         g = build_graph(generate_grid(2, 2))
         with pytest.raises(ValueError, match="partition"):
@@ -99,12 +111,12 @@ class TestGenerateBasis:
         """NA members appear in cycles but stay out of overlaps where possible."""
         model = generate_grid(3, 4, pattern="weak-beams")
         graph = build_graph(model)
-        partition = classify_members(graph)
-        assert partition.inadmissible  # light beams
-        basis = generate_basis(graph, AlgorithmSpec.for_id(5), partition)
-        na_in_overlap = basis.overlap_members() & partition.inadmissible
+        inadmissible = classify_members(graph)
+        assert inadmissible  # light beams
+        basis = generate_basis(graph, AlgorithmSpec.for_id(5), inadmissible)
+        na_in_overlap = basis.overlap_members() & inadmissible
         reference = run_algorithm(model, 3)
-        na_reference = reference.overlap_members() & partition.inadmissible
+        na_reference = reference.overlap_members() & inadmissible
         assert len(na_in_overlap) <= len(na_reference)
 
     def test_ordering_is_respected(self):
@@ -179,6 +191,27 @@ class TestMinimumCycleBasis:
         minimum = sum(map(len, oracles.horton_minimum_cycle_basis(analysis.graph)))
         for algorithm in (1, 2, 3, 4, 5, "baseline"):
             assert analysis.basis(algorithm).total_length() >= minimum
+
+    def test_algorithms_1_and_3_reach_the_minimum_length_on_the_golden_grids(self):
+        """Algorithms 1 and 3 give a basis as short in total as Horton's
+        minimum cycle basis on every grid of the golden corpus: planar up to
+        7x7 and space up to 3x3x3, four patterns each.
+
+        This is an observation on these grids, not a theorem.  Each member
+        contributes one shortest cycle through it, and the greedy selection
+        need not find a minimum basis among them: on random graphs the two
+        algorithms are longer than the minimum on about a fifth of them.
+        """
+        grids = [(name, g) for name, g in make_golden.corpus() if not name.startswith("random:")]
+        assert len(grids) == 304
+        missed = []
+        for name, graph in grids:
+            minimum = sum(map(len, oracles.horton_minimum_cycle_basis(graph)))
+            for algorithm_id in (1, 3):
+                length = generate_basis(graph, AlgorithmSpec.for_id(algorithm_id)).total_length()
+                if length != minimum:
+                    missed.append((name, algorithm_id, length, minimum))
+        assert missed == []
 
     def test_no_algorithm_beats_the_minimum_on_random_graphs(self):
         rng = random.Random(43)
@@ -259,9 +292,6 @@ class TestMatrices:
         # two cells sharing the middle column
         shared = basis.overlap_members()
         assert len(shared) == 1
-        assert basis.overlap_weight() == pytest.approx(
-            sum(basis.graph.weight(m) for m in shared)
-        )
 
     def test_3d_grid_combinatorics(self):
         basis = run_algorithm(generate_grid3d(2, 1, 1), 1)

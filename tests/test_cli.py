@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import write_load_case
-from framecycles import cli, force, metrics
+from framecycles import cli, force, frames, metrics, render
 from framecycles.cli import Analysis, load_or_generate, main
 from framecycles.cholesky import _BLOCK
 from framecycles.model import ModelError, build_graph, cycle_rank
@@ -200,8 +200,21 @@ class TestCompare:
         assert main(["compare", "grid:1x1", "--algorithms", "1,9"]) == 1
         assert "unknown algorithm '9'" in capsys.readouterr().err
 
+    def test_algorithm_token_that_is_not_a_number(self, capsys):
+        assert main(["compare", "grid:2x2", "--algorithms", "1,x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown algorithm 'x'\n"
+        assert captured.out == ""
+
 
 class TestRender:
+    def test_frame_rendering_takes_planar_models_only(self, tmp_path):
+        analysis = Analysis(load_or_generate("grid3d:1x1x1"))
+        svg = tmp_path / "frame.svg"
+        with pytest.raises(ModelError, match="frame rendering is available for planar models only"):
+            render.render_frame(analysis.model, analysis.basis(1), svg)
+        assert not svg.exists()
+
     def test_sparsity_pbm(self, tmp_path, capsys):
         out = tmp_path / "d.pbm"
         assert main(["render", "grid:3x4", "--sparsity", str(out)]) == 0
@@ -268,6 +281,27 @@ class TestErrors:
     def test_missing_file_is_reported(self, capsys):
         assert main(["cycles", "/nonexistent/frame.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: doc["members"].append(dict(doc["members"][0])), "duplicate member id 1"),
+            (lambda doc: doc.update(dimensionality=4), "dimensionality must be 2 or 3, got 4"),
+        ],
+    )
+    def test_invalid_frame_model_is_reported(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "frame.json"
+        assert main(["generate", "--stories", "1", "--spans", "1", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(frames.ParseError, match=message):
+            frames.parse_model(path)
+        capsys.readouterr()
+        assert main(["cycles", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "edit,message",

@@ -35,7 +35,14 @@ from framecycles.cli import Analysis
 from framecycles.cycles import CycleVector
 from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid, generate_grid3d
 from framecycles.metrics import condition_report
-from framecycles.model import FrameNode, ModelError, StructuralModel, build_graph, classify_members
+from framecycles.model import (
+    FrameNode,
+    ModelError,
+    StructuralModel,
+    WeightedGraph,
+    build_graph,
+    classify_members,
+)
 from framecycles.render import render_sparsity
 
 
@@ -229,6 +236,12 @@ class TestAssembleG:
                 block = G[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
                 assert (np.max(np.abs(block)) > 0) == D[i, j]
 
+    def test_fm_of_the_wrong_shape_is_rejected(self):
+        model = generate_grid(1, 1)
+        B1 = build_b1(model, basis_for(model))
+        with pytest.raises(ValueError, match=r"Fm of shape \(2, 3, 3\) does not match B1"):
+            assemble_g(B1, unassembled_flexibility(model)[:-1])
+
     @pytest.mark.parametrize("algorithm", [2, "baseline"])
     def test_exactly_symmetric_across_blocks(self, algorithm):
         """Each member's product is symmetric before it is scattered, and a
@@ -274,6 +287,13 @@ class TestAssembleG:
 
 
 class TestSolve:
+    def test_graph_without_a_ground_is_rejected(self):
+        model = generate_grid(1, 1)
+        graph = build_graph(model)
+        basis = baseline_tree_basis(WeightedGraph(graph.nodes, graph.members, graph.weights))
+        with pytest.raises(ModelError, match="particular solution requires a grounded graph"):
+            solve_force_method(model, basis, [(3, 1.0, 0.0, 0.0)])
+
     def test_matches_stiffness_method(self):
         model = generate_grid(2, 2)
         loads = [(7, 5.0, -3.0, 2.0), (9, -1.0, 0.0, 0.0)]

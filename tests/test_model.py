@@ -146,6 +146,22 @@ class TestWeightedGraph:
         assert g.b0 == 1
         assert cycle_rank(g) == 1
 
+    def test_column_numbers_members_in_ascending_id_order(self):
+        g = WeightedGraph(
+            (1, 2, 3),
+            (Edge(3, 1, 2), Edge(1, 1, 3), Edge(2, 2, 3)),
+            {1: 1.0, 2: 1.0, 3: 1.0},
+        )
+        assert g.column == {1: 0, 2: 1, 3: 2}
+        assert g.member_ids() == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "edge,message", [(Edge(1, 1, 1), "is a self loop"), (Edge(1, 1, 3), "references missing node")]
+    )
+    def test_rejects_a_member_off_two_distinct_nodes(self, edge, message):
+        with pytest.raises(ModelError, match=message):
+            WeightedGraph((1, 2), (edge,), {1: 1.0})
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ModelError, match="positive weight"):
             WeightedGraph((1, 2), (Edge(1, 1, 2),), {1: 0.0})
@@ -208,23 +224,23 @@ class TestBuildGraph:
 class TestClassifyMembers:
     def test_partition_on_heterogeneous_frame(self):
         g = build_graph(generate_grid(3, 4, pattern="weak-beams"))
-        part = classify_members(g)
+        inadmissible = classify_members(g)
         light = {e.id for e in g.members if g.weight(e.id) < 20000}
-        assert part.inadmissible == frozenset(light)
-        assert part.admissible | part.inadmissible == frozenset(g.weights)
-        assert part.mean_weight == pytest.approx(
-            sum(g.weights.values()) / len(g.members)
-        )
+        assert inadmissible == frozenset(light)
+        threshold = sum(g.weights.values()) / len(g.members) / 2
+        assert all((g.weight(mid) < threshold) == (mid in inadmissible) for mid in g.weights)
 
     def test_homogeneous_frame_is_fully_admissible(self):
         g = build_graph(generate_grid(2, 2))
-        part = classify_members(g)
-        assert part.inadmissible == frozenset()
+        assert classify_members(g) == frozenset()
 
     def test_threshold_scales_with_alpha(self):
         g = build_graph(generate_grid(3, 4, pattern="weak-beams"))
-        lax = classify_members(g, alpha=20)
-        assert lax.inadmissible == frozenset()
+        assert classify_members(g, alpha=20) == frozenset()
+
+    def test_graph_without_members_is_rejected(self):
+        with pytest.raises(ModelError, match="graph has no members"):
+            classify_members(WeightedGraph((1,), (), {}))
 
     def test_alpha_validation(self):
         g = build_graph(generate_grid(1, 1))

@@ -136,11 +136,16 @@ def test_force_metrics_and_render_stay_separate_layers():
     assert [name for name, used in imports.items() if layers <= used] == ["cli"]
 
 
-def _names_used(tree: ast.AST, strings: bool = False) -> set[str]:
-    """Every name that *tree* reads or imports, and with *strings* every
-    string constant too (``bench/tracing.py`` patches functions by name)."""
+def _names_used(tree: ast.AST, strings: bool = False, skip: ast.AST | None = None) -> set[str]:
+    """Every name that *tree* reads or imports, outside the subtree *skip*,
+    and with *strings* every string constant too (``bench/tracing.py``
+    patches functions by name)."""
     found = set()
-    for node in ast.walk(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -149,27 +154,36 @@ def _names_used(tree: ast.AST, strings: bool = False) -> set[str]:
             found.add(node.name.rpartition(".")[2])
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
     return found
 
 
-def _public_names(stmt: ast.stmt) -> list[str]:
-    """The public names that a top-level statement defines."""
-    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-        names = [stmt.name]
+def _public_definitions(stmt: ast.stmt) -> list[tuple[str, ast.AST]]:
+    """The public names that a top-level statement defines, with the node
+    that defines each: a class's public methods and properties count, its
+    fields do not."""
+    if isinstance(stmt, ast.ClassDef):
+        found = [(stmt.name, stmt)]
+        found += [(f.name, f) for f in stmt.body if isinstance(f, ast.FunctionDef)]
+    elif isinstance(stmt, ast.FunctionDef):
+        found = [(stmt.name, stmt)]
     elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        found = [(t.id, stmt) for t in targets if isinstance(t, ast.Name)]
     else:
-        names = []
-    return [name for name in names if not name.startswith("_")]
+        found = []
+    return [(name, node) for name, node in found if not name.startswith("_")]
 
 
 def test_every_public_name_has_a_caller_outside_tests():
     """A public name that only the tests use is test code shipped in the package.
 
-    Each one must be used in the package beyond its own definition or named
-    by the benchmark.  A re-export from ``__init__`` is not a use: being in
-    ``framecycles.__all__`` does not make a name needed.
+    Each one, and each public method or property of a class, must be used
+    in the package beyond its own definition or named by the benchmark.  A
+    re-export from ``__init__`` is not a use: being in ``framecycles.__all__``
+    does not make a name needed.  Uses are found by name, so a method counts
+    as used where any attribute of that name is read.  Dataclass fields are
+    data, not callers' API, and stay out of the rule.
     """
     modules = {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
     bench = [ast.parse(path.read_text(), str(path)) for path in BENCH.glob("*.py")]
@@ -183,6 +197,7 @@ def test_every_public_name_has_a_caller_outside_tests():
         )
         elsewhere = allowed.union(*others)
         for stmt in tree.body:
-            used = elsewhere.union(*(_names_used(other) for other in tree.body if other is not stmt))
-            unused += [f"{name}: {public}" for public in _public_names(stmt) if public not in used]
+            for public, node in _public_definitions(stmt):
+                if public not in elsewhere and public not in _names_used(tree, skip=node):
+                    unused.append(f"{name}: {public}")
     assert unused == []
