@@ -199,8 +199,9 @@ class TestMinimumCycleBasis:
 
         This is an observation on these grids, not a theorem.  Each member
         contributes one shortest cycle through it, and the greedy selection
-        need not find a minimum basis among them: on random graphs the two
-        algorithms are longer than the minimum on about a fifth of them.
+        need not find a minimum basis among them: on random graphs of up to
+        40 members the two algorithms are longer than the minimum on about a
+        quarter of them.
         """
         grids = [(name, g) for name, g in make_golden.corpus() if not name.startswith("random:")]
         assert len(grids) == 304

@@ -143,17 +143,10 @@ class TestWeightedGraph:
             {1: 1.0, 2: 1.0, 3: 1.0},
         )
         assert [e.id for e, _ in g.adjacency[1]] == [1, 3]
-        assert g.b0 == 1
-        assert cycle_rank(g) == 1
-
-    def test_column_numbers_members_in_ascending_id_order(self):
-        g = WeightedGraph(
-            (1, 2, 3),
-            (Edge(3, 1, 2), Edge(1, 1, 3), Edge(2, 2, 3)),
-            {1: 1.0, 2: 1.0, 3: 1.0},
-        )
         assert g.column == {1: 0, 2: 1, 3: 2}
         assert g.member_ids() == [1, 2, 3]
+        assert g.b0 == 1
+        assert cycle_rank(g) == 1
 
     @pytest.mark.parametrize(
         "edge,message", [(Edge(1, 1, 1), "is a self loop"), (Edge(1, 1, 3), "references missing node")]
