@@ -4,9 +4,11 @@ Each algorithm grows one candidate cycle per graph member (SRT for the
 sparsity-oriented variants, SRTM for the conditioning-oriented ones), sorts
 the candidates, and greedily keeps independent cycles until the basis holds
 b1 of them.  A member's cycle on the whole graph is built once per graph
-and shared by every algorithm with its tree kind.  Algorithm 5 additionally
-processes inadmissible (NA) members first, each with the earlier ones
-masked, so low-weight members stay out of cycle overlaps.
+and shared by every algorithm with its tree kind; so is the list of
+spanning-tree fundamental cycles that the baseline and the top-ups read.
+Algorithm 5 additionally processes inadmissible (NA) members first, each
+with the earlier ones masked, so low-weight members stay out of cycle
+overlaps.
 """
 
 from __future__ import annotations
@@ -145,15 +147,22 @@ def _greedy_select(
 
 
 def _fundamental_cycles(graph: WeightedGraph) -> list[CycleVector]:
-    """Fundamental cycles of an SRT spanning tree, one per chord."""
-    root = graph.ground if graph.ground is not None else min(graph.nodes)
-    tree = build_srt(graph, root)
-    tree_members = {via for _, via in tree.parent.values()}
-    return [
-        close_cycle(graph, e.id, tree.path_members(e.a), tree.path_members(e.b))
-        for e in graph.members
-        if e.id not in tree_members
-    ]
+    """Fundamental cycles of an SRT spanning tree, one per chord.
+
+    Built once per graph (``WeightedGraph.fundamental_cycles``); callers
+    read the list and do not change it.
+    """
+    memo = graph.fundamental_cycles
+    if not memo:
+        root = graph.ground if graph.ground is not None else min(graph.nodes)
+        tree = build_srt(graph, root)
+        tree_members = {via for _, via in tree.parent.values()}
+        memo += [
+            close_cycle(graph, e.id, tree.path_members(e.a), tree.path_members(e.b))
+            for e in graph.members
+            if e.id not in tree_members
+        ]
+    return memo
 
 
 def _min_cycle(graph: WeightedGraph, member_id: int, tree_kind: str) -> CycleVector | None:
@@ -222,7 +231,7 @@ def baseline_tree_basis(graph: WeightedGraph) -> CycleBasis:
     """
     if graph.b0 != 1:
         raise ValueError("baseline basis requires a connected graph")
-    cycles = _fundamental_cycles(graph)
+    cycles = list(_fundamental_cycles(graph))
     if len(cycles) != cycle_rank(graph):
         raise RuntimeError("cycle space not spanned")
     return CycleBasis(cycles, graph, None)

@@ -17,7 +17,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -175,7 +175,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and kept for the
+    process: it holds no per-call state, since each parse makes a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="framecycles",
         description="Cycle bases and flexibility-matrix conditioning for frames",

@@ -44,11 +44,7 @@ import numpy as np
 from framecycles.basis import CycleBasis
 from framecycles.cholesky import _BLOCK, cholesky
 from framecycles.cycles import CycleVector, build_srt
-from framecycles.model import (
-    ModelError,
-    Section,
-    StructuralModel,
-)
+from framecycles.model import ModelError, StructuralModel
 
 
 class RankDeficientBasis(ValueError):
@@ -57,25 +53,6 @@ class RankDeficientBasis(ValueError):
 
 class UnsupportedModel(ValueError):
     """Numerical force method is implemented for planar frames only."""
-
-
-def member_flexibility(section: Section, length: float) -> np.ndarray:
-    """Cantilever flexibility block for forces referenced at the free "a" end."""
-    if length <= 0:
-        raise ModelError(f"member length must be positive, got {length}")
-    EA = section.E * section.A
-    EI = section.E * section.I
-    try:
-        cube = length**3
-    except OverflowError:  # a Python float power raises where numpy gives inf
-        cube = math.inf
-    return np.array(
-        [
-            [length / EA, 0.0, 0.0],
-            [0.0, cube / (3.0 * EI), length**2 / (2.0 * EI)],
-            [0.0, length**2 / (2.0 * EI), length / EI],
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -220,16 +197,37 @@ def build_b1(model: StructuralModel, basis: CycleBasis) -> B1Blocks:
     return B1Blocks(rows[order], cycle_of[order], blocks[order], shape)
 
 
+def _power(x: float, y: float) -> float:
+    """x ** y by C ``pow``, inf where it overflows.  numpy's vectorised power
+    may differ from ``pow`` in the last bit, so the blocks take this one."""
+    try:
+        return x**y
+    except OverflowError:  # a Python float power raises where C gives inf
+        return math.inf
+
+
 def unassembled_flexibility(model: StructuralModel) -> np.ndarray:
     """Fm as its (M, 3, 3) stack of cantilever blocks, in member-id order.
 
-    A block that overflows, say L/EA for a subnormal EA, is a ModelError.
+    Each block holds L/EA, L^3/(3EI), L^2/(2EI) and L/EI for forces
+    referenced at the free "a" end.  A block that overflows, say L/EA for a
+    subnormal EA, is a ModelError naming the first such member.
     """
     if model.ndim != 2:
         raise UnsupportedModel("numerical force method unsupported for 3D")
     members = sorted(model.members, key=lambda m: m.id)
-    blocks = [member_flexibility(model.member_section(m), model.member_length(m)) for m in members]
-    Fm = np.array(blocks, dtype=float).reshape(-1, 3, 3)
+    stiffness = {name: (s.E * s.A, s.E * s.I) for name, s in model.sections.items()}
+    EA, EI = np.array([stiffness[m.section] for m in members], dtype=float).reshape(-1, 2).T
+    lengths = [model.member_length(m) for m in members]
+    L = np.array(lengths, dtype=float)
+    L2 = np.array([_power(length, 2) for length in lengths], dtype=float)
+    L3 = np.array([_power(length, 3) for length in lengths], dtype=float)
+    Fm = np.zeros((len(members), 3, 3))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
+        Fm[:, 0, 0] = L / EA
+        Fm[:, 1, 1] = L3 / (3.0 * EI)
+        Fm[:, 1, 2] = Fm[:, 2, 1] = L2 / (2.0 * EI)
+        Fm[:, 2, 2] = L / EI
     finite = np.isfinite(Fm).all(axis=(1, 2))
     if not finite.all():
         m = members[int(np.argmin(finite))]

@@ -36,27 +36,31 @@ class ParseError(ModelError):
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 
-def _typed(value, kind: type, field: str):
+def _typed(value, kind: type, field: str, *args):
     """*value* as a JSON integer, finite number, string, list or object (*kind*
     ``int``, ``float``, ``str``, ``list`` or ``dict``; a ``float`` field takes
     an integer too); anything else, a bool, a numeric string or NaN too, is a
-    ParseError naming *field*."""
+    ParseError naming the field.  *field* is a ``str.format`` template filled
+    with *args* only when the error is raised, since nearly every value passes."""
     if type(value) is kind and kind is not float:
         return value
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)
-    raise ParseError(f"{field} must be {_KINDS[kind]}, got {json.dumps(value)}")
+    raise ParseError(f"{field.format(*args)} must be {_KINDS[kind]}, got {json.dumps(value)}")
 
 
-def _field(mapping: dict, key: str, context: str, kind: type, default=None):
+def _field(mapping: dict, key: str, kind: type, context: str, *args, default=None):
     """mapping[key] checked by ``_typed``; a missing key takes *default* unless
-    that is None."""
+    that is None.  Errors name *context*, a template filled with *args* as in
+    ``_typed``."""
     if not isinstance(mapping, dict):
-        raise ParseError(f"{context}: expected an object, got {json.dumps(mapping)}")
+        raise ParseError(f"{context.format(*args)}: expected an object, got {json.dumps(mapping)}")
     value = mapping.get(key, default)
+    if type(value) is kind and kind is not float:
+        return value
     if value is None and key not in mapping:
-        raise ParseError(f"{context}: missing field '{key}'")
-    return _typed(value, kind, f"{context}: field '{key}'")
+        raise ParseError(f"{context.format(*args)}: missing field '{key}'")
+    return _typed(value, kind, context + ": field '{}'", *args, key)
 
 
 def _read_document(path) -> dict:
@@ -68,7 +72,7 @@ def _read_document(path) -> dict:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    version = _field(doc, "format_version", str(path), int)
+    version = _field(doc, "format_version", int, "{}", path)
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version {version}")
     return doc
@@ -77,35 +81,33 @@ def _read_document(path) -> dict:
 def parse_model(path) -> StructuralModel:
     """Load and validate a frame description file."""
     doc = _read_document(path)
-    ndim = _field(doc, "dimensionality", str(path), int, default=2)
+    ndim = _field(doc, "dimensionality", int, "{}", path, default=2)
 
     sections = {}
-    for name, raw in _field(doc, "sections", str(path), dict).items():
-        context = f"section '{name}'"
-        A, I, E = (_field(raw, key, context, float) for key in ("A", "I", "E"))
+    for name, raw in _field(doc, "sections", dict, "{}", path).items():
+        A, I, E = (_field(raw, key, float, "section '{}'", name) for key in ("A", "I", "E"))
         try:
             sections[name] = Section(A=A, I=I, E=E)
         except ModelError as exc:
-            raise ParseError(f"{context}: {exc}") from exc
+            raise ParseError(f"section '{name}': {exc}") from exc
 
     nodes = []
-    for raw in _field(doc, "nodes", str(path), list):
-        nid = _field(raw, "id", "node", int)
-        coords = _field(raw, "coords", f"node {nid}", list)
-        values = (_typed(c, float, f"node {nid}: coords[{i}]") for i, c in enumerate(coords))
+    for raw in _field(doc, "nodes", list, "{}", path):
+        nid = _field(raw, "id", int, "node")
+        coords = _field(raw, "coords", list, "node {}", nid)
+        values = [_typed(c, float, "node {}: coords[{}]", nid, i) for i, c in enumerate(coords)]
         nodes.append(FrameNode(nid, tuple(values)))
 
     members = []
-    for raw in _field(doc, "members", str(path), list):
-        mid = _field(raw, "id", "member", int)
-        context = f"member {mid}"
-        a, b = _field(raw, "a", context, int), _field(raw, "b", context, int)
-        members.append(FrameMember(mid, a, b, _field(raw, "section", context, str)))
+    for raw in _field(doc, "members", list, "{}", path):
+        mid = _field(raw, "id", int, "member")
+        a, b = _field(raw, "a", int, "member {}", mid), _field(raw, "b", int, "member {}", mid)
+        members.append(FrameMember(mid, a, b, _field(raw, "section", str, "member {}", mid)))
 
     supports = []
-    for raw in _field(doc, "supports", str(path), list):
-        node = _field(raw, "node", "support", int)
-        kind = _field(raw, "kind", f"support at node {node}", str, "fixed")
+    for raw in _field(doc, "supports", list, "{}", path):
+        node = _field(raw, "node", int, "support")
+        kind = _field(raw, "kind", str, "support at node {}", node, default="fixed")
         if kind != "fixed":
             raise ParseError(f"support at node {node}: unsupported kind '{kind}'")
         supports.append(node)
@@ -137,10 +139,12 @@ def write_model(model: StructuralModel, path) -> None:
 def parse_load_case(path) -> list[tuple[int, float, float, float]]:
     """Load a nodal load case file: list of (node, fx, fy, moment)."""
     loads = []
-    for raw in _field(_read_document(path), "loads", str(path), list):
-        node = _field(raw, "node", "load", int)
-        context = f"load on node {node}"
-        fx, fy, mz = (_field(raw, key, context, float, 0.0) for key in ("fx", "fy", "mz"))
+    for raw in _field(_read_document(path), "loads", list, "{}", path):
+        node = _field(raw, "node", int, "load")
+        fx, fy, mz = (
+            _field(raw, key, float, "load on node {}", node, default=0.0)
+            for key in ("fx", "fy", "mz")
+        )
         loads.append((node, fx, fy, mz))
     return loads
 

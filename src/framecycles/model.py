@@ -186,6 +186,15 @@ class WeightedGraph:
         """
         return {}
 
+    @cached_property
+    def fundamental_cycles(self) -> list:
+        """Memo of the fundamental cycles of one SRT spanning tree, filled by ``basis``.
+
+        Like ``min_cycles`` it lives as long as the graph, so the baseline
+        and every algorithm's top-up on one graph share one tree and one list.
+        """
+        return []
+
     def member(self, member_id: int) -> Edge:
         return self._member_map[member_id]
 

@@ -10,9 +10,10 @@ the eager cycle construction (two complete route trees and a lock-step
 search that rescans every label per tier), algorithm 5's masked graph copy
 (a new graph without the masked members), the integer cycle adjacency
 matrix D = C C' (the library keeps only its nonzero pattern), the dense
-force-method products (a 3M x 3M block-diagonal Fm, B1 scattered from its
-blocks and G = B1' Fm B1), the per-member, per-wrench B1 builder, the explicitly scaled copies of G behind PN and PDET
-and the block-by-block sparsity raster.
+force-method products (Fm's cantilever blocks built one member at a time, a
+3M x 3M block-diagonal Fm, B1 scattered from its blocks and G = B1' Fm B1),
+the per-member, per-wrench B1 builder, the explicitly scaled copies of G
+behind PN and PDET and the block-by-block sparsity raster.
 
 Two test fixtures that are not part of the method live here too: the
 chopped-arithmetic Gaussian elimination with its ill-conditioned 3x3 demo
@@ -31,7 +32,7 @@ import networkx as nx
 import numpy as np
 
 from framecycles.frames import FORMAT_VERSION
-from framecycles.model import Edge, WeightedGraph
+from framecycles.model import Edge, ModelError, WeightedGraph
 
 
 # --- graphs ----------------------------------------------------------------
@@ -477,10 +478,29 @@ def stiffness_member_forces(model, load_case) -> dict[int, np.ndarray]:
 # --- dense force-method references ------------------------------------------
 
 
+def member_flexibility(section, length: float) -> np.ndarray:
+    """Cantilever flexibility block for forces referenced at the free "a" end,
+    one member at a time from Python floats: the scalar reference for
+    ``force.unassembled_flexibility``, which builds all blocks from arrays."""
+    if length <= 0:
+        raise ModelError(f"member length must be positive, got {length}")
+    EA = section.E * section.A
+    EI = section.E * section.I
+    try:
+        cube = length**3
+    except OverflowError:  # a Python float power raises where numpy gives inf
+        cube = math.inf
+    return np.array(
+        [
+            [length / EA, 0.0, 0.0],
+            [0.0, cube / (3.0 * EI), length**2 / (2.0 * EI)],
+            [0.0, length**2 / (2.0 * EI), length / EI],
+        ]
+    )
+
+
 def dense_flexibility(model) -> np.ndarray:
     """Block-diagonal 3M x 3M Fm with one cantilever block per member, by id."""
-    from framecycles.force import member_flexibility
-
     member_order = sorted(m.id for m in model.members)
     Fm = np.zeros((3 * len(member_order), 3 * len(member_order)))
     for i, mid in enumerate(member_order):

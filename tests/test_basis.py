@@ -21,7 +21,7 @@ from framecycles.basis import (
     incidence_matrix,
 )
 from framecycles.cli import Analysis, load_or_generate
-from framecycles.cycles import SRT, SRTM, min_cycle_on_member
+from framecycles.cycles import SRT, SRTM, build_srt, min_cycle_on_member
 from framecycles.frames import generate_grid, generate_grid3d
 from framecycles.model import build_graph, classify_members, cycle_rank
 
@@ -168,6 +168,26 @@ class TestGenerateBasis:
         analysis.compare([1, 2, 3, 4, 5])
         ids = analysis.graph.member_ids()
         assert sorted(built) == sorted((mid, kind) for mid in ids for kind in (SRT, SRTM))
+
+    def test_compare_builds_one_spanning_tree(self, monkeypatch):
+        """The baseline and every algorithm's top-up read one list of
+        fundamental cycles per graph, so one SRT spanning tree is built."""
+        roots = []
+
+        def counting(graph, root):
+            roots.append(root)
+            return build_srt(graph, root)
+
+        monkeypatch.setattr(basis_mod, "build_srt", counting)
+        analysis = Analysis(load_or_generate("grid3d:6x4x4:checker"))
+        analysis.compare([1, 2, 3, 4, 5, "baseline"])
+        assert roots == [analysis.graph.ground]
+        # Algorithms 2 and 4 top up from that list here, so three readers share it.
+        for algorithm in (2, 4):
+            basis = analysis.basis(algorithm)
+            accepted = sum(1 for _, independent, _ in basis.control_log if independent)
+            assert accepted < len(basis)
+        assert roots == [analysis.graph.ground]
 
 
 class TestMinimumCycleBasis:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +15,15 @@ from framecycles import cli, force, frames, metrics, render
 from framecycles.cli import Analysis, load_or_generate, main
 from framecycles.cholesky import _BLOCK
 from framecycles.model import ModelError, build_graph, cycle_rank
+
+
+def main_without_warnings(argv) -> int:
+    """``main(argv)`` with every warning an error: pytest captures warnings,
+    so a numpy RuntimeWarning that a real run prints to stderr before its
+    error line would otherwise pass unseen."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
 
 
 class TestLoadOrGenerate:
@@ -205,6 +217,40 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.err == "error: unknown algorithm 'x'\n"
         assert captured.out == ""
+
+
+class TestParser:
+    """One parser serves every ``main`` call of a process and keeps nothing
+    of one call for the next."""
+
+    def test_is_built_once(self, capsys):
+        cli._build_parser.cache_clear()
+        assert main(["cycles", "grid:1x1"]) == 0
+        assert main(["cycles", "grid:1x1"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_an_option_is_not_carried_to_the_next_call(self, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        assert main(["compare", "grid:2x2", "--csv", str(csv_path)]) == 0
+        table = capsys.readouterr().out
+        csv_path.unlink()
+        assert main(["compare", "grid:2x2"]) == 0
+        assert capsys.readouterr().out == table
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_usage_error_leaves_the_next_call_as_a_fresh_process_runs_it(self, capsys):
+        argv = ["compare", "grid:2x3:checker", "--algorithms", "1,5,baseline"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        command = [sys.executable, "-m", "framecycles.cli", *argv]
+        fresh = subprocess.run(command, env=env, check=True, capture_output=True, text=True)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare"])
+        assert exc.value.code == 2
+        assert "usage: framecycles compare" in capsys.readouterr().err
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
 
 
 class TestRender:
@@ -419,7 +465,7 @@ class TestErrors:
         write_load_case([(4, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
         options = {"force": ["--loads", str(tmp_path / "loads.json")]}
         capsys.readouterr()
-        assert main([command, str(path), *options.get(command, [])]) == 1
+        assert main_without_warnings([command, str(path), *options.get(command, [])]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: member 3: flexibility is not finite (section 'weak')\n"
         assert captured.out == ""
@@ -436,7 +482,7 @@ class TestErrors:
         write_load_case([(4, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
         options = {"force": ["--loads", str(tmp_path / "loads.json")]}
         capsys.readouterr()
-        assert main([command, str(path), *options.get(command, [])]) == 1
+        assert main_without_warnings([command, str(path), *options.get(command, [])]) == 1
         captured = capsys.readouterr()
         first = doc["members"][0]["id"]
         assert captured.err == f"error: member {first} is too long: its length cubed overflows\n"

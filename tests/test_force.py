@@ -7,9 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import make_golden
 import oracles
 from framecycles import force
 from framecycles.basis import (
@@ -25,25 +26,52 @@ from framecycles.force import (
     UnsupportedModel,
     assemble_g,
     build_b1,
-    member_flexibility,
     nodal_equilibrium_residual,
     solve_force_method,
     unassembled_flexibility,
 )
 from framecycles.cholesky import _BLOCK
-from framecycles.cli import Analysis
+from framecycles.cli import Analysis, load_or_generate
 from framecycles.cycles import CycleVector
 from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid, generate_grid3d
 from framecycles.metrics import condition_report
 from framecycles.model import (
+    FrameMember,
     FrameNode,
     ModelError,
+    Section,
     StructuralModel,
     WeightedGraph,
     build_graph,
     classify_members,
 )
 from framecycles.render import render_sparsity
+
+
+#: Mostly plain coordinates; some tiny ones, and some up to 1e103, where a
+#: length cubed can overflow (above about 5.6e102).
+_PLAIN = st.floats(min_value=-1e3, max_value=1e3)
+COORDINATE = st.one_of(
+    *[_PLAIN] * 6, st.floats(min_value=0.0, max_value=1e-150), st.floats(1e100, 1e103)
+)
+#: Section properties (A, I, E), mostly of real sections; the rest from
+#: subnormal to huge, so E*A and E*I can underflow or overflow.
+_REAL = st.floats(min_value=1e-8, max_value=1e12)
+_ANY = st.floats(min_value=5e-324, max_value=1e300)
+PROPERTIES = st.one_of(*[st.tuples(_REAL, _REAL, _REAL)] * 5, st.tuples(_ANY, _ANY, _ANY))
+
+
+def oracle_blocks(model) -> np.ndarray:
+    """The scalar oracle's block per member, in id order; a block whose
+    E*A or E*I underflows to zero, where the oracle divides by zero, is inf."""
+    blocks = []
+    for m in sorted(model.members, key=lambda m: m.id):
+        try:
+            block = oracles.member_flexibility(model.member_section(m), model.member_length(m))
+        except ZeroDivisionError:
+            block = np.full((3, 3), np.inf)
+        blocks.append(block)
+    return np.array(blocks, dtype=float).reshape(-1, 3, 3)
 
 
 def basis_for(model, algorithm_id=1):
@@ -54,7 +82,7 @@ def basis_for(model, algorithm_id=1):
 class TestMemberFlexibility:
     def test_heavy_section_block(self):
         """Cantilever block entries for the heavy test section at L = 3 m."""
-        F = member_flexibility(HEAVY_SECTION, 3.0)
+        F = oracles.member_flexibility(HEAVY_SECTION, 3.0)
         assert F[0, 0] == pytest.approx(1.4728e-5, rel=1e-4)
         assert F[1, 1] == pytest.approx(2.1855e-3, rel=1e-4)
         assert F[1, 2] == pytest.approx(1.0927e-3, rel=1e-4)
@@ -64,12 +92,12 @@ class TestMemberFlexibility:
 
     def test_rejects_zero_length(self):
         with pytest.raises(ModelError):
-            member_flexibility(HEAVY_SECTION, 0.0)
+            oracles.member_flexibility(HEAVY_SECTION, 0.0)
 
     def test_length_cubed_that_overflows_is_reported(self):
         """L**3 overflows a float for L = 3e103: the block reads inf, and Fm
         names the member rather than letting OverflowError out."""
-        assert member_flexibility(HEAVY_SECTION, 3e103)[1, 1] == np.inf
+        assert oracles.member_flexibility(HEAVY_SECTION, 3e103)[1, 1] == np.inf
         model = generate_grid(1, 1, bay=3e103, height=3e103)
         first = min(m.id for m in model.members)
         with pytest.raises(ModelError, match=f"member {first}: flexibility is not finite"):
@@ -83,13 +111,46 @@ class TestMemberFlexibility:
         assert Fm.shape == (10, 3, 3)
         members = sorted(model.members, key=lambda m: m.id)
         for block, m in zip(Fm, members):
-            expected = member_flexibility(model.member_section(m), model.member_length(m))
+            expected = oracles.member_flexibility(model.member_section(m), model.member_length(m))
             assert np.array_equal(block, expected)
         dense = oracles.dense_flexibility(model)
         assert dense.shape == (30, 30)
         mask = np.kron(np.eye(10, dtype=bool), np.ones((3, 3), dtype=bool))
         assert np.all(dense[~mask] == 0)
         assert np.array_equal(dense[mask].reshape(10, 3, 3), Fm)
+
+    def test_fm_matches_the_scalar_oracle_on_every_golden_grid(self):
+        for spec, _, _ in make_golden.report_corpus():
+            model = load_or_generate(spec)
+            assert np.array_equal(unassembled_flexibility(model), oracle_blocks(model)), spec
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(COORDINATE, COORDINATE, PROPERTIES), max_size=4))
+    @example([(0.0, 900.6716254685628, (1.0, 1.0, 1.0))])
+    @example([(3e103, 0.0, (0.0097, 0.0001961, 2.1e7))])  # L^3 overflows: F[1, 1] is inf
+    @example([(3.0, 4.0, (0.0097, 0.0001961, 2.1e7)), (3.0, 0.0, (1e-300, 1.0, 1e-10))])
+    def test_fm_matches_the_scalar_oracle_bit_for_bit(self, members):
+        """Members from a support at the origin to free nodes at drawn points,
+        each with its own drawn section: Fm equals the oracle's blocks to the
+        last bit, or, where a block is not finite, a ModelError names the
+        first such member.  In the examples: a length whose cube numpy's
+        vectorised power rounds differently from C pow (with AVX-512), a
+        length whose cube overflows, and a second member with a subnormal E*A."""
+        members = [m for m in members if m[:2] != (0.0, 0.0)]
+        nodes = [FrameNode(1, (0.0, 0.0))]
+        nodes += [FrameNode(i + 2, (x, y)) for i, (x, y, *_) in enumerate(members)]
+        frame_members = [FrameMember(i + 1, 1, i + 2, f"s{i + 1}") for i in range(len(members))]
+        sections = {f"s{i + 1}": Section(*properties) for i, (*_, properties) in enumerate(members)}
+        model = StructuralModel(nodes, frame_members, sections, [1])
+        expected = oracle_blocks(model)
+        finite = np.isfinite(expected).all(axis=(1, 2))
+        if finite.all():
+            assert np.array_equal(unassembled_flexibility(model), expected)
+            return
+        first = int(np.argmin(finite)) + 1
+        message = rf"^member {first}: flexibility is not finite \(section 's{first}'\)$"
+        with pytest.raises(ModelError, match=message):
+            unassembled_flexibility(model)
 
 
 class TestB1:
