@@ -453,13 +453,15 @@ class TestErrors:
         assert loaded == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["loads.json"]
 
-    @pytest.mark.parametrize("command", ["force", "condition", "compare"])
-    def test_member_flexibility_that_overflows_is_reported(self, tmp_path, capsys, command):
-        # E*A is subnormal, so the beam's L/EA is inf.
+    @staticmethod
+    def run_with_weak_beam(tmp_path, capsys, command, area):
+        """Run *command* on a 1-story 1-span frame whose beam (member 3) has
+        E = 1e-10 and A = *area*; the exit code must be 1, with nothing
+        printed but the error line."""
         path = tmp_path / "frame.json"
         assert main(["generate", "--stories", "1", "--spans", "1", "-o", str(path)]) == 0
         doc = json.loads(path.read_text())
-        doc["sections"]["weak"] = {"A": 1e-300, "E": 1e-10, "I": 1.0}
+        doc["sections"]["weak"] = {"A": area, "E": 1e-10, "I": 1.0}
         doc["members"][2]["section"] = "weak"
         path.write_text(json.dumps(doc))
         write_load_case([(4, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
@@ -469,6 +471,16 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == "error: member 3: flexibility is not finite (section 'weak')\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["force", "condition", "compare"])
+    def test_member_flexibility_that_overflows_is_reported(self, tmp_path, capsys, command):
+        # E*A is subnormal, so the beam's L/EA is inf.
+        self.run_with_weak_beam(tmp_path, capsys, command, 1e-300)
+
+    @pytest.mark.parametrize("command", ["force", "condition", "compare"])
+    def test_member_whose_ea_underflows_to_zero_is_reported(self, tmp_path, capsys, command):
+        # E*A is 0, so the beam's L/EA divides by zero; its weight stays positive.
+        self.run_with_weak_beam(tmp_path, capsys, command, 1e-320)
 
     @pytest.mark.parametrize("command", ["cycles", "condition", "force"])
     def test_member_whose_length_cubed_overflows_is_reported(self, tmp_path, capsys, command):
