@@ -152,17 +152,16 @@ def _fundamental_cycles(graph: WeightedGraph) -> list[CycleVector]:
     Built once per graph (``WeightedGraph.fundamental_cycles``); callers
     read the list and do not change it.
     """
-    memo = graph.fundamental_cycles
-    if not memo:
+    if graph.fundamental_cycles is None:
         root = graph.ground if graph.ground is not None else min(graph.nodes)
         tree = build_srt(graph, root)
         tree_members = {via for _, via in tree.parent.values()}
-        memo += [
+        graph.fundamental_cycles = [
             close_cycle(graph, e.id, tree.path_members(e.a), tree.path_members(e.b))
             for e in graph.members
             if e.id not in tree_members
         ]
-    return memo
+    return graph.fundamental_cycles
 
 
 def _min_cycle(graph: WeightedGraph, member_id: int, tree_kind: str) -> CycleVector | None:

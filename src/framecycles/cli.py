@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ModelError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,10 +28,11 @@ before it is added, so G comes out exactly symmetric with no symmetrising
 pass; ``assemble_g`` factors nothing.  G is the only n x n array this
 layer makes: the products are scattered in chunks of at most n _BLOCK
 entries (_BLOCK from ``cholesky``), and the solve holds G, its factor and
-arrays the size of B1.  The solve checks the loads and carries them to
-ground first, then builds B1 and G and factors G once: a failed Cholesky
-raises RankDeficientBasis, and the redundants come from that factor by
-blocked substitution, with no LU of G.
+arrays the size of B1.  The solve builds the member geometry once, for
+the loads' forces, B1 and the member order.  It checks the loads and
+carries them to ground first, then builds B1 and G and factors G once: a
+failed Cholesky raises RankDeficientBasis, and the redundants come from
+that factor by blocked substitution, with no LU of G.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class UnsupportedModel(ValueError):
 class _Geometry:
     """Member geometry as arrays, one row per member in id order."""
 
-    row: dict[int, int]  # member id -> row
+    row: dict[int, int]  # member id -> row, in ascending id order
     ra: np.ndarray  # (M, 2) global coords of the "a" nodes
     rb: np.ndarray
     ex: np.ndarray  # (M, 2) local x axes, a -> b
@@ -178,7 +179,11 @@ def _sum_triples(index: np.ndarray, parts: np.ndarray, n: int) -> np.ndarray:
 
 def build_b1(model: StructuralModel, basis: CycleBasis) -> B1Blocks:
     """Self-stress matrix: three unit bi-action columns per basis cycle, as blocks."""
-    geo = _geometry(model)
+    return _build_b1(_geometry(model), basis)
+
+
+def _build_b1(geo: _Geometry, basis: CycleBasis) -> B1Blocks:
+    """``build_b1`` on a member geometry already built, as the solve holds one."""
     ends = {e.id: (e.a, e.b) for e in basis.graph.members}
     rows, signs, cycle_of = [], [], []
     for j, cycle in enumerate(basis.cycles):
@@ -352,7 +357,6 @@ def solve_force_method(
     The particular forces r0 carry each load's wrench to ground through the
     members on its node's path in the ground's SRT; off-tree members carry none.
     """
-    member_order = sorted(m.id for m in model.members)
     Fm = unassembled_flexibility(model)
     graph = basis.graph
     if graph.ground is None:
@@ -377,10 +381,10 @@ def solve_force_method(
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         blocks = _carry(geo, rows, np.array(signs), points, wrenches[..., :2], wrenches[..., 2])
         # Loads on one branch of the tree share its members, whose forces add up.
-        r0 = _sum_triples(rows, blocks[:, :, 0], len(member_order))
+        r0 = _sum_triples(rows, blocks[:, :, 0], len(geo.row))
     if not np.isfinite(r0).all():
         raise ModelError("the loads overflow: their particular member forces are not finite")
-    B1 = build_b1(model, basis)
+    B1 = _build_b1(geo, basis)
     G = assemble_g(B1, Fm)
     try:
         factor = cholesky(G)
@@ -394,4 +398,4 @@ def solve_force_method(
     # finite entries would square to inf.
     unit = float(np.max(np.abs(rhs), initial=0.0)) or 1.0
     scale = float(np.linalg.norm(rhs / unit)) or 1.0
-    return ForceSolution(member_order, q, r, float(np.linalg.norm(incompat / unit)) / scale)
+    return ForceSolution(list(geo.row), q, r, float(np.linalg.norm(incompat / unit)) / scale)

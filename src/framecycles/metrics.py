@@ -151,7 +151,7 @@ class ConditionReport:
     pdet: float
     pdet_log10: float
     good_digits: float
-    precision: int = 16
+    precision: int
 
 
 def check_precision(precision: int) -> None:

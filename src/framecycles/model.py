@@ -141,6 +141,11 @@ class WeightedGraph:
     weights: dict[int, float]
     ground: int | None = None
     b0: int = field(init=False)
+    # The fundamental cycles of one SRT spanning tree, set by ``basis`` on
+    # first use (an empty list when b1 = 0).  Like ``min_cycles`` it lives as
+    # long as the graph, so the baseline and every algorithm's top-up on one
+    # graph share one tree and one list.
+    fundamental_cycles: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         node_set = set(self.nodes)
@@ -185,15 +190,6 @@ class WeightedGraph:
         shares each cycle; None marks a member with no cycle (a bridge).
         """
         return {}
-
-    @cached_property
-    def fundamental_cycles(self) -> list:
-        """Memo of the fundamental cycles of one SRT spanning tree, filled by ``basis``.
-
-        Like ``min_cycles`` it lives as long as the graph, so the baseline
-        and every algorithm's top-up on one graph share one tree and one list.
-        """
-        return []
 
     def member(self, member_id: int) -> Edge:
         return self._member_map[member_id]

@@ -23,7 +23,15 @@ from framecycles.basis import (
 from framecycles.cli import Analysis, load_or_generate
 from framecycles.cycles import SRT, SRTM, build_srt, min_cycle_on_member
 from framecycles.frames import generate_grid, generate_grid3d
-from framecycles.model import build_graph, classify_members, cycle_rank
+from framecycles.model import (
+    FrameMember,
+    FrameNode,
+    Section,
+    StructuralModel,
+    build_graph,
+    classify_members,
+    cycle_rank,
+)
 
 
 def run_algorithm(model, algorithm_id, ordering=None):
@@ -188,6 +196,15 @@ class TestGenerateBasis:
             accepted = sum(1 for _, independent, _ in basis.control_log if independent)
             assert accepted < len(basis)
         assert roots == [analysis.graph.ground]
+        # A two-member space frame is a tree (b1 = 0): its empty list is built once too.
+        nodes = [FrameNode(1, (0.0, 0.0, 0.0)), FrameNode(2, (0.0, 0.0, 3.0)), FrameNode(3, (4.0, 0.0, 3.0))]
+        members = [FrameMember(1, 1, 2, "s"), FrameMember(2, 2, 3, "s")]
+        sections = {"s": Section(0.0097, 0.0001961, 21000000.0)}
+        tree = Analysis(StructuralModel(nodes, members, sections, [1], ndim=3))
+        roots.clear()
+        tree.compare(["baseline", "baseline", 1, 2])
+        assert cycle_rank(tree.graph) == 0
+        assert roots == [tree.graph.ground]
 
 
 class TestMinimumCycleBasis:

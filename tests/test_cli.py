@@ -128,6 +128,10 @@ class TestCondition:
         assert "X(D) = 46" in out
         assert "good digits (p=8)" in out
 
+    def test_one_digit_of_precision_is_accepted(self, capsys):
+        assert main(["condition", "grid:3x4", "--precision", "1"]) == 0
+        assert "good digits (p=1) = -2.44644\n" in capsys.readouterr().out
+
     def test_rejects_3d(self, capsys):
         assert main(["condition", "grid3d:2x1x1"]) == 1
         assert "planar" in capsys.readouterr().err
@@ -146,6 +150,15 @@ def test_precision_below_one_is_rejected_before_the_basis_is_built(
     assert captured.out == ""
     assert captured.err == f"error: precision must be >= 1, got {precision}\n"
     assert calls == []
+
+
+def test_compare_accepts_one_digit_of_precision(capsys):
+    """p = 1 is the least precision allowed; each row's g is then 1 - PL."""
+    assert main(["compare", "grid:3x3", "--algorithms", "1,baseline", "--precision", "1"]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    for row in rows:
+        values = dict(zip(header, row))
+        assert float(values["g"]) == pytest.approx(1 - float(values["PL"]), abs=1e-5)
 
 
 class TestCompare:
@@ -629,6 +642,33 @@ def test_each_command_factors_g_once_per_use(tmp_path, monkeypatch, argv, factor
     tridiagonal = [a for name, a in lapack if name == "eigh"]
     assert all(np.array_equal(a, np.tril(np.triu(a, -1), 1)) for a in tridiagonal)
     assert all(np.array_equal(a, a.T) for a in tridiagonal)
+
+
+@pytest.mark.parametrize(
+    "argv,built",
+    [
+        (["condition", "grid:6x6:checker"], 1),
+        (["compare", "grid:6x6:checker", "--algorithms", "1,3,baseline"], 3),
+        (["force", "grid:6x6:checker", "--loads", "loads.json"], 1),
+        (["render", "grid:6x6:checker", "--block", "--sparsity", "g.pbm"], 0),
+    ],
+    ids=["condition", "compare", "force", "render-block"],
+)
+def test_each_command_builds_the_member_geometry_once_per_g(tmp_path, monkeypatch, argv, built):
+    """One member geometry per B1: the force solve builds its loads' forces,
+    B1 and the member order from one, and render --block builds no B1."""
+    write_load_case([(10, 1.0, 0.0, 0.0)], tmp_path / "loads.json")
+    monkeypatch.chdir(tmp_path)
+    models = []
+
+    def counting(model):
+        models.append(model)
+        return geometry(model)
+
+    geometry = force._geometry
+    monkeypatch.setattr(force, "_geometry", counting)
+    assert main(argv) == 0
+    assert len(models) == built
 
 
 class TestStaticallyDeterminateFrame:

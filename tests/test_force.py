@@ -272,6 +272,7 @@ class TestB0:
             raise AssertionError("the force layer was built before the loads were checked")
 
         monkeypatch.setattr(force, "build_b1", too_early)
+        monkeypatch.setattr(force, "_build_b1", too_early)
         monkeypatch.setattr(force, "assemble_g", too_early)
         model = generate_grid(2, 2)
         with pytest.raises(ModelError, match=f"^{message}$"):

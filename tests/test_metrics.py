@@ -364,6 +364,11 @@ class TestConditionReport:
         assert report.pdet == pytest.approx(1.0)
         assert report.precision == 8
 
+    def test_one_digit_of_precision_is_accepted(self):
+        report = condition_report(np.diag([1.0, 100.0]), 1)
+        assert report.precision == 1
+        assert report.good_digits == pytest.approx(-1.0)
+
 
 class TestChop:
     @pytest.mark.parametrize(
