@@ -238,7 +238,11 @@ def _analysis(args) -> Analysis:
     return Analysis(model, args.weight_variant, args.alpha, args.alg5_ordering)
 
 
-def _cmd_generate(args) -> int:
+class _UsageError(ValueError):
+    """A command line that parses but asks for nothing: exit 2, as argparse's usage errors."""
+
+
+def _cmd_generate(args) -> None:
     if args.spans_y is not None:
         model = frames.generate_grid3d(
             args.stories, args.spans, args.spans_y, args.bay, args.height, args.pattern
@@ -249,10 +253,9 @@ def _cmd_generate(args) -> int:
         )
     frames.write_model(model, args.output)
     print(f"wrote {args.output}")
-    return 0
 
 
-def _cmd_cycles(args) -> int:
+def _cmd_cycles(args) -> None:
     analysis = _analysis(args)
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
     print(f"b1 = {cycle_rank(analysis.graph)}")
@@ -262,10 +265,9 @@ def _cmd_cycles(args) -> int:
             f"cycle {i}: generator={c.generator} length={c.length} "
             f"weight={_fmt(c.weight)} members=[{members}]"
         )
-    return 0
 
 
-def _cmd_force(args) -> int:
+def _cmd_force(args) -> None:
     analysis = _analysis(args)
     loads = frames.parse_load_case(args.loads)
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
@@ -275,15 +277,13 @@ def _cmd_force(args) -> int:
         n, v, m = solution.r[3 * i : 3 * i + 3]
         print(f"{mid}  {_fmt(n)}  {_fmt(v)}  {_fmt(m)}")
     print(f"compatibility residual = {_fmt(solution.compatibility_residual)}")
-    return 0
 
 
-def _cmd_condition(args) -> int:
+def _cmd_condition(args) -> None:
     metrics.check_precision(args.precision)
     analysis = _analysis(args)
     if analysis.model.ndim != 2:
-        print("error: condition report requires a planar model", file=sys.stderr)
-        return 1
+        raise ModelError("condition report requires a planar model")
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
     chi = analysis.adjacency(cycle_basis).chi
     report = metrics.condition_report(analysis.g(cycle_basis), args.precision)
@@ -292,10 +292,9 @@ def _cmd_condition(args) -> int:
     print(f"PDET = {_fmt(report.pdet)} (log10 {_fmt(report.pdet_log10)})")
     print(f"X(D) = {chi}")
     print(f"good digits (p={report.precision}) = {_fmt(report.good_digits)}")
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     algorithms = _parse_algorithms(args.algorithms)
     metrics.check_precision(args.precision)
     analysis = _analysis(args)
@@ -307,21 +306,17 @@ def _cmd_compare(args) -> int:
         with open(args.csv, "w") as fh:
             fh.write(csv_text)
     sys.stdout.write(table)
-    return 0
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> None:
     analysis = _analysis(args)
     algorithm = _one_algorithm(args.algorithm)
     if not args.sparsity and not args.frame:
-        print("error: choose --sparsity and/or --frame output paths", file=sys.stderr)
-        return 2
+        raise _UsageError("choose --sparsity and/or --frame output paths")
     if args.block and analysis.model.ndim != 2:
-        print("error: --block requires a planar model", file=sys.stderr)
-        return 1
+        raise ModelError("--block requires a planar model")
     if args.frame and analysis.model.ndim != 2:
-        print("error: frame rendering is available for planar models only", file=sys.stderr)
-        return 1
+        raise ModelError("frame rendering is available for planar models only")
     cycle_basis = analysis.basis(algorithm)
     outputs = []
     if args.sparsity:
@@ -333,13 +328,16 @@ def _cmd_render(args) -> int:
     _write_all(outputs)
     for path, _ in outputs:
         print(f"wrote {path}")
-    return 0
 
 
 def _write_all(outputs) -> None:
     """Run each (path, write) pair's *write* on a file in a new folder beside
     *path*, and move the files into place only once all are written, so a
-    command that fails leaves none of its outputs behind."""
+    command that fails leaves none of its outputs behind.  Two outputs that
+    are one file are an error before any is written."""
+    for i, (path, _) in enumerate(outputs):
+        if os.path.realpath(path) in {os.path.realpath(p) for p, _ in outputs[:i]}:
+            raise ValueError(f"two outputs go to one file: {path}")
     staged = []
     try:
         for path, write in outputs:
@@ -371,10 +369,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:  # ModelError is a ValueError
+        _COMMANDS[args.command](args)
+    except (ValueError, OSError) as exc:  # ModelError and _UsageError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Frame description files and rectangular grid generators.
 
 Frame files are JSON with a format-version field; the schema mirrors the
-model types: sections{}, nodes[], members[], supports[].  The generators
-produce the rectangular test frames used throughout: fixed bases, 3 m bays
-and story heights by default, and named section patterns for heterogeneous
-variants.
+model types: sections{}, nodes[], members[], supports[], and a key outside
+it is an error, not ignored.  The generators produce the rectangular test
+frames used throughout: fixed bases, 3 m bays and story heights by default,
+and named section patterns for heterogeneous variants.
 """
 
 from __future__ import annotations
@@ -32,6 +32,18 @@ PATTERNS = ("homogeneous", "weak-beams", "weak-columns", "checker")
 class ParseError(ModelError):
     """A frame or load file failed validation; the message names the field."""
 
+
+#: The fields that each object of a frame or load file may hold; any other
+#: key is a ParseError, so a misspelt field is never silently ignored.
+_FRAME_FIELDS = frozenset(
+    ("format_version", "dimensionality", "sections", "nodes", "members", "supports")
+)
+_SECTION_FIELDS = frozenset(("A", "I", "E"))
+_NODE_FIELDS = frozenset(("id", "coords"))
+_MEMBER_FIELDS = frozenset(("id", "a", "b", "section"))
+_SUPPORT_FIELDS = frozenset(("node", "kind"))
+_LOAD_CASE_FIELDS = frozenset(("format_version", "loads"))
+_LOAD_FIELDS = frozenset(("node", "fx", "fy", "mz"))
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
@@ -63,8 +75,18 @@ def _field(mapping: dict, key: str, kind: type, context: str, *args, default=Non
     return _typed(value, kind, context + ": field '{}'", *args, key)
 
 
-def _read_document(path) -> dict:
-    """The top-level object of a frame or load file, its format_version checked."""
+def _known(mapping: dict, fields: frozenset, context: str, *args) -> None:
+    """Raise a ParseError naming the first key of *mapping* that is not in
+    *fields*; *context* is a template filled with *args* only then, as in
+    ``_typed``.  The caller has checked that *mapping* is a dict."""
+    if not fields.issuperset(mapping):
+        key = next(k for k in mapping if k not in fields)
+        raise ParseError(f"{context.format(*args)}: unknown field '{key}'")
+
+
+def _read_document(path, fields: frozenset) -> dict:
+    """The top-level object of a frame or load file, its format_version
+    checked and its keys among *fields*."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -75,17 +97,19 @@ def _read_document(path) -> dict:
     version = _field(doc, "format_version", int, "{}", path)
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version {version}")
+    _known(doc, fields, "{}", path)
     return doc
 
 
 def parse_model(path) -> StructuralModel:
     """Load and validate a frame description file."""
-    doc = _read_document(path)
+    doc = _read_document(path, _FRAME_FIELDS)
     ndim = _field(doc, "dimensionality", int, "{}", path, default=2)
 
     sections = {}
     for name, raw in _field(doc, "sections", dict, "{}", path).items():
         A, I, E = (_field(raw, key, float, "section '{}'", name) for key in ("A", "I", "E"))
+        _known(raw, _SECTION_FIELDS, "section '{}'", name)
         try:
             sections[name] = Section(A=A, I=I, E=E)
         except ModelError as exc:
@@ -94,6 +118,7 @@ def parse_model(path) -> StructuralModel:
     nodes = []
     for raw in _field(doc, "nodes", list, "{}", path):
         nid = _field(raw, "id", int, "node")
+        _known(raw, _NODE_FIELDS, "node {}", nid)
         coords = _field(raw, "coords", list, "node {}", nid)
         values = [_typed(c, float, "node {}: coords[{}]", nid, i) for i, c in enumerate(coords)]
         nodes.append(FrameNode(nid, tuple(values)))
@@ -101,12 +126,14 @@ def parse_model(path) -> StructuralModel:
     members = []
     for raw in _field(doc, "members", list, "{}", path):
         mid = _field(raw, "id", int, "member")
+        _known(raw, _MEMBER_FIELDS, "member {}", mid)
         a, b = _field(raw, "a", int, "member {}", mid), _field(raw, "b", int, "member {}", mid)
         members.append(FrameMember(mid, a, b, _field(raw, "section", str, "member {}", mid)))
 
     supports = []
     for raw in _field(doc, "supports", list, "{}", path):
         node = _field(raw, "node", int, "support")
+        _known(raw, _SUPPORT_FIELDS, "support at node {}", node)
         kind = _field(raw, "kind", str, "support at node {}", node, default="fixed")
         if kind != "fixed":
             raise ParseError(f"support at node {node}: unsupported kind '{kind}'")
@@ -139,8 +166,9 @@ def write_model(model: StructuralModel, path) -> None:
 def parse_load_case(path) -> list[tuple[int, float, float, float]]:
     """Load a nodal load case file: list of (node, fx, fy, moment)."""
     loads = []
-    for raw in _field(_read_document(path), "loads", list, "{}", path):
+    for raw in _field(_read_document(path, _LOAD_CASE_FIELDS), "loads", list, "{}", path):
         node = _field(raw, "node", int, "load")
+        _known(raw, _LOAD_FIELDS, "load on node {}", node)
         fx, fy, mz = (
             _field(raw, key, float, "load on node {}", node, default=0.0)
             for key in ("fx", "fy", "mz")

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import write_load_case
+import framecycles
 from framecycles import cli, force, frames, metrics, render
 from framecycles.cli import Analysis, load_or_generate, main
 from framecycles.cholesky import _BLOCK
@@ -266,6 +267,27 @@ class TestParser:
         assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
 
 
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["cycles", "grid:1x1"], 0, ""),
+        (["cycles", "grid:1x1:x:y"], 1, "error: bad generator spec 'grid:1x1:x:y'\n"),
+        (["render", "grid:1x1"], 2, "error: choose --sparsity and/or --frame output paths\n"),
+    ],
+    ids=["ok", "rejected", "usage"],
+)
+def test_the_module_entry_point_exits_with_mains_code(capsys, argv, code, err):
+    """``python -m framecycles.cli`` prints what ``main`` prints and exits
+    with the code that ``main`` returns."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(framecycles.__file__))}
+    command = [sys.executable, "-m", "framecycles.cli", *argv]
+    run = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (run.returncode, run.stdout, run.stderr) == (code, captured.out, err)
+    assert captured.err == err
+
+
 class TestRender:
     def test_frame_rendering_takes_planar_models_only(self, tmp_path):
         analysis = Analysis(load_or_generate("grid3d:1x1x1"))
@@ -301,6 +323,15 @@ class TestRender:
         assert captured.err.startswith("error: ") and frame in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
         assert list((tmp_path / "folder").iterdir()) == []
+
+    @pytest.mark.parametrize("frame", ["P", "./P"])
+    def test_two_outputs_to_one_file_are_rejected(self, tmp_path, monkeypatch, capsys, frame):
+        monkeypatch.chdir(tmp_path)
+        assert main(["render", "grid:2x2", "--sparsity", "P", "--frame", frame]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: two outputs go to one file: {frame}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_output_selected(self, capsys):
         assert main(["render", "grid:1x1"]) == 2
@@ -377,6 +408,10 @@ class TestErrors:
                 lambda doc: doc["sections"]["heavy"].update(E=float("nan")),
                 "section 'heavy': field 'E' must be a number, got NaN",
             ),
+            (
+                lambda doc: doc["supports"][0].update(knd="pinned"),
+                "support at node 1: unknown field 'knd'",
+            ),
         ],
     )
     def test_malformed_frame_file_is_reported(self, tmp_path, capsys, edit, message):
@@ -390,6 +425,14 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_unknown_load_field_is_reported(self, tmp_path, capsys):
+        """A misspelt load component is an error, not a load of zero."""
+        loads = tmp_path / "loads.json"
+        loads.write_text(json.dumps({"format_version": 1, "loads": [{"node": 3, "Fx": 5}]}))
+        assert main(["force", "grid:2x2", "--loads", str(loads)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: load on node 3: unknown field 'Fx'\n")
 
     @pytest.mark.parametrize(
         "field,value,shown",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from framecycles import cycles
 from framecycles.basis import AlgorithmSpec, generate_basis
+from framecycles.cli import Analysis
 from framecycles.cycles import (
     SRT,
     SRTM,
@@ -652,3 +653,52 @@ def test_l0_searches_for_algorithms_2_and_5_on_a_space_grid(monkeypatch):
     generate_basis(g, AlgorithmSpec.for_id(2))
     generate_basis(g, AlgorithmSpec.for_id(5), classify_members(g))
     assert searches <= 106
+
+
+#: grid:k x k:checker -> (M, {algorithm: (labels, L0 search nodes)}): the
+#: totals of algorithms 2 and 5 when these bounds were set.
+SRTM_WORK_ON_CHECKER_GRIDS = {
+    10: (210, {2: (3740, 5416), 5: (4407, 5417)}),
+    20: (820, {2: (22191, 61236), 5: (27493, 61237)}),
+    30: (1830, {2: (65729, 271956), 5: (83587, 271957)}),
+}
+
+
+@pytest.mark.parametrize("k", sorted(SRTM_WORK_ON_CHECKER_GRIDS))
+def test_route_tree_work_on_checker_grids(monkeypatch, k):
+    """The route-tree work of one basis on grid:k x k:checker, counted with
+    no timing, one fresh ``Analysis`` per basis: after each cycle search the
+    labels of both trees, and the nodes of each L0 search.
+
+    Algorithm 1 labels at most 16 nodes per member (13.7, 14.8 and 15.2 at
+    k = 10, 20 and 30) and searches for no L0.  Algorithms 2 and 5 stay
+    within the totals they gave when the bounds were set; per member their
+    labels grow about as the square root of M and their searches nearly as
+    M.  These guard observations on these grids, not theorems."""
+    work = {"labels": 0, "searched": 0}
+    search, reach = cycles._first_common_node, cycles._reach
+
+    def counted_search(tree_a, tiers_a, tree_b, tiers_b):
+        meet = search(tree_a, tiers_a, tree_b, tiers_b)
+        work["labels"] += len(tree_a.label) + len(tree_b.label)
+        return meet
+
+    def counted_reach(*args):
+        found = reach(*args)
+        work["searched"] += len(found)
+        return found
+
+    monkeypatch.setattr(cycles, "_first_common_node", counted_search)
+    monkeypatch.setattr(cycles, "_reach", counted_reach)
+    members, bounds = SRTM_WORK_ON_CHECKER_GRIDS[k]
+    counted = {}
+    for algorithm in (1, *bounds):
+        work.update(labels=0, searched=0)
+        analysis = Analysis(generate_grid(k, k, pattern="checker"))
+        analysis.basis(algorithm)
+        assert len(analysis.graph.member_ids()) == members
+        counted[algorithm] = (work["labels"], work["searched"])
+    assert counted[1][0] <= 16 * members and counted[1][1] == 0
+    for algorithm, (labels, searched) in bounds.items():
+        assert counted[algorithm][0] <= labels, algorithm
+        assert counted[algorithm][1] <= searched, algorithm

@@ -148,6 +148,11 @@ class TestParseModel:
             (("members", 1, "section"), None, "member 2: field 'section' must be a string, got null"),
             (("members", 1, "section"), 5, "member 2: field 'section' must be a string, got 5"),
             (("supports", 0, "kind"), None, "support at node 1: field 'kind' must be a string"),
+            (("comment",), "x", "frame.json: unknown field 'comment'"),
+            (("sections", "s", "G"), 8.1e6, "section 's': unknown field 'G'"),
+            (("nodes", 1, "coord"), [0.0, 3.0], "node 2: unknown field 'coord'"),
+            (("members", 0, "sect"), "s", "member 1: unknown field 'sect'"),
+            (("supports", 0, "knd"), "pinned", "support at node 1: unknown field 'knd'"),
         ],
     )
     def test_bad_field_type_is_named(self, tmp_path, where, value, message):
@@ -200,6 +205,11 @@ class TestLoadCaseFiles:
         with pytest.raises(ParseError, match="load: missing field 'node'"):
             parse_load_case(path)
 
+    def test_unknown_top_level_field_is_named(self, tmp_path):
+        path = tmp_path / "loads.json"
+        path.write_text(json.dumps({"format_version": 1, "loads": [], "load": []}))
+        with pytest.raises(ParseError, match="loads.json: unknown field 'load'$"):
+            parse_load_case(path)
 
     @pytest.mark.parametrize(
         "load,message",
@@ -213,6 +223,8 @@ class TestLoadCaseFiles:
             ({"node": 3, "fx": NAN}, "load on node 3: field 'fx' must be a number, got NaN"),
             ({"node": 3, "mz": -INF}, "load on node 3: field 'mz' must be a number, got -Infinity"),
             ({"node": 3, "fy": 10**400}, "load on node 3: field 'fy' must be a number"),
+            ({"node": 3, "Fx": 5}, "load on node 3: unknown field 'Fx'"),
+            ({"node": 3, "fx": 1, "my": 2, "Mz": 3}, "load on node 3: unknown field 'my'"),
         ],
     )
     def test_bad_field_type_is_named(self, tmp_path, load, message):

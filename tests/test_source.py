@@ -6,6 +6,7 @@ from pathlib import Path
 
 from oracles import write_load_case
 import framecycles
+from framecycles import cli
 from framecycles.cli import main
 
 PACKAGE = Path(framecycles.__file__).parent
@@ -201,3 +202,28 @@ def test_every_public_name_has_a_caller_outside_tests():
                 if public not in elsewhere and public not in _names_used(tree, skip=node):
                     unused.append(f"{name}: {public}")
     assert unused == []
+
+
+def test_main_alone_ends_a_command():
+    """A CLI command prints its output and raises on a rejection: no
+    ``_cmd_*`` function returns a value, and ``main`` is the one function of
+    ``cli.py`` with an ``error:`` string, so it alone maps a command's end to
+    the exit code."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    commands = [f for f in functions if f.name.startswith("_cmd_")]
+    assert sorted(f.name for f in commands) == sorted(f.__name__ for f in cli._COMMANDS.values())
+    returns = [
+        f"{f.name}:{node.lineno}"
+        for f in commands
+        for node in ast.walk(f)
+        if isinstance(node, ast.Return) and node.value is not None
+    ]
+    assert returns == []
+    printing_errors = {
+        f.name
+        for f in functions
+        for node in ast.walk(f)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "error:" in node.value
+    }
+    assert printing_errors == {"main"}
