@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
-import numpy as np
-
 from framecycles.cycles import (
     SRT,
     SRTM,
@@ -258,8 +256,10 @@ class AdjacencyMatrix:
     sigma: tuple[int, ...]
     chi: int
 
-    def pattern(self) -> np.ndarray:
-        """D != 0 as a (b1, b1) bool array."""
+    def pattern(self):
+        """D != 0 as a (b1, b1) numpy bool array."""
+        import numpy as np
+
         n = len(self.rows)
         width = (n + 7) // 8
         packed = b"".join(row.to_bytes(width, "little") for row in self.rows)

@@ -3,6 +3,10 @@ reports, and sparsity/cycle renderings.
 
 Reports are deterministic byte-for-byte: fixed column layout, floats at six
 significant digits, and fully deterministic generation underneath.
+
+The numeric layers (force, metrics, render) and numpy are imported by the
+commands that compute with them, so ``generate``, ``cycles``, a space-frame
+``compare`` and ``render --frame`` start without numpy.
 """
 
 from __future__ import annotations
@@ -13,23 +17,19 @@ import errno
 import io
 import os
 import re
-import shutil
 import sys
-import tempfile
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-import numpy as np
-
 from framecycles import basis as basis_mod
-from framecycles import force, frames, metrics, render
+from framecycles import frames
 from framecycles.basis import AlgorithmSpec, CycleBasis, adjacency_matrix, incidence_matrix
-from framecycles.force import assemble_g, build_b1, unassembled_flexibility
 from framecycles.model import (
     ModelError,
     StructuralModel,
     build_graph,
     check_alpha,
+    check_precision,
     classify_members,
     cycle_rank,
 )
@@ -40,6 +40,21 @@ COMPARE_COLUMNS = ("algorithm", "b1", "XD", "sumL", "overlapL", "overlapW", "PL"
 
 #: Generator spec (kind, number of sizes) -> grid generator.
 _GENERATORS = {("grid", 2): frames.generate_grid, ("grid3d", 3): frames.generate_grid3d}
+
+#: The force functions that ``bench/tracing.py`` patches on this module by name.
+_FORCE_NAMES = frozenset(("build_b1", "assemble_g", "unassembled_flexibility"))
+
+
+def __getattr__(name: str):
+    """``cli.build_b1``, ``cli.assemble_g`` and ``cli.unassembled_flexibility``
+    are ``force``'s functions, loaded on first use (PEP 562).  The hook exists
+    for the bench tracer, which patches these names here, and goes when the
+    tracer stops doing so (ROADMAP item 3)."""
+    if name in _FORCE_NAMES:
+        from framecycles import force
+
+        return getattr(force, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def load_or_generate(spec: str) -> StructuralModel:
@@ -89,8 +104,10 @@ class Analysis:
         return classify_members(self.graph, self.alpha)
 
     @cached_property
-    def flexibility(self) -> np.ndarray:
-        return unassembled_flexibility(self.model)
+    def flexibility(self):
+        from framecycles import force
+
+        return force.unassembled_flexibility(self.model)
 
     def basis(self, algorithm) -> CycleBasis:
         """The basis of algorithm 1-5 or of the spanning-tree baseline.
@@ -110,8 +127,10 @@ class Analysis:
     def adjacency(cycle_basis: CycleBasis) -> basis_mod.AdjacencyMatrix:
         return adjacency_matrix(incidence_matrix(cycle_basis))
 
-    def g(self, cycle_basis: CycleBasis) -> np.ndarray:
-        return assemble_g(build_b1(self.model, cycle_basis), self.flexibility)
+    def g(self, cycle_basis: CycleBasis):
+        from framecycles import force
+
+        return force.assemble_g(force.build_b1(self.model, cycle_basis), self.flexibility)
 
     def compare(self, algorithms: list, precision: int = 16) -> tuple[str, str]:
         """The algorithms side by side: (table text, CSV text).
@@ -144,6 +163,8 @@ class Analysis:
         }
         if self.model.ndim != 2:
             return {**row, "PL": "-", "PN": "-", "PDET": "-", "g": "-"}
+        from framecycles import metrics
+
         report = metrics.condition_report(self.g(cycle_basis), precision)
         numeric = (report.pl, report.pn, report.pdet, report.good_digits)
         return {**row, **dict(zip(("PL", "PN", "PDET", "g"), map(_fmt, numeric)))}
@@ -268,6 +289,8 @@ def _cmd_cycles(args) -> None:
 
 
 def _cmd_force(args) -> None:
+    from framecycles import force
+
     analysis = _analysis(args)
     loads = frames.parse_load_case(args.loads)
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
@@ -280,7 +303,9 @@ def _cmd_force(args) -> None:
 
 
 def _cmd_condition(args) -> None:
-    metrics.check_precision(args.precision)
+    from framecycles import metrics
+
+    check_precision(args.precision)
     analysis = _analysis(args)
     if analysis.model.ndim != 2:
         raise ModelError("condition report requires a planar model")
@@ -296,7 +321,7 @@ def _cmd_condition(args) -> None:
 
 def _cmd_compare(args) -> None:
     algorithms = _parse_algorithms(args.algorithms)
-    metrics.check_precision(args.precision)
+    check_precision(args.precision)
     analysis = _analysis(args)
     if analysis.model.ndim != 2:
         print("warning: 3D model, reporting combinatorial columns only", file=sys.stderr)
@@ -309,6 +334,8 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_render(args) -> None:
+    from framecycles import render
+
     analysis = _analysis(args)
     algorithm = _one_algorithm(args.algorithm)
     if not args.sparsity and not args.frame:
@@ -335,6 +362,9 @@ def _write_all(outputs) -> None:
     *path*, and move the files into place only once all are written, so a
     command that fails leaves none of its outputs behind.  Two outputs that
     are one file are an error before any is written."""
+    import shutil
+    import tempfile
+
     for i, (path, _) in enumerate(outputs):
         if os.path.realpath(path) in {os.path.realpath(p) for p, _ in outputs[:i]}:
             raise ValueError(f"two outputs go to one file: {path}")

@@ -2,9 +2,10 @@
 
 Frame files are JSON with a format-version field; the schema mirrors the
 model types: sections{}, nodes[], members[], supports[], and a key outside
-it is an error, not ignored.  The generators produce the rectangular test
-frames used throughout: fixed bases, 3 m bays and story heights by default,
-and named section patterns for heterogeneous variants.
+it, or a key given twice in one object, is an error, not ignored.  The
+generators produce the rectangular test frames used throughout: fixed bases,
+3 m bays and story heights by default, and named section patterns for
+heterogeneous variants.
 """
 
 from __future__ import annotations
@@ -84,12 +85,23 @@ def _known(mapping: dict, fields: frozenset, context: str, *args) -> None:
         raise ParseError(f"{context.format(*args)}: unknown field '{key}'")
 
 
+def _unique_keys(pairs: list, path) -> dict:
+    """A JSON object of *path* as a dict; a key given twice in one object is a
+    ParseError, where ``json`` would keep the last value and drop the rest."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"{path}: duplicate key '{key}'")
+    return obj
+
+
 def _read_document(path, fields: frozenset) -> dict:
     """The top-level object of a frame or load file, its format_version
-    checked and its keys among *fields*."""
+    checked, its keys among *fields* and no key repeated in any object."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):

@@ -35,13 +35,13 @@ symmetric eigensolver guarantees.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from framecycles.cholesky import _BLOCK, Cholesky, cholesky
+from framecycles.model import check_precision
 
 _SYMMETRY_TOL = 1e-12
 #: Lanczos steps between two convergence tests.
@@ -152,14 +152,6 @@ class ConditionReport:
     pdet_log10: float
     good_digits: float
     precision: int
-
-
-def check_precision(precision: int) -> None:
-    """Reject a machine that carries fewer than one digit, or more than a float holds."""
-    if precision < 1:
-        raise ValueError(f"precision must be >= 1, got {precision}")
-    if precision > sys.float_info.max:
-        raise ValueError(f"precision must be at most {sys.float_info.max:g}")
 
 
 def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:

@@ -337,6 +337,14 @@ def check_alpha(alpha: int) -> None:
         raise ModelError(f"alpha must be at most {sys.float_info.max:g}")
 
 
+def check_precision(precision: int) -> None:
+    """Reject a machine that carries fewer than one digit, or more than a float holds."""
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
+    if precision > sys.float_info.max:
+        raise ValueError(f"precision must be at most {sys.float_info.max:g}")
+
+
 def classify_members(graph: WeightedGraph, alpha: int = 2) -> frozenset[int]:
     """The inadmissible (NA) members: those lighter than mean/alpha.
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from framecycles.basis import CycleBasis
 from framecycles.model import ModelError, StructuralModel
 
@@ -13,8 +11,10 @@ _PALETTE = (
 )
 
 
-def render_sparsity(matrix: np.ndarray, path) -> None:
+def render_sparsity(matrix, path) -> None:
     """Monochrome portable bitmap: one pixel per entry, black where it is nonzero."""
+    import numpy as np
+
     pattern = np.atleast_2d(np.asarray(matrix)) != 0
     h, w = pattern.shape
     # Each row is its digits with a space after each but the last, then a newline.

@@ -288,6 +288,44 @@ def test_the_module_entry_point_exits_with_mains_code(capsys, argv, code, err):
     assert captured.err == err
 
 
+def in_a_fresh_interpreter(statements: str, cwd) -> tuple[str, bool]:
+    """Run *statements* in a new Python process in *cwd*: (the last line they
+    print, whether numpy was imported by then)."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(framecycles.__file__))}
+    script = f"{statements}\nimport sys\nprint('numpy' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env, check=True, capture_output=True, text=True
+    )
+    *printed, loaded = run.stdout.splitlines()
+    return (printed[-1] if printed else ""), loaded == "True"
+
+
+@pytest.mark.parametrize("module", ["framecycles", "framecycles.cli"])
+def test_importing_the_package_loads_no_numpy(tmp_path, module):
+    assert in_a_fresh_interpreter(f"import {module}", tmp_path) == ("", False)
+
+
+@pytest.mark.parametrize(
+    "argv,code,numpy_loaded",
+    [
+        (["generate", "--stories", "2", "--spans", "2", "-o", "frame.json"], 0, False),
+        (["cycles", "grid:10x10:checker", "--algorithm", "2"], 0, False),
+        (["compare", "grid3d:2x2x2:checker"], 0, False),
+        (["render", "grid:2x2", "--frame", "frame.svg"], 0, False),
+        (["cycles", "malformed.json"], 1, False),
+        (["condition", "grid:2x2"], 0, True),
+    ],
+    ids=["generate", "cycles", "space-compare", "render-frame", "malformed-file", "condition"],
+)
+def test_only_the_commands_that_compute_load_numpy(tmp_path, argv, code, numpy_loaded):
+    """numpy is imported by the numeric layers alone, so a command that
+    computes nothing numeric starts without it; ``condition`` is the
+    positive control."""
+    (tmp_path / "malformed.json").write_text('{"format_version": 1, "nodes": 5}')
+    statements = f"from framecycles.cli import main\nprint(main({argv!r}))"
+    assert in_a_fresh_interpreter(statements, tmp_path) == (str(code), numpy_loaded)
+
+
 class TestRender:
     def test_frame_rendering_takes_planar_models_only(self, tmp_path):
         analysis = Analysis(load_or_generate("grid3d:1x1x1"))
@@ -433,6 +471,26 @@ class TestErrors:
         assert main(["force", "grid:2x2", "--loads", str(loads)]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: load on node 3: unknown field 'Fx'\n")
+
+    @pytest.mark.parametrize(
+        "argv,text,key",
+        [
+            (["cycles", "FILE"], '{"format_version": 1, "format_version": 1}', "format_version"),
+            (
+                ["force", "grid:2x2", "--loads", "FILE"],
+                '{"format_version": 1, "loads": [{"node": 3, "fx": 1, "fx": 500}]}',
+                "fx",
+            ),
+        ],
+        ids=["frame", "load"],
+    )
+    def test_repeated_key_is_reported(self, tmp_path, capsys, argv, text, key):
+        """A key given twice is an error, not the last value silently kept."""
+        path = tmp_path / "file.json"
+        path.write_text(text)
+        assert main([str(path) if arg == "FILE" else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: duplicate key '{key}'\n")
 
     @pytest.mark.parametrize(
         "field,value,shown",

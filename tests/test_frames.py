@@ -173,6 +173,26 @@ class TestParseModel:
         with pytest.raises(ParseError, match="missing node 9"):
             parse_model(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "text,repeated,key",
+        [
+            ('"dimensionality": 2', '"dimensionality": 2, "dimensionality": 3', "dimensionality"),
+            ('"sections": {', '"sections": {"s": {"A": 1.0, "I": 1.0, "E": 1.0}, ', "s"),
+            ('"A": 0.0097', '"A": 0.0097, "A": 1.0', "A"),
+            ('"coords": [0.0, 3.0]', '"coords": [0.0, 3.0], "coords": [0.0, 4.0]', "coords"),
+            ('"section": "s"}', '"section": "s", "section": "t"}', "section"),
+            ('"kind": "fixed"', '"kind": "fixed", "kind": "fixed"', "kind"),
+        ],
+        ids=["top-level", "section-name", "section", "node", "member", "support-same-value"],
+    )
+    def test_repeated_key_is_named(self, tmp_path, text, repeated, key):
+        """A key given twice in one object is an error, even with equal
+        values, where ``json`` alone would keep the last and drop the rest."""
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(valid_doc()).replace(text, repeated, 1))
+        with pytest.raises(ParseError, match=f"frame.json: duplicate key '{key}'$"):
+            parse_model(path)
+
 
 class TestLoadCaseFiles:
     def test_round_trip(self, tmp_path):
@@ -209,6 +229,20 @@ class TestLoadCaseFiles:
         path = tmp_path / "loads.json"
         path.write_text(json.dumps({"format_version": 1, "loads": [], "load": []}))
         with pytest.raises(ParseError, match="loads.json: unknown field 'load'$"):
+            parse_load_case(path)
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"format_version": 1, "loads": [{"node": 3, "fx": 1, "fx": 500}]}', "fx"),
+            ('{"format_version": 1, "loads": [], "loads": [{"node": 3, "fx": 1}]}', "loads"),
+        ],
+        ids=["load", "top-level"],
+    )
+    def test_repeated_key_is_named(self, tmp_path, text, key):
+        path = tmp_path / "loads.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"loads.json: duplicate key '{key}'$"):
             parse_load_case(path)
 
     @pytest.mark.parametrize(

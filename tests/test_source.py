@@ -4,9 +4,11 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 from oracles import write_load_case
 import framecycles
-from framecycles import cli
+from framecycles import cli, force
 from framecycles.cli import main
 
 PACKAGE = Path(framecycles.__file__).parent
@@ -135,6 +137,56 @@ def test_force_metrics_and_render_stay_separate_layers():
     imports = {path.stem: _package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: imports[name] & layers for name in layers} == {name: set() for name in layers}
     assert [name for name, used in imports.items() if layers <= used] == ["cli"]
+
+
+def _module_level_imports(path: Path) -> set[str]:
+    """The top-level packages, and the ``framecycles`` modules by their short
+    names, that the module at *path* imports while it is imported: function
+    bodies are left out, class bodies and top-level blocks are not."""
+    found = set()
+    stack = list(ast.parse(path.read_text(), str(path)).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+            if node.module == "framecycles":
+                modules = [f"framecycles.{alias.name}" for alias in node.names]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        for module in modules:
+            top, _, rest = module.partition(".")
+            found.add(rest.partition(".")[0] if top == "framecycles" and rest else top)
+    return found
+
+
+def test_only_the_numeric_layers_import_numpy_at_module_level():
+    """``import framecycles.cli`` loads no numpy: the modules that import it
+    at module level, directly or through another module, are the Cholesky
+    factor, the force method and the metrics, which the CLI imports inside
+    the commands that compute with them."""
+    imports = {path.stem: _module_level_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    numeric = {"numpy"}
+    while grown := {name for name, used in imports.items() if used & numeric} - numeric:
+        numeric |= grown
+    assert numeric - {"numpy"} == {"cholesky", "force", "metrics"}
+
+
+@pytest.mark.parametrize("name", ["build_b1", "assemble_g", "unassembled_flexibility"])
+def test_cli_lends_the_tracer_forces_functions(name):
+    """``bench/tracing.py`` patches these three names on ``cli``; the module
+    resolves them to ``force``'s functions on first use."""
+    assert getattr(cli, name) is getattr(force, name)
+
+
+def test_cli_has_no_other_lent_names():
+    with pytest.raises(AttributeError, match="has no attribute 'solve_force_method'"):
+        getattr(cli, "solve_force_method")
+    assert not hasattr(cli, "np")
 
 
 def _names_used(tree: ast.AST, strings: bool = False, skip: ast.AST | None = None) -> set[str]:
