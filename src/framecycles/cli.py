@@ -4,9 +4,10 @@ reports, and sparsity/cycle renderings.
 Reports are deterministic byte-for-byte: fixed column layout, floats at six
 significant digits, and fully deterministic generation underneath.
 
-The numeric layers (force, metrics, render) and numpy are imported by the
-commands that compute with them, so ``generate``, ``cycles``, a space-frame
-``compare`` and ``render --frame`` start without numpy.
+The numeric layers (force, metrics, render) and numpy are imported where a
+command first computes with them, so ``generate``, ``cycles``, a space-frame
+``compare``, ``render --frame`` and an input rejected before that point run
+without numpy.
 """
 
 from __future__ import annotations
@@ -289,11 +290,11 @@ def _cmd_cycles(args) -> None:
 
 
 def _cmd_force(args) -> None:
-    from framecycles import force
-
     analysis = _analysis(args)
     loads = frames.parse_load_case(args.loads)
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
+    from framecycles import force
+
     solution = force.solve_force_method(analysis.model, cycle_basis, loads)
     print("member  N  V  M")
     for i, mid in enumerate(solution.member_order):
@@ -303,14 +304,14 @@ def _cmd_force(args) -> None:
 
 
 def _cmd_condition(args) -> None:
-    from framecycles import metrics
-
     check_precision(args.precision)
     analysis = _analysis(args)
     if analysis.model.ndim != 2:
         raise ModelError("condition report requires a planar model")
     cycle_basis = analysis.basis(_one_algorithm(args.algorithm))
     chi = analysis.adjacency(cycle_basis).chi
+    from framecycles import metrics
+
     report = metrics.condition_report(analysis.g(cycle_basis), args.precision)
     print(f"PL = {_fmt(report.pl)}")
     print(f"PN = {_fmt(report.pn)} (log10 {_fmt(report.pn_log10)})")

@@ -313,9 +313,20 @@ def test_importing_the_package_loads_no_numpy(tmp_path, module):
         (["compare", "grid3d:2x2x2:checker"], 0, False),
         (["render", "grid:2x2", "--frame", "frame.svg"], 0, False),
         (["cycles", "malformed.json"], 1, False),
+        (["condition", "grid:2x2", "--precision", "0"], 1, False),
+        (["force", "grid:2x2", "--loads", "malformed.json"], 1, False),
         (["condition", "grid:2x2"], 0, True),
     ],
-    ids=["generate", "cycles", "space-compare", "render-frame", "malformed-file", "condition"],
+    ids=[
+        "generate",
+        "cycles",
+        "space-compare",
+        "render-frame",
+        "malformed-file",
+        "rejected-precision",
+        "malformed-loads",
+        "condition",
+    ],
 )
 def test_only_the_commands_that_compute_load_numpy(tmp_path, argv, code, numpy_loaded):
     """numpy is imported by the numeric layers alone, so a command that

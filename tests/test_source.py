@@ -114,20 +114,23 @@ def test_render_builds_no_force_layer(tmp_path, monkeypatch):
     assert block.read_bytes() == plain.read_bytes()
 
 
+def _imported(node: ast.AST) -> list[str]:
+    """The modules that an import statement imports, ``from framecycles
+    import force`` as ``framecycles.force``; none for any other node."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        if node.module == "framecycles":
+            return [f"framecycles.{alias.name}" for alias in node.names]
+        return [node.module]
+    return []
+
+
 def _package_imports(path: Path) -> set[str]:
     """The ``framecycles`` modules that the module at *path* imports."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-            if node.module == "framecycles":
-                modules = [f"framecycles.{alias.name}" for alias in node.names]
-        else:
-            continue
-        found |= {m.split(".")[1] for m in modules if m.startswith("framecycles.")}
-    return found
+    tree = ast.parse(path.read_text(), str(path))
+    modules = [m for node in ast.walk(tree) for m in _imported(node)]
+    return {m.split(".")[1] for m in modules if m.startswith("framecycles.")}
 
 
 def test_force_metrics_and_render_stay_separate_layers():
@@ -149,18 +152,10 @@ def _module_level_imports(path: Path) -> set[str]:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules = [node.module]
-            if node.module == "framecycles":
-                modules = [f"framecycles.{alias.name}" for alias in node.names]
-        else:
-            stack.extend(ast.iter_child_nodes(node))
-            continue
-        for module in modules:
+        for module in _imported(node):
             top, _, rest = module.partition(".")
             found.add(rest.partition(".")[0] if top == "framecycles" and rest else top)
+        stack.extend(ast.iter_child_nodes(node))
     return found
 
 
