@@ -330,8 +330,8 @@ def test_importing_the_package_loads_no_numpy(tmp_path, module):
 )
 def test_only_the_commands_that_compute_load_numpy(tmp_path, argv, code, numpy_loaded):
     """numpy is imported by the numeric layers alone, so a command that
-    computes nothing numeric starts without it; ``condition`` is the
-    positive control."""
+    computes nothing numeric, or an input rejected before the command
+    computes, runs without it; ``condition`` is the positive control."""
     (tmp_path / "malformed.json").write_text('{"format_version": 1, "nodes": 5}')
     statements = f"from framecycles.cli import main\nprint(main({argv!r}))"
     assert in_a_fresh_interpreter(statements, tmp_path) == (str(code), numpy_loaded)
