@@ -256,16 +256,6 @@ class AdjacencyMatrix:
     sigma: tuple[int, ...]
     chi: int
 
-    def pattern(self):
-        """D != 0 as a (b1, b1) numpy bool array."""
-        import numpy as np
-
-        n = len(self.rows)
-        width = (n + 7) // 8
-        packed = b"".join(row.to_bytes(width, "little") for row in self.rows)
-        bits = np.frombuffer(packed, dtype=np.uint8).reshape(n, width)
-        return np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
-
 
 def incidence_matrix(basis: CycleBasis) -> IncidenceMatrix:
     column = basis.graph.column

@@ -4,10 +4,10 @@ reports, and sparsity/cycle renderings.
 Reports are deterministic byte-for-byte: fixed column layout, floats at six
 significant digits, and fully deterministic generation underneath.
 
-The numeric layers (force, metrics, render) and numpy are imported where a
-command first computes with them, so ``generate``, ``cycles``, a space-frame
-``compare``, ``render --frame`` and an input rejected before that point run
-without numpy.
+The numeric layers (force, metrics) and numpy are imported where a command
+first computes with them, so ``generate``, ``cycles``, a space-frame
+``compare``, ``render`` and an input rejected before that point run without
+numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from framecycles import basis as basis_mod
-from framecycles import frames
+from framecycles import frames, render
 from framecycles.basis import AlgorithmSpec, CycleBasis, adjacency_matrix, incidence_matrix
 from framecycles.model import (
     ModelError,
@@ -335,8 +335,6 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_render(args) -> None:
-    from framecycles import render
-
     analysis = _analysis(args)
     algorithm = _one_algorithm(args.algorithm)
     if not args.sparsity and not args.frame:
@@ -348,8 +346,8 @@ def _cmd_render(args) -> None:
     cycle_basis = analysis.basis(algorithm)
     outputs = []
     if args.sparsity:
-        pattern = analysis.adjacency(cycle_basis).pattern()
-        outputs.append((args.sparsity, lambda path: render.render_sparsity(pattern, path)))
+        adjacency = analysis.adjacency(cycle_basis)
+        outputs.append((args.sparsity, lambda path: render.render_sparsity(adjacency, path)))
     if args.frame:
         model = analysis.model
         outputs.append((args.frame, lambda path: render.render_frame(model, cycle_basis, path)))

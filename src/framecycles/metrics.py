@@ -175,6 +175,5 @@ def condition_report(G: np.ndarray, precision: int = 16) -> ConditionReport:
     values = []
     for scales in (np.concatenate(rows) / down, np.diag(G)):
         log_value = logdet - float(np.log(scales).sum())
-        value = math.exp(log_value) if log_value > -745 else 0.0
-        values += [value, log_value / math.log(10.0)]
+        values += [math.exp(log_value), log_value / math.log(10.0)]
     return ConditionReport(pl, *values, good_digits=precision - pl, precision=precision)

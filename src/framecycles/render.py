@@ -1,8 +1,8 @@
-"""File renderings: sparsity patterns as PBM rasters, frames as SVG."""
+"""File renderings: the sparsity pattern of D as a PBM raster, frames as SVG."""
 
 from __future__ import annotations
 
-from framecycles.basis import CycleBasis
+from framecycles.basis import AdjacencyMatrix, CycleBasis
 from framecycles.model import ModelError, StructuralModel
 
 _PALETTE = (
@@ -11,18 +11,15 @@ _PALETTE = (
 )
 
 
-def render_sparsity(matrix, path) -> None:
-    """Monochrome portable bitmap: one pixel per entry, black where it is nonzero."""
-    import numpy as np
-
-    pattern = np.atleast_2d(np.asarray(matrix)) != 0
-    h, w = pattern.shape
+def render_sparsity(adjacency: AdjacencyMatrix, path) -> None:
+    """Monochrome portable bitmap of D: pixel (i, k) is bit k of row i, black
+    where cycles i and k share a member."""
+    n = len(adjacency.rows)
     # Each row is its digits with a space after each but the last, then a newline.
-    text = np.full((h, max(2 * w, 1)), ord(" "), dtype=np.uint8)
-    text[:, : 2 * w : 2] = pattern + ord("0")
-    text[:, -1] = ord("\n")
+    text = bytearray(b" " * (2 * n - 1) + b"\n") * n
+    text[::2] = "".join(format(row, f"0{n}b")[::-1] for row in adjacency.rows).encode()
     with open(path, "wb") as fh:
-        fh.write(f"P1\n{w} {h}\n".encode() + text.tobytes())
+        fh.write(f"P1\n{n} {n}\n".encode() + text)
 
 
 def render_frame(model: StructuralModel, basis: CycleBasis, path) -> None:

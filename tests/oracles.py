@@ -294,6 +294,13 @@ def cycle_adjacency_counts(basis) -> np.ndarray:
     return C @ C.T
 
 
+def adjacency_pattern(adjacency) -> np.ndarray:
+    """D != 0 as a (b1, b1) bool array, bit k of ``adjacency.rows[i]`` at (i, k)."""
+    n = len(adjacency.rows)
+    bits = [[row >> k & 1 for k in range(n)] for row in adjacency.rows]
+    return np.array(bits, dtype=bool).reshape(n, n)
+
+
 def subgraph_b1(graph: WeightedGraph, members) -> int:
     """First Betti number of the subgraph spanned by a member set.
 

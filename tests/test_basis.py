@@ -300,8 +300,7 @@ def assert_adjacency_is_the_pattern_of_the_counts(basis):
     count them."""
     adjacency = adjacency_matrix(incidence_matrix(basis))
     counts = oracles.cycle_adjacency_counts(basis)
-    pattern = adjacency.pattern()
-    assert pattern.dtype == bool
+    pattern = oracles.adjacency_pattern(adjacency)
     assert np.array_equal(pattern, counts != 0)
     assert pattern.diagonal().all()
     assert np.array_equal(pattern, pattern.T)
@@ -320,7 +319,7 @@ class TestMatrices:
     def test_adjacency_diagonal_is_cycle_length(self):
         basis = run_algorithm(generate_grid(2, 3), 3)
         D = oracles.cycle_adjacency_counts(basis)
-        pattern = adjacency_matrix(incidence_matrix(basis)).pattern()
+        pattern = oracles.adjacency_pattern(adjacency_matrix(incidence_matrix(basis)))
         for i, cycle in enumerate(basis.cycles):
             assert D[i, i] == cycle.length
             assert pattern[i, i]

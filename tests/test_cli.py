@@ -312,6 +312,7 @@ def test_importing_the_package_loads_no_numpy(tmp_path, module):
         (["cycles", "grid:10x10:checker", "--algorithm", "2"], 0, False),
         (["compare", "grid3d:2x2x2:checker"], 0, False),
         (["render", "grid:2x2", "--frame", "frame.svg"], 0, False),
+        (["render", "grid:2x2", "--block", "--sparsity", "P"], 0, False),
         (["cycles", "malformed.json"], 1, False),
         (["condition", "grid:2x2", "--precision", "0"], 1, False),
         (["force", "grid:2x2", "--loads", "malformed.json"], 1, False),
@@ -322,6 +323,7 @@ def test_importing_the_package_loads_no_numpy(tmp_path, module):
         "cycles",
         "space-compare",
         "render-frame",
+        "render-sparsity",
         "malformed-file",
         "rejected-precision",
         "malformed-loads",

@@ -4,13 +4,12 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,11 +22,13 @@ from oracles import (
     ill_conditioned_demo,
 )
 from framecycles import metrics
+from framecycles.basis import adjacency_matrix, incidence_matrix
 from framecycles.cholesky import cholesky
 from framecycles.cli import Analysis, load_or_generate
 from framecycles.metrics import condition_report, eig_extremes
-from framecycles.render import render_sparsity
-from test_force import planar_grids
+from framecycles.model import Edge, WeightedGraph
+from test_cycles import connected_graphs
+from test_force import _rendered, every_basis, planar_grids
 
 EPS = np.finfo(float).eps
 
@@ -139,6 +140,15 @@ class TestIndicators:
         assert log10 == pytest.approx(expected, rel=1e-6)
         assert report.pn == 0.0
 
+    @pytest.mark.parametrize("d", [0.99, 0.99004345])
+    def test_a_determinant_in_the_subnormal_range_is_not_zero(self, d):
+        """190 blocks [[1, d], [d, 1]]: ln PDET = 190 ln(1 - d^2), -744.24 and
+        -745.06, both of which exp rounds to the smallest subnormal."""
+        G = np.kron(np.eye(190), np.array([[1.0, d], [d, 1.0]]))
+        report = condition_report(G)
+        assert report.pdet_log10 * math.log(10.0) == pytest.approx(190 * math.log1p(-d * d), rel=1e-12)
+        assert report.pdet == math.ulp(0.0)
+
     def test_log10_matches_value_when_not_underflowed(self):
         G = np.array([[1.0, 1.0], [1.0, 2.0]])
         report = condition_report(G)
@@ -146,32 +156,18 @@ class TestIndicators:
         assert log10 == pytest.approx(math.log10(abs(value)), rel=1e-12)
 
 
-def _rendered(matrix):
-    with tempfile.TemporaryDirectory() as workdir:
-        path = os.path.join(workdir, "pattern.pbm")
-        render_sparsity(matrix, path)
-        with open(path) as fh:
-            return fh.read()
-
-
-class TestNnz:
-    def test_entry_count(self):
-        raster = _rendered(np.array([[1.0, 0.0], [2.0, 3.0]]))
-        assert raster == "P1\n2 2\n1 0\n1 1\n"
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 8), st.integers(1, 8), st.data())
-def test_sparsity_raster_matches_the_entry_by_entry_reference(h, w, data):
-    """Sparse matrices, tiny nonzeros too: the PBM raster has one pixel per
-    entry and agrees with the reference that looks at one entry at a time."""
-    M = np.zeros((h, w))
-    cells = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
-    for i, j in data.draw(st.lists(cells, max_size=6)):
-        M[i, j] = data.draw(st.sampled_from([1.0, -2.5, 1e-300]))
-    raster = _rendered(M)
-    assert raster == oracles.reference_sparsity_pbm(M)
-    assert "".join(raster.splitlines()[2:]).count("1") == np.count_nonzero(M)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(connected_graphs())
+@example(WeightedGraph((1, 2), (Edge(1, 1, 2),), {1: 1.0}))
+def test_sparsity_raster_matches_the_entry_by_entry_reference(graph):
+    """Every basis of a random graph, a tree's empty one too: the PBM raster
+    of D has one pixel per entry, agrees with the reference that looks at one
+    entry of the integer C C' at a time, and blackens chi(D) pixels."""
+    for basis in every_basis(graph):
+        adjacency = adjacency_matrix(incidence_matrix(basis))
+        raster = _rendered(adjacency)
+        assert raster == oracles.reference_sparsity_pbm(oracles.cycle_adjacency_counts(basis))
+        assert "".join(raster.splitlines()[2:]).count("1") == adjacency.chi
 
 
 @st.composite
