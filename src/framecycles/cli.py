@@ -39,9 +39,6 @@ ALGORITHM_IDS = (1, 2, 3, 4, 5)
 BASELINE = "baseline"
 COMPARE_COLUMNS = ("algorithm", "b1", "XD", "sumL", "overlapL", "overlapW", "PL", "PN", "PDET", "g")
 
-#: Generator spec (kind, number of sizes) -> grid generator.
-_GENERATORS = {("grid", 2): frames.generate_grid, ("grid3d", 3): frames.generate_grid3d}
-
 #: The force functions that ``bench/tracing.py`` patches on this module by name.
 _FORCE_NAMES = frozenset(("build_b1", "assemble_g", "unassembled_flexibility"))
 
@@ -64,13 +61,15 @@ def load_or_generate(spec: str) -> StructuralModel:
     Generator specs: ``grid:STORIESxSPANS[:PATTERN]`` and
     ``grid3d:STORIESxSPANS_XxSPANS_Y[:PATTERN]``.
     """
-    if spec.startswith("grid:") or spec.startswith("grid3d:"):
+    if spec.startswith(("grid:", "grid3d:")):
         kind, dims, *rest = spec.split(":")
-        generate = _GENERATORS.get((kind, dims.count("x") + 1))
-        # Sizes are ASCII digits: int() would also take "1_0", " 2", "+1" and "２".
-        if generate is None or len(rest) > 1 or not re.fullmatch(r"[0-9]+(x[0-9]+)*", dims):
+        # Two sizes for grid, three for grid3d, each of ASCII digits: int()
+        # would also take "1_0", " 2", "+1" and "２".
+        sizes = "x".join(["[0-9]+"] * (3 if kind == "grid3d" else 2))
+        if len(rest) > 1 or not re.fullmatch(sizes, dims):
             raise ModelError(f"bad generator spec '{spec}'")
-        return generate(*map(int, dims.split("x")), pattern=rest[0] if rest else "homogeneous")
+        pattern = rest[0] if rest else "homogeneous"
+        return frames.generate_grid(*map(int, dims.split("x")), pattern=pattern)
     return frames.parse_model(spec)
 
 
@@ -265,14 +264,9 @@ class _UsageError(ValueError):
 
 
 def _cmd_generate(args) -> None:
-    if args.spans_y is not None:
-        model = frames.generate_grid3d(
-            args.stories, args.spans, args.spans_y, args.bay, args.height, args.pattern
-        )
-    else:
-        model = frames.generate_grid(
-            args.stories, args.spans, args.bay, args.height, args.pattern
-        )
+    model = frames.generate_grid(
+        args.stories, args.spans, args.spans_y, args.bay, args.height, args.pattern
+    )
     frames.write_model(model, args.output)
     print(f"wrote {args.output}")
 

@@ -64,9 +64,12 @@ class CycleVector:
     """A cycle as a member set, i.e. a vector over GF(2) indexed by members."""
 
     members: frozenset[int]
-    length: int
     weight: float
     generator: int
+
+    @property
+    def length(self) -> int:
+        return len(self.members)
 
     @staticmethod
     def from_members(
@@ -82,7 +85,7 @@ class CycleVector:
         the same way.
         """
         weight = sum(graph.weight(m) for m in members)
-        return CycleVector(members, len(members), weight, generator)
+        return CycleVector(members, weight, generator)
 
 
 def close_cycle(
@@ -508,14 +511,16 @@ class UnionSubgraph:
 
         Each fresh member whose ends are already connected, by the union or
         by fresh members taken before it, closes one more cycle.  The
-        trial links go into a throwaway overlay; the union is unchanged.
+        trial links join the union's components in a throwaway union-find;
+        the union is unchanged.
         """
-        overlay = DisjointSets(self.components)
+        find = self.components.find
+        trial = DisjointSets()
         closed = 0
         for mid in members:
             if mid not in self.members:
                 e = graph.member(mid)
-                closed += not overlay.union(e.a, e.b)
+                closed += not trial.union(find(e.a), find(e.b))
         return closed
 
     def add(self, graph: WeightedGraph, members: frozenset[int]) -> None:

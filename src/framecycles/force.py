@@ -363,7 +363,7 @@ def solve_force_method(
         raise ModelError("particular solution requires a grounded graph")
     geo = _geometry(model)
     tree = build_srt(graph, graph.ground)
-    supported = {graph.ground, *model.supports}
+    supported = set(model.supports)
     rows, signs, points, wrenches = [], [], [], []
     for node, fx, fy, mz in load_case:
         _check_load_node(node, supported, tree.parent)

@@ -1,9 +1,9 @@
-"""Frame description files and rectangular grid generators.
+"""Frame description files and the rectangular grid generator.
 
 Frame files are JSON with a format-version field; the schema mirrors the
 model types: sections{}, nodes[], members[], supports[], and a key outside
 it, or a key given twice in one object, is an error, not ignored.  The
-generators produce the rectangular test frames used throughout: fixed bases,
+generator produces the rectangular test frames used throughout: fixed bases,
 3 m bays and story heights by default, and named section patterns for
 heterogeneous variants.
 """
@@ -102,7 +102,11 @@ def _read_document(path, fields: frozenset) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
-    except json.JSONDecodeError as exc:
+    except ParseError:
+        raise
+    except RecursionError:
+        raise ParseError(f"{path}: not valid JSON (nested too deeply)") from None
+    except ValueError as exc:  # bad syntax or encoding, or an integer of too many digits
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -201,9 +205,18 @@ def _section_for(pattern: str, is_beam: bool, story: int, index: int) -> str:
     raise ModelError(f"unknown section pattern '{pattern}'")
 
 
-def _grid(stories, spans_x, spans_y, bay, height, pattern) -> StructuralModel:
-    """The grid of both generators; *spans_y* None is the planar frame, built
-    as the space frame's one row of bays without its y coordinate.
+def generate_grid(
+    stories: int,
+    spans_x: int,
+    spans_y: int | None = None,
+    bay: float = 3.0,
+    height: float = 3.0,
+    pattern: str = "homogeneous",
+) -> StructuralModel:
+    """Rectangular frame with fixed bases: *spans_x* by *spans_y* bays in
+    plan, or with *spans_y* None the planar frame, built as the space frame's
+    one row of bays without its y coordinate.  Space frames are for
+    combinatorial use only.
 
     Nodes go level by level, row by row along x; members story by story:
     columns, then beams along x, then beams along y.
@@ -239,30 +252,3 @@ def _grid(stories, spans_x, spans_y, bay, height, pattern) -> StructuralModel:
     supports = [node_id(ix, iy, 0) for iy in range(rows) for ix in range(spans_x + 1)]
     sections = {"light": LIGHT_SECTION, "heavy": HEAVY_SECTION}
     return StructuralModel(nodes, members, sections, supports, ndim=2 if planar else 3)
-
-
-def generate_grid(
-    stories: int,
-    spans: int,
-    bay: float = 3.0,
-    height: float = 3.0,
-    pattern: str = "homogeneous",
-) -> StructuralModel:
-    """Rectangular planar frame with fixed bases.
-
-    Nodes are numbered level by level from the base; members story by story,
-    columns before beams.
-    """
-    return _grid(stories, spans, None, bay, height, pattern)
-
-
-def generate_grid3d(
-    stories: int,
-    spans_x: int,
-    spans_y: int,
-    bay: float = 3.0,
-    height: float = 3.0,
-    pattern: str = "homogeneous",
-) -> StructuralModel:
-    """Rectangular space frame with fixed bases (combinatorial use only)."""
-    return _grid(stories, spans_x, spans_y, bay, height, pattern)

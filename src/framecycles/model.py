@@ -14,7 +14,8 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-#: Node id of the merged ground node in contracted graphs.
+#: Node id of the merged ground node in contracted graphs, unless a frame
+#: node's id is -1 or lower: then the ground is one below the smallest id.
 GROUND = -1
 
 SUM = "sum"
@@ -219,19 +220,12 @@ def heavy_first(
 
 
 class DisjointSets:
-    """Union-find over node ids; a node never linked is a set of its own.
+    """Union-find over node ids; a node never linked is a set of its own."""
 
-    Built over a *base*, it extends the base's sets without changing them:
-    links made here stay here, so it serves as a throwaway overlay.
-    """
-
-    def __init__(self, base: DisjointSets | None = None):
+    def __init__(self):
         self._parent: dict[int, int] = {}
-        self._base = base
 
     def find(self, x: int) -> int:
-        if self._base is not None:
-            x = self._base.find(x)
         parent = self._parent
         while x in parent:
             up = parent[x]
@@ -296,13 +290,17 @@ def build_graph(model: StructuralModel, variant: str = SUM) -> WeightedGraph:
     All supported nodes are merged into the single ground node; every member
     becomes a graph member with a stiffness weight.  Raises if the contracted
     graph is not connected (an unsupported part cannot reach the ground).
+
+    The ground's id lies below every node id, so no free node is merged into
+    it and it sorts first, as the node-id tie-breaks expect.
     """
     supported = set(model.supports)
+    ground = min(GROUND, min(n.id for n in model.nodes) - 1)
 
     def contract(node_id: int) -> int:
-        return GROUND if node_id in supported else node_id
+        return ground if node_id in supported else node_id
 
-    nodes = {GROUND}
+    nodes = {ground}
     nodes.update(n.id for n in model.nodes if n.id not in supported)
     edges = []
     weights: dict[int, float] = {}
@@ -323,7 +321,7 @@ def build_graph(model: StructuralModel, variant: str = SUM) -> WeightedGraph:
             raise ModelError(f"member {m.id} is too short: its length cubed underflows") from None
         if not math.isfinite(weights[m.id]):  # 12EI/L^3 is inf below about 6e-102 m
             raise ModelError(f"member {m.id} is too short or too stiff: its weight overflows")
-    graph = WeightedGraph(tuple(sorted(nodes)), tuple(edges), weights, ground=GROUND)
+    graph = WeightedGraph(tuple(sorted(nodes)), tuple(edges), weights, ground=ground)
     if graph.b0 != 1:
         raise ModelError("disconnected structure: some nodes cannot reach the ground")
     return graph

@@ -49,7 +49,7 @@ import oracles
 from oracles import write_load_case
 from framecycles.basis import AlgorithmSpec, baseline_tree_basis, generate_basis
 from framecycles.cli import main as cli_main
-from framecycles.frames import PATTERNS, generate_grid, generate_grid3d
+from framecycles.frames import PATTERNS, generate_grid
 from framecycles.model import build_graph, classify_members
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -73,7 +73,7 @@ def corpus():
         for stories in range(1, GRID3D_MAX + 1):
             for sx in range(1, GRID3D_MAX + 1):
                 for sy in range(1, GRID3D_MAX + 1):
-                    model = generate_grid3d(stories, sx, sy, pattern=pattern)
+                    model = generate_grid(stories, sx, sy, pattern=pattern)
                     yield f"grid3d:{stories}x{sx}x{sy}:{pattern}", build_graph(model)
     for seed in range(RANDOM_GRAPHS):
         rng = random.Random(seed)

@@ -43,7 +43,7 @@ from framecycles.force import (
     solve_force_method,
     unassembled_flexibility,
 )
-from framecycles.frames import generate_grid, generate_grid3d
+from framecycles.frames import generate_grid
 from framecycles.metrics import condition_report, eig_extremes
 from framecycles.model import build_graph, classify_members, cycle_rank
 
@@ -74,7 +74,7 @@ def test_criterion_01_benchmark_sparsity_targets():
         assert chi == expected, f"grid {stories}x{spans} alg {algorithm}: X = {chi}"
         assert elapsed < 1.0
 
-    chi, elapsed = timed_chi(generate_grid3d(4, 1, 1), 1)
+    chi, elapsed = timed_chi(generate_grid(4, 1, 1), 1)
     assert elapsed < 1.0
     # Known failure: the merged-support graph admits a strictly sparser
     # basis than the target value for this space frame (72 < 74).
@@ -90,8 +90,8 @@ def test_criterion_02_rank_identity_on_many_graphs():
     for stories in range(1, 5):
         for spans in range(1, 5):
             graphs.append(build_graph(generate_grid(stories, spans)))
-    graphs.append(build_graph(generate_grid3d(2, 1, 1)))
-    graphs.append(build_graph(generate_grid3d(1, 2, 2)))
+    graphs.append(build_graph(generate_grid(2, 1, 1)))
+    graphs.append(build_graph(generate_grid(1, 2, 2)))
     assert len(graphs) > 100
 
     for graph in graphs:
@@ -123,8 +123,8 @@ def test_criterion_03_independence_controls():
         for spans in range(1, 5)
         for pattern in ("homogeneous", "weak-beams", "weak-columns", "checker")
     ]
-    models.append(("grid3d:4x1x1", generate_grid3d(4, 1, 1)))
-    models.append(("grid3d:2x2x2", generate_grid3d(2, 2, 2)))
+    models.append(("grid3d:4x1x1", generate_grid(4, 1, 1)))
+    models.append(("grid3d:2x2x2", generate_grid(2, 2, 2)))
 
     multi_closures = 0
     for label, model in models:

@@ -22,7 +22,7 @@ from framecycles.basis import (
 )
 from framecycles.cli import Analysis, load_or_generate
 from framecycles.cycles import SRT, SRTM, build_srt, min_cycle_on_member
-from framecycles.frames import generate_grid, generate_grid3d
+from framecycles.frames import generate_grid
 from framecycles.model import (
     FrameMember,
     FrameNode,
@@ -331,7 +331,7 @@ class TestMatrices:
         assert len(shared) == 1
 
     def test_3d_grid_combinatorics(self):
-        basis = run_algorithm(generate_grid3d(2, 1, 1), 1)
+        basis = run_algorithm(generate_grid(2, 1, 1), 1)
         graph = basis.graph
         assert len(basis) == cycle_rank(graph)
         D = adjacency_matrix(incidence_matrix(basis))

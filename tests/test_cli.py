@@ -506,6 +506,29 @@ class TestErrors:
         assert (captured.out, captured.err) == ("", f"error: {path}: duplicate key '{key}'\n")
 
     @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("[" * 100_000 + "]" * 100_000, "nested too deeply)"),
+            ('{"a":' * 100_000 + "1" + "}" * 100_000, "nested too deeply)"),
+            ('{"format_version": ' + "9" * 5000 + "}", "digits"),
+        ],
+        ids=["lists", "objects", "long-integer"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["cycles", "FILE"], ["force", "grid:2x2", "--loads", "FILE"]], ids=["frame", "load"]
+    )
+    def test_unreadable_json_is_reported_with_its_file(self, tmp_path, capsys, argv, text, reason):
+        """JSON that the reader cannot take, nested deeper than Python recurses
+        or with an integer longer than it converts, is one error naming the file."""
+        path = tmp_path / "file.json"
+        path.write_text(text)
+        assert main([str(path) if arg == "FILE" else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not valid JSON (")
+        assert captured.err.count("\n") == 1 and reason in captured.err
+
+    @pytest.mark.parametrize(
         "field,value,shown",
         [
             ("sections", [], "an object, got []"),

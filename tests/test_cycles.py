@@ -35,7 +35,7 @@ from framecycles.cycles import (
     build_srt,
     min_cycle_on_member,
 )
-from framecycles.frames import generate_grid, generate_grid3d
+from framecycles.frames import generate_grid
 from framecycles.model import Edge, WeightedGraph, build_graph, classify_members, cycle_rank
 
 
@@ -530,7 +530,7 @@ HIGH_CONTRAST_GRIDS = pytest.mark.parametrize(
     [
         generate_grid(8, 8, pattern="weak-columns"),
         generate_grid(8, 8, pattern="checker"),
-        generate_grid3d(3, 3, 3, pattern="checker"),
+        generate_grid(3, 3, 3, pattern="checker"),
     ],
     ids=["grid:8x8:weak-columns", "grid:8x8:checker", "grid3d:3x3x3:checker"],
 )
@@ -622,7 +622,7 @@ def test_certificate_re_hangs_re_routes_and_holds_under_a_mask(monkeypatch):
 
     for model in (
         generate_grid(8, 8, pattern="weak-columns"),
-        generate_grid3d(3, 3, 3, pattern="checker"),
+        generate_grid(3, 3, 3, pattern="checker"),
     ):
         g = build_graph(model)
         for mid in g.member_ids():
@@ -649,7 +649,7 @@ def test_l0_searches_for_algorithms_2_and_5_on_a_space_grid(monkeypatch):
         return reach(*args, **kwargs)
 
     monkeypatch.setattr(cycles, "_reach", counted)
-    g = build_graph(generate_grid3d(6, 4, 4, pattern="checker"))
+    g = build_graph(generate_grid(6, 4, 4, pattern="checker"))
     generate_basis(g, AlgorithmSpec.for_id(2))
     generate_basis(g, AlgorithmSpec.for_id(5), classify_members(g))
     assert searches <= 106

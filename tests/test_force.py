@@ -33,7 +33,7 @@ from framecycles.force import (
 from framecycles.cholesky import _BLOCK
 from framecycles.cli import Analysis, load_or_generate
 from framecycles.cycles import CycleVector
-from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid, generate_grid3d
+from framecycles.frames import HEAVY_SECTION, PATTERNS, generate_grid
 from framecycles.metrics import condition_report
 from framecycles.model import (
     FrameMember,
@@ -168,7 +168,7 @@ class TestB1:
         assert B1.shape == (3 * len(model.members), 3 * len(basis))
 
     def test_3d_rejected(self):
-        model = generate_grid3d(1, 1, 1)
+        model = generate_grid(1, 1, 1)
         graph = build_graph(model)
         basis = generate_basis(graph, AlgorithmSpec.for_id(1))
         with pytest.raises(UnsupportedModel):
@@ -396,7 +396,11 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "node,message",
-        [(1, "load on supported node 1 is rejected"), (99, "load on unknown node 99")],
+        [
+            (1, "load on supported node 1 is rejected"),
+            (99, "load on unknown node 99"),
+            (-1, "load on unknown node -1"),
+        ],
     )
     def test_equilibrium_residual_rejects_what_the_solve_rejects(self, node, message):
         model = generate_grid(1, 1)
@@ -412,7 +416,7 @@ class TestSolve:
             nodal_equilibrium_residual(model, np.zeros(3 * len(model.members)), {(3, dof): 1.0})
 
     def test_3d_equilibrium_residual_rejected(self):
-        model = generate_grid3d(1, 1, 1)
+        model = generate_grid(1, 1, 1)
         with pytest.raises(UnsupportedModel, match="unsupported for 3D"):
             nodal_equilibrium_residual(model, np.ones(3 * len(model.members)))
 
@@ -423,7 +427,11 @@ def planar_grids(draw):
     of them with every node nudged so that members leave the axes."""
     bay, height = draw(st.floats(1.0, 8.0)), draw(st.floats(1.0, 8.0))
     model = generate_grid(
-        draw(st.integers(1, 5)), draw(st.integers(1, 5)), bay, height, draw(st.sampled_from(PATTERNS))
+        draw(st.integers(1, 5)),
+        draw(st.integers(1, 5)),
+        bay=bay,
+        height=height,
+        pattern=draw(st.sampled_from(PATTERNS)),
     )
     if draw(st.booleans()):
         nudge = st.floats(-0.3, 0.3)

@@ -14,7 +14,6 @@ from framecycles.frames import (
     LIGHT_SECTION,
     ParseError,
     generate_grid,
-    generate_grid3d,
     parse_load_case,
     parse_model,
     write_model,
@@ -69,7 +68,7 @@ class TestParseModel:
         assert restored.sections == original.sections
 
     def test_3d_round_trip(self, tmp_path):
-        original = generate_grid3d(2, 1, 1)
+        original = generate_grid(2, 1, 1)
         path = tmp_path / "grid3d.json"
         write_model(original, path)
         restored = parse_model(path)
@@ -335,7 +334,7 @@ class TestGenerateGrid:
 
 class TestGenerateGrid3d:
     def test_counts(self):
-        model = generate_grid3d(2, 1, 1)
+        model = generate_grid(2, 1, 1)
         assert len(model.nodes) == 3 * 4
         # per story: 4 columns + 2 beams in x + 2 beams in y
         assert len(model.members) == 2 * 8
@@ -343,12 +342,12 @@ class TestGenerateGrid3d:
         assert model.ndim == 3
 
     def test_coordinates_are_3d(self):
-        model = generate_grid3d(1, 1, 1)
+        model = generate_grid(1, 1, 1)
         assert all(len(n.coords) == 3 for n in model.nodes)
 
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ModelError, match=">= 1"):
-            generate_grid3d(1, 0, 1)
+            generate_grid(1, 0, 1)
 
 
 # --- fuzzed documents ---------------------------------------------------------

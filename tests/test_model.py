@@ -182,6 +182,30 @@ class TestBuildGraph:
         assert g.ground == GROUND
         assert cycle_rank(g) == 1
 
+    @pytest.mark.parametrize(
+        "ids",
+        [{5: -1}, {3: -1}, {n: n - 6 for n in range(1, 7)}],
+        ids=["free-5", "free-3", "all-shifted"],
+    )
+    def test_a_free_node_numbered_minus_one_is_not_merged_into_the_ground(self, ids):
+        """The ground's id lies below every node id: a two-story portal with a
+        free node renumbered -1 keeps that node free and compares as before."""
+        from framecycles.cli import Analysis
+
+        portal = generate_grid(2, 1)
+        new = lambda node: ids.get(node, node)
+        model = StructuralModel(
+            [FrameNode(new(n.id), n.coords) for n in portal.nodes],
+            [FrameMember(m.id, new(m.a), new(m.b), m.section) for m in portal.members],
+            portal.sections,
+            [new(s) for s in portal.supports],
+        )
+        g = build_graph(model)
+        assert g.ground not in {n.id for n in model.nodes}
+        assert g.nodes[0] == g.ground and cycle_rank(g) == 2
+        algorithms = [1, 2, 3, 4, 5, "baseline"]
+        assert Analysis(model).compare(algorithms) == Analysis(portal).compare(algorithms)
+
     def test_three_story_four_span_counts(self):
         g = build_graph(generate_grid(3, 4))
         assert len(g.nodes) == 16
@@ -205,9 +229,7 @@ class TestBuildGraph:
             build_graph(m)
 
     def test_3d_models_use_space_weights(self):
-        from framecycles.frames import generate_grid3d
-
-        m = generate_grid3d(1, 1, 1)
+        m = generate_grid(1, 1, 1)
         g = build_graph(m)
         col = m.members[0]
         expected = member_weight_3d(m.member_section(col), m.member_length(col))
